@@ -2,14 +2,18 @@
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, univariate gcds and rational roots, and
-Sylvester resultants computed by fraction-free (Bareiss) elimination over
-the polynomial ring, so every intermediate value stays exact.
+Sylvester resultants computed by evaluation at integer points and Newton
+interpolation, with fraction-free (Bareiss) determinants of integer
+matrices underneath, so every intermediate value stays exact.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+
+from .signature import divisors
 
 
 class PolynomialError(ValueError):
@@ -368,39 +372,18 @@ def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial:
     return Polynomial(numerator.variables, quotient)
 
 
-def _bareiss_determinant(matrix: list[list[Polynomial]], variables) -> Polynomial:
-    zero = Polynomial.zero(variables)
-    n = len(matrix)
-    if n == 0:
-        return Polynomial.constant(1, variables)
-    m = [row[:] for row in matrix]
-    sign = 1
-    previous = Polynomial.constant(1, variables)
-    for i in range(n - 1):
-        if m[i][i].is_zero():
-            for r in range(i + 1, n):
-                if not m[r][i].is_zero():
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                numerator = m[r][c] * m[i][i] - m[r][i] * m[i][c]
-                m[r][c] = exact_divide(numerator, previous)
-            m[r][i] = zero
-        previous = m[i][i]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     """Sylvester resultant eliminating one variable.
 
     Both inputs need positive degree in the eliminated variable; the result
     is a polynomial in the remaining variables (the variable slot stays but
     its exponent is zero everywhere).
+
+    The inputs are scaled to integer coefficients, the remaining variables
+    are evaluated at integer points until only integer Sylvester matrices
+    are left, and the resultant is interpolated back from their
+    determinants (Collins 1971).  The matrices keep the formal shape at
+    every point, so each determinant is the resultant's value there.
     """
     p._match(q)
     m, n = p.degree_in(name), q.degree_in(name)
@@ -408,18 +391,129 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
         raise PolynomialError(
             f"resultant needs positive degree in {name!r} (got {m} and {n})"
         )
-    pc = p.coefficients_in(name)
-    qc = q.coefficients_in(name)
+    lp, pc = _integer_coefficients(p, name)
+    lq, qc = _integer_coefficients(q, name)
+    res = _integer_resultant(pc, qc, p.degree() * q.degree())
+    scale = lp**n * lq**m
+    return Polynomial(p.variables, {e: Fraction(c, scale) for e, c in res.items()})
+
+
+def _integer_coefficients(p: Polynomial, name: str):
+    """Clear denominators: (l, the coefficients of the powers of name in l*p).
+
+    l is the lcm of p's denominators; each coefficient is {exponents: int}.
+    """
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    idx = p._index(name)
+    coeffs: list[dict] = [{} for _ in range(p.degree_in(name) + 1)]
+    for exps, c in p.terms.items():
+        reduced = exps[:idx] + (0,) + exps[idx + 1 :]
+        coeffs[exps[idx]][reduced] = c.numerator * (lcm // c.denominator)
+    return lcm, coeffs
+
+
+def _integer_resultant(pc: list[dict], qc: list[dict], bound: int) -> dict:
+    """Determinant of the formal Sylvester matrix of two integer polynomials.
+
+    ``pc`` and ``qc`` hold the coefficients of powers of the eliminated
+    variable; a vanishing leading one still counts.  ``bound`` caps the
+    degree of the result in any one variable (deg p * deg q at the top).
+    """
+    if not any(pc) or not any(qc):
+        return {}
+    occurring = {i for c in pc + qc for e in c for i, k in enumerate(e) if k}
+    if not occurring:
+        det = _integer_determinant(
+            _sylvester([sum(c.values()) for c in pc], [sum(c.values()) for c in qc])
+        )
+        origin = next(e for c in pc if c for e in c)
+        return {origin: det} if det else {}
+    v = min(occurring)
+    m, n = len(pc) - 1, len(qc) - 1
+    deg_p = max((e[v] for c in pc for e in c), default=0)
+    deg_q = max((e[v] for c in qc for e in c), default=0)
+    top = min(n * deg_p + m * deg_q, bound)
+    values = [
+        _integer_resultant(_evaluate(pc, v, t), _evaluate(qc, v, t), bound)
+        for t in range(top + 1)
+    ]
+    result = {}
+    for e in {e for value in values for e in value}:
+        coeffs = _interpolate([value.get(e, 0) for value in values])
+        for power, c in enumerate(coeffs):
+            if c:
+                result[e[:v] + (power,) + e[v + 1 :]] = c
+    return result
+
+
+def _evaluate(coeffs: list[dict], v: int, t: int) -> list[dict]:
+    """Set the variable at index v to the integer t in every coefficient."""
+    out = []
+    for c in coeffs:
+        values: dict = {}
+        for e, a in c.items():
+            key = e[:v] + (0,) + e[v + 1 :]
+            values[key] = values.get(key, 0) + a * t ** e[v]
+        out.append({e: a for e, a in values.items() if a})
+    return out
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Ascending coefficients of the integer polynomial taking values[t] at t.
+
+    Newton divided differences at the points 0, 1, ..., every one an exact
+    integer division when such a polynomial exists.
+    """
+    c = list(values)
+    top = len(c) - 1
+    for k in range(1, top + 1):
+        for i in range(top, k - 1, -1):
+            c[i], rem = divmod(c[i] - c[i - 1], k)
+            if rem:
+                raise PolynomialError("values are not those of an integer polynomial")
+    coeffs = [c[top]]
+    for k in range(top - 1, -1, -1):
+        coeffs.insert(0, 0)
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= k * coeffs[j + 1]
+        coeffs[0] += c[k]
+    return coeffs
+
+
+def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:
+    m, n = len(pc) - 1, len(qc) - 1
     size = m + n
-    zero = Polynomial.zero(p.variables)
-    matrix = [[zero] * size for _ in range(size)]
+    matrix = [[0] * size for _ in range(size)]
     for row in range(n):
-        for i, coeff in enumerate(reversed(pc)):  # x^m first
-            matrix[row][row + i] = coeff
+        matrix[row][row : row + m + 1] = pc[::-1]  # x^m first
     for row in range(m):
-        for i, coeff in enumerate(reversed(qc)):
-            matrix[n + row][row + i] = coeff
-    return _bareiss_determinant(matrix, p.variables)
+        matrix[n + row][row : row + n + 1] = qc[::-1]
+    return matrix
+
+
+def _integer_determinant(matrix: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss 1968): every division exact."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    sign = 1
+    previous = 1
+    for i in range(n - 1):
+        if not m[i][i]:
+            for r in range(i + 1, n):
+                if m[r][i]:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot, pivot_row = m[i][i], m[i]
+        for r in range(i + 1, n):
+            row = m[r]
+            lead = row[i]
+            for c in range(i + 1, n):
+                row[c] = (row[c] * pivot - lead * pivot_row[c]) // previous
+        previous = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def _univariate_coeffs(p: Polynomial, name: str) -> list[Fraction]:
@@ -485,27 +579,14 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
     if len(coeffs) > 1:
-        scale = 1
-        for c in coeffs:
-            scale = scale * c.denominator // _gcd_int(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
-        lead, const = abs(ints[-1]), abs(ints[0])
-        for num in _divisor_candidates(const):
-            for den in _divisor_candidates(lead):
+        for num in divisors(ints[0]):
+            for den in divisors(ints[-1]):
                 for candidate in (Fraction(num, den), Fraction(-num, den)):
                     if _eval_univariate(coeffs, candidate) == 0:
                         roots.add(candidate)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisor_candidates(n: int):
-    return (d for d in range(1, abs(n) + 1) if n % d == 0)
 
 
 def _eval_univariate(coeffs, value: Fraction) -> Fraction:

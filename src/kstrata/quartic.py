@@ -20,7 +20,7 @@ from .polynomials import (
     rational_roots,
     resultant,
 )
-from .series import branch_series, tangent_contact_order, vanishing_order
+from .series import branch_series, require_x_axis_tangent, vanishing_order
 
 
 class UnknownConstructionError(ValueError):
@@ -245,7 +245,8 @@ def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport
             )
         )
 
-    contact = tangent_contact_order(f, precision)
+    require_x_axis_tangent(f)
+    contact = phi.valuation()  # the contact order of the x-axis with the branch
     checks.append(
         SporadicCheck(
             "tangent_contact_order",

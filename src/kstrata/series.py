@@ -195,7 +195,12 @@ def tangent_contact_order(
     (no holomorphic form triple-vanishes there), 3 at a flex that is not a
     hyperflex, and 4 or more at a hyperflex.
     """
+    require_x_axis_tangent(f, x_var, y_var)
+    return branch_series(f, precision, x_var, y_var).valuation()
+
+
+def require_x_axis_tangent(f: Polynomial, x_var: str = "x", y_var: str = "y") -> None:
+    """Raise SeriesError unless df/dx vanishes at the origin."""
     origin = {x_var: 0, y_var: 0}
     if f.partial_derivative(x_var).evaluate(origin) != 0:
         raise SeriesError("tangent line at the origin is not the x-axis")
-    return branch_series(f, precision, x_var, y_var).valuation()

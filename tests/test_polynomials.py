@@ -156,3 +156,144 @@ def test_rational_roots():
     p = poly("2*x^3 - 3*x^2 - 2*x")  # roots 0, 2, -1/2
     assert rational_roots(p, "x") == [Fraction(-1, 2), Fraction(0), Fraction(2)]
     assert rational_roots(poly("x^2 + 1"), "x") == []
+
+
+def test_rational_roots_with_a_large_constant():
+    # constant term 1048573 * 1024 * 1025, about 2^40
+    p = poly("x - 1048573") * poly("x + 1024") * poly("3*x - 1") * poly("x - 1025")
+    p = p * poly("x^2 + 1")
+    assert rational_roots(p, "x") == [
+        Fraction(-1024),
+        Fraction(1, 3),
+        Fraction(1025),
+        Fraction(1048573),
+    ]
+
+
+# -- resultants against sympy ------------------------------------------------
+
+
+def _sympy_resultant(p, q, name):
+    """Res(p, q) by sympy, as a Polynomial in p's variables.
+
+    sympy.resultant(f, g) returns Res(g, f) when f has the lower degree (it
+    swaps the inputs without the sign), so the higher-degree input goes
+    first and Res(p, q) = (-1)^(mn) Res(q, p) restores the Sylvester sign.
+    """
+    sympy = pytest.importorskip("sympy")
+    m, n = p.degree_in(name), q.degree_in(name)
+    if m < n:
+        return _sympy_resultant(q, p, name) * (-1) ** (m * n)
+    symbols = sympy.symbols(p.variables)
+
+    def expr(f):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+            for exps, c in f.terms.items()
+        )
+
+    r = sympy.resultant(expr(p), expr(q), symbols[p.variables.index(name)])
+    terms = sympy.Poly(r, *symbols).as_dict()
+    return Polynomial(
+        p.variables, {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()}
+    )
+
+
+def random_rational_poly(rng, variables, max_degree, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_degree) for _ in variables)
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Polynomial(variables, terms)
+
+
+def dense_poly(rng, degree):
+    return Polynomial(
+        XY,
+        {
+            (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            for i in range(degree + 1)
+            for j in range(degree + 1 - i)
+        },
+    )
+
+
+def _assert_matches_sympy(pairs, name="y", count=None):
+    checked = 0
+    for p, q in pairs:
+        if p.degree_in(name) <= 0 or q.degree_in(name) <= 0:
+            continue
+        assert resultant(p, q, name) == _sympy_resultant(p, q, name), (p, q)
+        checked += 1
+    if count is not None:
+        assert checked == count
+
+
+def test_resultant_matches_sympy_rational_bivariate():
+    rng = random.Random(61)
+    pairs = [
+        (random_rational_poly(rng, XY, 4, 6), random_rational_poly(rng, XY, 4, 6))
+        for _ in range(60)
+    ]
+    _assert_matches_sympy(pairs)
+
+
+def test_resultant_matches_sympy_three_variables():
+    # two free variables (x and z) remain after eliminating y
+    rng = random.Random(67)
+    pairs = [
+        (random_rational_poly(rng, XYZ, 2, 5), random_rational_poly(rng, XYZ, 2, 5))
+        for _ in range(40)
+    ]
+    _assert_matches_sympy(pairs)
+    _assert_matches_sympy(pairs, name="x")
+
+
+def test_resultant_matches_sympy_when_the_leading_coefficient_vanishes():
+    # the leading coefficients in y vanish at x = 0, 1, 2 or z = 0, all of
+    # them evaluation points; the formal Sylvester shape must be kept there
+    rng = random.Random(71)
+
+    def below(f, degree):
+        return Polynomial(f.variables, {e: c for e, c in f.terms.items() if e[1] < degree})
+
+    pairs = []
+    for _ in range(20):
+        p = poly("x*y^2") + below(random_rational_poly(rng, XY, 3, 5), 2)
+        q = poly("x^2*y^3 - 3*x*y^3 + 2*y^3") + below(random_rational_poly(rng, XY, 3, 5), 3)
+        pairs.append((p, q))
+        r = poly("x*z*y^2", XYZ) * rng.randint(1, 5)
+        s = poly("x*z*y^2 - z^2*y^2", XYZ)
+        pairs.append(
+            (
+                r + below(random_rational_poly(rng, XYZ, 2, 4), 2),
+                s + below(random_rational_poly(rng, XYZ, 2, 4), 2),
+            )
+        )
+    _assert_matches_sympy(pairs, count=len(pairs))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_resultant_matches_sympy_on_dense_pairs(degree):
+    rng = random.Random(73 + degree)
+    for _ in range(2):
+        p, q = dense_poly(rng, degree), dense_poly(rng, degree)
+        r = resultant(p, q, "y")
+        assert r.degree() == degree * degree  # Bezout's bound is reached
+        assert r == _sympy_resultant(p, q, "y")
+
+
+def test_resultant_matches_sympy_when_identically_zero():
+    rng = random.Random(79)
+    for variables in (XY, XYZ):
+        for _ in range(10):
+            shared = random_rational_poly(rng, variables, 2, 3)
+            if shared.degree_in("y") <= 0:
+                shared = shared + Polynomial.variable("y", variables)
+            p = shared * random_rational_poly(rng, variables, 2, 3)
+            q = shared * random_rational_poly(rng, variables, 2, 3)
+            if p.degree_in("y") <= 0 or q.degree_in("y") <= 0:
+                continue
+            assert resultant(p, q, "y").is_zero()
+            assert _sympy_resultant(p, q, "y").is_zero()
