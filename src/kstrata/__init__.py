@@ -19,7 +19,6 @@ from .classifier import (
     primitive_nonhyperelliptic_components,
 )
 from .degeneration import (
-    DegenerationMove,
     enumerate_zero_splits,
     genus0_has_cylinder,
     genus0_has_simple_cylinder,
@@ -86,7 +85,6 @@ __all__ = [
     "BreakdownRow",
     "ComponentReport",
     "CubicSporadic",
-    "DegenerationMove",
     "Generic",
     "GenusOne",
     "GenusOneComponent",

@@ -5,12 +5,17 @@ the Arf invariant) when k is odd and every order is even.  A fixed table of
 low-k exceptional strata overrides the generic rule; genus one is handled
 by rotation numbers and genus zero strata are connected.  The divisor
 breakdown reduces imprimitive components to lower-order differentials.
+
+Results are frozen dataclasses.  Each descriptor class names its kind in a
+``tag`` class attribute, which the command line writes as the ``"type"``
+of the descriptor's JSON object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import SignatureError
 from . import genus_one
@@ -21,14 +26,18 @@ from .signature import StratumSignature, divisors, gcd_orders, validate
 class Generic:
     """A single component carrying no further invariant label."""
 
+    tag: ClassVar[str] = "generic"
+
 
 @dataclass(frozen=True)
 class ArfLabeled:
+    tag: ClassVar[str] = "arf"
     parity: int
 
 
 @dataclass(frozen=True)
 class RelativeArfLabeled:
+    tag: ClassVar[str] = "relative_arf"
     parity: int
 
 
@@ -40,12 +49,14 @@ class CubicSporadic:
     support of the divisor (possible only for odd Arf parity).
     """
 
+    tag: ClassVar[str] = "cubic_sporadic"
     arf_parity: int
     h0_flag: int
 
 
 @dataclass(frozen=True)
 class GenusOne:
+    tag: ClassVar[str] = "genus_one"
     rotation: int
     primitive: bool
     hyperelliptic: bool
@@ -189,41 +200,3 @@ def full_component_breakdown(sig: StratumSignature) -> tuple[BreakdownRow, ...]:
                 BreakdownRow(d, reduced, primitive_nonhyperelliptic_components(reduced))
             )
     return tuple(rows)
-
-
-def descriptor_to_dict(descriptor: Descriptor) -> dict:
-    """Stable JSON-ready encoding of a component descriptor."""
-    if isinstance(descriptor, Generic):
-        return {"type": "generic"}
-    if isinstance(descriptor, ArfLabeled):
-        return {"type": "arf", "parity": descriptor.parity}
-    if isinstance(descriptor, RelativeArfLabeled):
-        return {"type": "relative_arf", "parity": descriptor.parity}
-    if isinstance(descriptor, CubicSporadic):
-        return {
-            "type": "cubic_sporadic",
-            "arf_parity": descriptor.arf_parity,
-            "h0_flag": descriptor.h0_flag,
-        }
-    if isinstance(descriptor, GenusOne):
-        return {
-            "type": "genus_one",
-            "rotation": descriptor.rotation,
-            "primitive": descriptor.primitive,
-            "hyperelliptic": descriptor.hyperelliptic,
-        }
-    raise TypeError(f"unknown descriptor {descriptor!r}")
-
-
-def report_to_dict(report: ComponentReport) -> dict:
-    """Stable JSON-ready encoding of a component report."""
-    payload = {
-        "signature": str(report.signature),
-        "count": report.count,
-        "components": [descriptor_to_dict(c) for c in report.components],
-    }
-    if report.empty_reason is not None:
-        payload["empty_reason"] = report.empty_reason
-    if report.note is not None:
-        payload["note"] = report.note
-    return payload

@@ -9,7 +9,7 @@ import sys
 
 from . import classifier, degeneration, framing, genus_one, prong, quartic
 from .errors import StratumError
-from .signature import format_signature, parse_signature, validate
+from .signature import StratumSignature, format_signature, parse_signature, validate
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -32,22 +32,43 @@ def _pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _signature_from_args(args):
+    return validate(args.k, args.genus, _orders(args.orders), allow_zero_orders=False)
 
 
-def _signature_from_args(args, allow_zero_orders=False):
-    return validate(
-        args.k, args.genus, _orders(args.orders), allow_zero_orders=allow_zero_orders
-    )
+# field values written as they are, without a recursive call
+_SCALARS = (int, float, str)
+
+
+def _to_json(value):
+    """The JSON form of a command result; the CLI's one serializer.
+
+    Signatures become their text form and dataclasses their fields, with
+    ``"type"`` set from a descriptor's ``tag``; a field left at its default
+    of None is omitted.  Tuples and lists become lists, dicts recurse.
+    """
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, StratumSignature):
+        return format_signature(value)
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is None:
+        return value
+    out = {
+        key: item if isinstance(item, _SCALARS) else _to_json(item)
+        for key, item in vars(value).items()
+        if item is not None or fields[key].default is not None
+    }
+    tag = getattr(value, "tag", None)
+    if tag is not None:
+        out["type"] = tag
+    return out
 
 
 def _describe(descriptor) -> str:
-    d = classifier.descriptor_to_dict(descriptor)
+    d = _to_json(descriptor)
     kind = d.pop("type")
     if not d:
         return kind
@@ -66,7 +87,7 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     if args.orders_file:
         reports = []
         with open(args.orders_file, encoding="utf-8") as handle:
@@ -76,30 +97,20 @@ def _cmd_classify(args) -> int:
                     continue
                 sig = parse_signature(raw, allow_zero_orders=False)
                 reports.append(classifier.primitive_nonhyperelliptic_components(sig))
-        payload = {"reports": [classifier.report_to_dict(r) for r in reports]}
-        lines = []
-        for r in reports:
-            lines.extend(_report_lines(r))
-        _emit(payload, args.json, lines)
-        return 0
-    sig = _signature_from_args(args)
-    report = classifier.primitive_nonhyperelliptic_components(sig)
-    _emit(classifier.report_to_dict(report), args.json, _report_lines(report))
-    return 0
+        lines = (line for r in reports for line in _report_lines(r))
+        return {"reports": reports}, lines
+    report = classifier.primitive_nonhyperelliptic_components(_signature_from_args(args))
+    return report, _report_lines(report)
 
 
-def _cmd_breakdown(args) -> int:
+def _cmd_breakdown(args):
     sig = _signature_from_args(args)
     rows = classifier.full_component_breakdown(sig)
     payload = {
-        "signature": format_signature(sig),
+        "signature": sig,
         "hyperelliptic_components": "OutOfScope",
         "rows": [
-            {
-                "divisor": row.divisor,
-                "reduced": format_signature(row.signature),
-                "report": classifier.report_to_dict(row.report),
-            }
+            {"divisor": row.divisor, "reduced": row.signature, "report": row.report}
             for row in rows
         ],
     }
@@ -107,45 +118,24 @@ def _cmd_breakdown(args) -> int:
     for row in rows:
         lines.append(f"d={row.divisor}: {format_signature(row.signature)}")
         lines.extend("  " + line for line in _report_lines(row.report)[1:])
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_genus1(args) -> int:
+def _cmd_genus1(args):
     sig = validate(args.k, 1, _orders(args.orders))
     comps = genus_one.components(sig)
-    payload = {
-        "signature": format_signature(sig),
-        "components": [
-            {
-                "rotation": c.rotation,
-                "torsion_order": c.torsion_order,
-                "primitive": c.primitive,
-                "hyperelliptic": c.hyperelliptic,
-            }
-            for c in comps
-        ],
-    }
     lines = [format_signature(sig)] + [
         f"rotation {c.rotation} (torsion {c.torsion_order}):"
         f" primitive={c.primitive} hyperelliptic={c.hyperelliptic}"
         for c in comps
     ]
-    _emit(payload, args.json, lines)
-    return 0
+    return {"signature": sig, "components": comps}, lines
 
 
-def _cmd_merge(args) -> int:
+def _cmd_merge(args):
     sig = validate(args.k, args.genus, _orders(args.orders))
     if args.genus == 1 and args.rotation is not None:
         outcome = genus_one.merge(sig, args.rotation, args.i, args.j)
-        payload = {
-            "signature": format_signature(sig),
-            "feasible": outcome.feasible,
-            "result": None if outcome.result is None else format_signature(outcome.result),
-            "rotations": list(outcome.rotations),
-            "reason": outcome.reason,
-        }
         lines = [
             f"merge entries {args.i},{args.j} at rotation {args.rotation}: "
             + ("feasible" if outcome.feasible else f"infeasible ({outcome.reason})")
@@ -154,28 +144,26 @@ def _cmd_merge(args) -> int:
             lines.append(f"result: {format_signature(outcome.result)}")
         if outcome.rotations:
             lines.append(f"rotations: {','.join(map(str, outcome.rotations))}")
-        _emit(payload, args.json, lines)
-        return 0
-    move = degeneration.merge_move(sig, args.i, args.j)
+        return {"signature": sig, **_to_json(outcome)}, lines
+    # raises on genus zero and on bad indices, before merge_result could
     same_sign = degeneration.merge_feasible_same_sign(sig, args.i, args.j)
+    result = degeneration.merge_result(sig, args.i, args.j)
+    simple = "unknown" if same_sign is None else same_sign
     payload = {
-        "signature": format_signature(sig),
-        "result": None if move.result is None else format_signature(move.result),
-        "feasible": move.feasible,
-        "simple_merge": "unknown" if same_sign is None else bool(same_sign),
-        "reason": move.reason,
+        "signature": sig,
+        "result": result,
+        "feasible": True,
+        "simple_merge": simple,
+        "reason": "",
     }
     lines = [
-        f"merge entries {args.i},{args.j}: "
-        + (format_signature(move.result) if move.result else f"invalid ({move.reason})"),
-        f"simple merge (same-sign pair): "
-        + ("unknown" if same_sign is None else str(same_sign)),
+        f"merge entries {args.i},{args.j}: {format_signature(result)}",
+        f"simple merge (same-sign pair): {simple}",
     ]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args):
     sig = validate(args.k, args.genus, _orders(args.orders))
     if not 0 <= args.index < len(sig.orders):
         raise StratumError(f"index {args.index} out of range for {len(sig.orders)} entries")
@@ -183,7 +171,7 @@ def _cmd_split(args) -> int:
     if args.a is None:
         pairs = degeneration.enumerate_zero_splits(sig.k, z)
         payload = {
-            "signature": format_signature(sig),
+            "signature": sig,
             "zero": z,
             "splits": [
                 {"a": a, "b": b, "marked_point": a == 0 or b == 0} for a, b in pairs
@@ -193,33 +181,20 @@ def _cmd_split(args) -> int:
             f"  ({a},{b})" + (" [marked point]" if 0 in (a, b) else "")
             for a, b in pairs
         ]
-        _emit(payload, args.json, lines)
-        return 0
+        return payload, lines
     if args.b is None:
         raise StratumError("--a and --b must be given together")
+    payload = {"signature": sig, "a": args.a, "b": args.b}
     if args.genus == 1 and args.rotation is not None:
         ok = genus_one.split_to_sphere(sig, args.rotation, args.index, args.a, args.b)
-        payload = {
-            "signature": format_signature(sig),
-            "rotation": args.rotation,
-            "a": args.a,
-            "b": args.b,
-            "reachable": ok,
-        }
-        _emit(payload, args.json, [f"split to sphere ({args.a},{args.b}): {ok}"])
-        return 0
+        payload.update(rotation=args.rotation, reachable=ok)
+        return payload, [f"split to sphere ({args.a},{args.b}): {ok}"]
     result = degeneration.split_result(sig, args.index, args.a, args.b)
-    payload = {
-        "signature": format_signature(sig),
-        "a": args.a,
-        "b": args.b,
-        "result": format_signature(result),
-    }
-    _emit(payload, args.json, [f"split result: {format_signature(result)}"])
-    return 0
+    payload["result"] = result
+    return payload, [f"split result: {format_signature(result)}"]
 
 
-def _cmd_arf(args) -> int:
+def _cmd_arf(args):
     pairs = _pairs(args.pairs)
     if args.sbar is None:
         value = framing.arf(pairs)
@@ -227,94 +202,63 @@ def _cmd_arf(args) -> int:
     else:
         value = framing.relative_arf(args.sbar, pairs)
         label = "relative_arf"
-    _emit({label: value}, args.json, [f"{label}: {value}"])
-    return 0
+    return {label: value}, [f"{label}: {value}"]
 
 
-def _cmd_spin(args) -> int:
+def _cmd_spin(args):
     sig = validate(args.k, args.genus, _orders(args.orders))
     values = framing.SymplecticFramingValues.from_signature(sig, _pairs(args.pairs))
     value = framing.spin(values)
-    payload = {
-        "signature": format_signature(sig),
-        "boundary": list(values.boundary),
-        "spin": value,
-    }
-    _emit(payload, args.json, [f"spin: {value}"])
-    return 0
+    payload = {"signature": sig, "boundary": values.boundary, "spin": value}
+    return payload, [f"spin: {value}"]
 
 
-def _cmd_prong(args) -> int:
+def _cmd_prong(args):
     if args.rotation is None and args.torsion is None and args.b is None:
         raise StratumError("--b is required for local prong classes")
     if args.rotation is not None:
         if args.b is None:
             raise StratumError("--b is required for global prong classes")
-        count = prong.global_classes_genus_one_split(
-            args.k, args.rotation, args.a, args.b, _orders(args.rest) if args.rest else ()
-        )
+        rest = _orders(args.rest) if args.rest else ()
+        count = prong.global_classes_genus_one_split(args.k, args.rotation, args.a, args.b, rest)
         payload = {
             "k": args.k,
             "rotation": args.rotation,
             "a": args.a,
             "b": args.b,
-            "rest": list(_orders(args.rest)) if args.rest else [],
+            "rest": rest,
             "global_classes": count,
         }
-        _emit(payload, args.json, [f"global prong classes: {count}"])
-        return 0
+        return payload, [f"global prong classes: {count}"]
     if args.torsion is not None:
         image = prong.prong_hom_image(args.k, args.a, args.torsion)
-        payload = {
-            "k": args.k,
-            "a": args.a,
-            "torsion": args.torsion,
-            "delta": image.delta,
-            "index": image.index,
-        }
-        _emit(payload, args.json, [f"delta: {image.delta}", f"index: {image.index}"])
-        return 0
+        payload = {"k": args.k, "a": args.a, "torsion": args.torsion, **_to_json(image)}
+        return payload, [f"delta: {image.delta}", f"index: {image.index}"]
     count = prong.local_classes(args.k, args.a, args.b)
     payload = {"k": args.k, "a": args.a, "b": args.b, "local_classes": count}
-    _emit(payload, args.json, [f"local prong classes: {count}"])
-    return 0
+    return payload, [f"local prong classes: {count}"]
 
 
-def _cmd_cylinder(args) -> int:
+def _cmd_cylinder(args):
     orders = _orders(args.orders)
     has = degeneration.genus0_has_cylinder(args.k, orders)
     simple = degeneration.genus0_has_simple_cylinder(args.k, orders)
     payload = {
         "k": args.k,
-        "orders": list(sorted(orders, reverse=True)),
+        "orders": sorted(orders, reverse=True),
         "cylinder": has,
         "simple_cylinder": simple,
     }
-    _emit(payload, args.json, [f"cylinder: {has}", f"simple cylinder: {simple}"])
-    return 0
+    return payload, [f"cylinder: {has}", f"simple cylinder: {simple}"]
 
 
-def _cmd_quartic_verify(args) -> int:
+def _cmd_quartic_verify(args):
     report = quartic.verify_sporadic(args.construction, precision=args.precision)
-    payload = {
-        "construction": report.construction,
-        "all_passed": report.all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "expected": c.expected,
-                "actual": c.actual,
-            }
-            for c in report.checks
-        ],
-    }
     lines = [f"construction {report.construction}:"] + [
         f"  {'PASS' if c.passed else 'FAIL'} {c.name} (expected {c.expected}, got {c.actual})"
         for c in report.checks
     ]
-    _emit(payload, args.json, lines)
-    return 0
+    return {**_to_json(report), "all_passed": report.all_passed}, lines
 
 
 def _add_signature_arguments(parser, with_genus=True):
@@ -395,12 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=quartic.available_constructions(),
     )
     p.add_argument("--precision", type=int, default=13)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_quartic_verify)
 
-    for name, sp in sub.choices.items():
-        if name != "quartic-verify":
-            sp.add_argument("--json", action="store_true")
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true")
         # let comma-separated negative order lists pass as option values
         sp._negative_number_matcher = re.compile(r"^-\d[\d,.\-]*$")
     return parser
@@ -413,7 +355,13 @@ def main(argv=None) -> int:
         if args.k is None or args.genus is None or args.orders is None:
             parser.error("classify needs --k, --genus and --orders (or --orders-file)")
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(_to_json(payload), indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return 0
     except (ValueError, OSError) as exc:
         # the domain errors (StratumError, PolynomialError, SeriesError, ...)
         # are all ValueErrors raised on bad input

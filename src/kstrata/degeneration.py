@@ -9,10 +9,9 @@ to exact subset sums of the order multiset.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import SignatureError
-from .signature import StratumSignature, validate
+from .signature import StratumSignature, check_index, check_pair, validate
 
 _NO_SIMPLE_DEGENERATION = frozenset({(2, 2, (5, -1)), (3, 2, (6,))})
 
@@ -27,15 +26,6 @@ _EXCEPTIONAL_STRATA = frozenset(
     + [(3, 3, (12,)), (3, 3, (8, 4)), (3, 3, (4, 4, 4))]
     + [(1, 4, (6,)), (1, 4, (4, 2)), (1, 4, (2, 2, 2))]
 )
-
-
-@dataclass(frozen=True)
-class DegenerationMove:
-    kind: str  # "split" or "merge"
-    source: StratumSignature
-    result: StratumSignature | None
-    feasible: bool
-    reason: str = ""
 
 
 def enumerate_zero_splits(k: int, z: int) -> tuple[tuple[int, int], ...]:
@@ -53,8 +43,7 @@ def split_result(sig: StratumSignature, zero_index: int, a: int, b: int) -> Stra
     """Signature after splitting the chosen zero into orders a and b."""
     if sig.genus < 1:
         raise SignatureError("splitting a zero lowers genus, need genus >= 1")
-    if not 0 <= zero_index < len(sig.orders):
-        raise SignatureError(f"index {zero_index} out of range")
+    check_index(sig, zero_index)
     z = sig.orders[zero_index]
     if z < 2:
         raise SignatureError(f"entry {z} is not a splittable zero")
@@ -66,9 +55,7 @@ def split_result(sig: StratumSignature, zero_index: int, a: int, b: int) -> Stra
 
 def merge_result(sig: StratumSignature, i: int, j: int) -> StratumSignature:
     """Signature after colliding entries i and j (same genus; 0 allowed)."""
-    n = len(sig.orders)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
+    check_pair(sig, i, j)
     rest = [o for idx, o in enumerate(sig.orders) if idx not in (i, j)]
     return validate(sig.k, sig.genus, rest + [sig.orders[i] + sig.orders[j]])
 
@@ -79,28 +66,10 @@ def undo_split(sig: StratumSignature, i: int, j: int) -> StratumSignature:
     Inverse of split_result: the entries rejoin as a + b + 2k and the genus
     rises by one.
     """
-    n = len(sig.orders)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
+    check_pair(sig, i, j)
     rest = [o for idx, o in enumerate(sig.orders) if idx not in (i, j)]
     fused = sig.orders[i] + sig.orders[j] + 2 * sig.k
     return validate(sig.k, sig.genus + 1, rest + [fused])
-
-
-def split_move(sig: StratumSignature, zero_index: int, a: int, b: int) -> DegenerationMove:
-    try:
-        result = split_result(sig, zero_index, a, b)
-    except SignatureError as exc:
-        return DegenerationMove("split", sig, None, False, str(exc))
-    return DegenerationMove("split", sig, result, True)
-
-
-def merge_move(sig: StratumSignature, i: int, j: int) -> DegenerationMove:
-    try:
-        result = merge_result(sig, i, j)
-    except SignatureError as exc:
-        return DegenerationMove("merge", sig, None, False, str(exc))
-    return DegenerationMove("merge", sig, result, True)
 
 
 def merge_feasible_same_sign(sig: StratumSignature, i: int, j: int):
@@ -112,9 +81,7 @@ def merge_feasible_same_sign(sig: StratumSignature, i: int, j: int):
     """
     if sig.genus < 1:
         raise SignatureError("same-sign merging requires positive genus")
-    n = len(sig.orders)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
+    check_pair(sig, i, j)
     oi, oj = sig.orders[i], sig.orders[j]
     if (oi > 0 and oj > 0) or (oi < 0 and oj < 0):
         return True

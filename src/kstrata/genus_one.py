@@ -12,7 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import RotationError, SignatureError
-from .signature import StratumSignature, divisors, gcd_orders, validate
+from .signature import (
+    StratumSignature,
+    check_index,
+    check_pair,
+    divisors,
+    gcd_orders,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +45,9 @@ def _require_genus_one(sig: StratumSignature) -> None:
         raise SignatureError(f"expected genus one, got genus {sig.genus}")
 
 
-def _nonzero_gcd(orders) -> int:
-    return math.gcd(*(abs(o) for o in orders if o != 0)) if any(orders) else 0
+def _check_rotation(rotation: int, d: int) -> None:
+    if rotation < 1 or d == 0 or d % rotation != 0:
+        raise RotationError(f"rotation {rotation} does not divide gcd {d}")
 
 
 def nonempty_rotations(orders) -> tuple[int, ...]:
@@ -50,7 +58,7 @@ def nonempty_rotations(orders) -> tuple[int, ...]:
     locus where those two points coincide, so it is empty and excluded;
     marked points neither count toward the two nor change d.
     """
-    d = _nonzero_gcd(orders)
+    d = math.gcd(*orders)
     if d == 0:
         return ()
     rotations = [d // e for e in divisors(d)]
@@ -82,9 +90,7 @@ def hyperelliptic_genus_one(k: int, orders, rotation: int) -> bool:
     The hyperelliptic components are exactly those with order multiset
     (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
     """
-    d = _nonzero_gcd(orders)
-    if rotation < 1 or d == 0 or d % rotation != 0:
-        raise RotationError(f"rotation {rotation} does not divide gcd {d}")
+    _check_rotation(rotation, math.gcd(*orders))
     r = rotation
     multiset = tuple(sorted(orders))
     patterns = (
@@ -105,12 +111,8 @@ def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge
     when the merged orders are all zero (the two singularities of (a, -a)).
     """
     _require_genus_one(sig)
-    n = len(sig.orders)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
-    d = gcd_orders(sig)
-    if rotation < 1 or d == 0 or d % rotation != 0:
-        raise RotationError(f"rotation {rotation} does not divide gcd {d}")
+    check_pair(sig, i, j)
+    _check_rotation(rotation, gcd_orders(sig))
     merged = [o for idx, o in enumerate(sig.orders) if idx not in (i, j)]
     merged.append(sig.orders[i] + sig.orders[j])
     if not any(merged):
@@ -119,7 +121,7 @@ def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge
         )
     result = validate(sig.k, 1, merged)
     allowed = set(nonempty_rotations(result.orders))
-    d2 = _nonzero_gcd(result.orders)
+    d2 = math.gcd(*result.orders)
     rotations = tuple(
         r2
         for r2 in sorted((d2 // e for e in divisors(d2)), reverse=True)
@@ -140,14 +142,11 @@ def split_to_sphere(
     The split exists iff rotation divides gcd(k + a1, k + a2, other orders).
     """
     _require_genus_one(sig)
-    if not 0 <= zero_index < len(sig.orders):
-        raise SignatureError(f"index {zero_index} out of range")
+    check_index(sig, zero_index)
     a = sig.orders[zero_index]
     if a <= 0:
         raise SignatureError(f"entry {a} is not a zero")
-    d = gcd_orders(sig)
-    if rotation < 1 or d % rotation != 0:
-        raise RotationError(f"rotation {rotation} does not divide gcd {d}")
+    _check_rotation(rotation, gcd_orders(sig))
     if a1 + a2 != a - 2 * sig.k or a1 <= -sig.k or a2 <= -sig.k:
         raise SignatureError(
             f"({a1}, {a2}) is not a partition of {a} - 2k with entries > -k"

@@ -88,6 +88,19 @@ def parse_signature(text: str, allow_zero_orders=True) -> StratumSignature:
     return validate(k, genus, orders, allow_zero_orders=allow_zero_orders)
 
 
+def check_index(sig: StratumSignature, i: int) -> None:
+    """Raise SignatureError unless i indexes an entry of ``sig.orders``."""
+    if not 0 <= i < len(sig.orders):
+        raise SignatureError(f"index {i} out of range")
+
+
+def check_pair(sig: StratumSignature, i: int, j: int) -> None:
+    """Raise SignatureError unless i and j index two distinct entries."""
+    n = len(sig.orders)
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
+
+
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of |n|, ascending."""
     n = abs(n)
@@ -109,7 +122,7 @@ def gcd_orders(sig: StratumSignature) -> int:
 
     Marked points are ignored, consistent with gcd(x, 0) = x.
     """
-    return math.gcd(*(abs(o) for o in sig.orders if o != 0)) if any(sig.orders) else 0
+    return math.gcd(*sig.orders)
 
 
 def imprimitive_divisors(sig: StratumSignature) -> set[int]:

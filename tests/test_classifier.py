@@ -8,7 +8,6 @@ from kstrata.classifier import (
     RelativeArfLabeled,
     full_component_breakdown,
     primitive_nonhyperelliptic_components,
-    report_to_dict,
 )
 from kstrata.errors import SignatureError
 from kstrata.signature import validate
@@ -166,15 +165,3 @@ def test_genus_one_path_agrees_with_rotation_flags():
         assert report.count == len(expected)
         assert [d.rotation for d in report.components] == [c.rotation for c in expected]
         done += 1
-
-
-def test_report_serialization_shape():
-    report = primitive_nonhyperelliptic_components(validate(3, 3, (12,)))
-    payload = report_to_dict(report)
-    assert payload["count"] == 3
-    assert payload["components"][0] == {
-        "type": "cubic_sporadic",
-        "arf_parity": 0,
-        "h0_flag": 0,
-    }
-    assert payload["signature"] == "k:3 g:3 orders:(12)"

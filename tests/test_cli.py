@@ -28,6 +28,72 @@ GOLDEN_CASES = {
 }
 
 
+# One command per branch the golden cases do not reach, and the cases that
+# pin the JSON encoder's rules (tags, omitted defaults, kept nulls).
+BRANCH_CASES = {
+    "classify_generic": ["classify", "--k", "3", "--genus", "2", "--orders", "6"],
+    "classify_genus0": ["classify", "--k", "1", "--genus", "0", "--orders", "1,-3"],
+    "classify_relative_arf": ["classify", "--k", "1", "--genus", "3", "--orders", "6,-1,-1"],
+    "classify_cubic": ["classify", "--k", "3", "--genus", "3", "--orders", "12"],
+    "merge_plain": ["merge", "--k", "2", "--genus", "2", "--orders", "2,1,1", "--i", "1", "--j", "2"],
+    "merge_genus1_null": [
+        "merge", "--k", "1", "--genus", "1", "--orders", "3,-3",
+        "--rotation", "1", "--i", "0", "--j", "1",
+    ],
+    "split_apply": [
+        "split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0", "--a", "-1", "--b", "1",
+    ],
+    "split_sphere": [
+        "split", "--k", "3", "--genus", "1", "--orders", "6,-6",
+        "--index", "0", "--a", "-1", "--b", "1", "--rotation", "2",
+    ],
+    "arf_relative": ["arf", "--pairs", "1,1", "--sbar", "1"],
+    "prong_global": ["prong", "--k", "3", "--a", "1", "--b", "1", "--rotation", "1", "--rest=-2"],
+    "prong_local": ["prong", "--k", "3", "--a", "2", "--b", "-2"],
+    "quartic_verify_second": ["quartic-verify", "--construction", "OddArf_h0_1"],
+}
+
+BRANCH_PAYLOADS = {
+    "classify_generic": {
+        "components": [{"type": "generic"}], "count": 1, "signature": "k:3 g:2 orders:(6)",
+    },
+    "classify_genus0": {
+        "components": [{"type": "generic"}],
+        "count": 1,
+        "note": "hyperellipticity not evaluated in genus zero",
+        "signature": "k:1 g:0 orders:(1,-3)",
+    },
+    "classify_relative_arf": {
+        "components": [{"parity": 0, "type": "relative_arf"}, {"parity": 1, "type": "relative_arf"}],
+        "count": 2,
+        "signature": "k:1 g:3 orders:(6,-1,-1)",
+    },
+    "merge_plain": {
+        "feasible": True,
+        "reason": "",
+        "result": "k:2 g:2 orders:(2,2)",
+        "signature": "k:2 g:2 orders:(2,1,1)",
+        "simple_merge": True,
+    },
+    "merge_genus1_null": {
+        "feasible": False,
+        "reason": "merging the only two singularities of (a,-a)",
+        "result": None,
+        "rotations": [],
+        "signature": "k:1 g:1 orders:(3,-3)",
+    },
+    "split_apply": {
+        "a": -1, "b": 1, "result": "k:3 g:1 orders:(1,-1)", "signature": "k:3 g:2 orders:(6)",
+    },
+    "split_sphere": {
+        "a": -1, "b": 1, "reachable": True, "rotation": 2, "signature": "k:3 g:1 orders:(6,-6)",
+    },
+    "arf_relative": {"relative_arf": 1},
+    "prong_global": {"a": 1, "b": 1, "global_classes": 4, "k": 3, "rest": [-2], "rotation": 1},
+    "prong_local": {"a": 2, "b": -2, "k": 3, "local_classes": 1},
+}
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -138,3 +204,70 @@ def test_installed_entry_point_runs():
     )
     assert result.returncode == 0
     assert "components: 1" in result.stdout
+
+
+def run_json(argv):
+    code, out, err = run_cli([*argv, "--json"])
+    assert code == 0 and err == ""
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_branch_json_round_trips(name):
+    payload = run_json(BRANCH_CASES[name])
+    if name in BRANCH_PAYLOADS:
+        assert payload == BRANCH_PAYLOADS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_branch_human_mode(name):
+    code, out, err = run_cli(BRANCH_CASES[name])
+    assert code == 0 and err == ""
+    assert out.strip() and not out.lstrip().startswith("{")
+
+
+def test_report_serialization_shape():
+    payload = run_json(BRANCH_CASES["classify_cubic"])
+    assert payload["count"] == 3
+    assert payload["components"][0] == {
+        "type": "cubic_sporadic",
+        "arf_parity": 0,
+        "h0_flag": 0,
+    }
+    assert payload["signature"] == "k:3 g:3 orders:(12)"
+    assert "empty_reason" not in payload and "note" not in payload
+
+
+def test_empty_reason_is_written_when_set():
+    payload = run_json(["classify", "--k", "1", "--genus", "2", "--orders", "3,-1"])
+    assert payload == {
+        "components": [], "count": 0, "empty_reason": "EmptyStratum",
+        "signature": "k:1 g:2 orders:(3,-1)",
+    }
+
+
+def test_human_descriptor_text():
+    _, out, _ = run_cli(BRANCH_CASES["classify_cubic"])
+    assert out.splitlines()[2] == "  - cubic_sporadic(arf_parity=0, h0_flag=0)"
+    _, out, _ = run_cli(BRANCH_CASES["classify_relative_arf"])
+    assert "  - relative_arf(parity=1)" in out.splitlines()
+    _, out, _ = run_cli(BRANCH_CASES["classify_genus0"])
+    assert out.splitlines()[2:] == ["  - generic", "note: hyperellipticity not evaluated in genus zero"]
+
+
+def test_second_construction_passes():
+    payload = run_json(BRANCH_CASES["quartic_verify_second"])
+    assert payload["construction"] == "OddArf_h0_1"
+    assert payload["all_passed"] is True
+
+
+def test_classify_orders_file_human(tmp_path):
+    batch = tmp_path / "strata.txt"
+    batch.write_text("k:5 g:2 orders:(10)\n\nk:1 g:2 orders:(3,-1)\n", encoding="utf-8")
+    code, out, err = run_cli(["classify", "--orders-file", str(batch)])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "k:5 g:2 orders:(10)", "components: 2", "  - arf(parity=0)", "  - arf(parity=1)",
+        "k:1 g:2 orders:(3,-1)", "components: 0", "reason: EmptyStratum",
+    ]

@@ -10,14 +10,13 @@ from kstrata.degeneration import (
     genus0_has_simple_cylinder,
     is_exceptional_stratum,
     merge_feasible_same_sign,
-    merge_move,
     merge_result,
     simple_degeneration_exists,
-    split_move,
     split_result,
     undo_split,
 )
-from kstrata.errors import SignatureError
+from kstrata.errors import RotationError, SignatureError
+from kstrata.genus_one import hyperelliptic_genus_one, merge, split_to_sphere
 from kstrata.signature import validate
 
 
@@ -46,6 +45,26 @@ def test_split_result_validation():
         split_result(validate(3, 2, (6,)), 0, -3, 3)
     with pytest.raises(SignatureError, match="splittable"):
         split_result(validate(2, 2, (5, -1)), 1, 0, 0)
+
+
+def test_index_and_rotation_guards_keep_their_messages():
+    sig = validate(1, 1, (3, 1, -4))
+    pair_checks = (merge_result, undo_split, merge_feasible_same_sign,
+                   lambda s, i, j: merge(s, 1, i, j))
+    for call in pair_checks:
+        with pytest.raises(SignatureError, match=r"^bad indices \(1, 1\) for 3 entries$"):
+            call(sig, 1, 1)
+        with pytest.raises(SignatureError, match=r"^bad indices \(0, 3\) for 3 entries$"):
+            call(sig, 0, 3)
+    with pytest.raises(SignatureError, match=r"^index -1 out of range$"):
+        split_result(sig, -1, 0, 0)
+    with pytest.raises(SignatureError, match=r"^index 3 out of range$"):
+        split_to_sphere(sig, 1, 3, 0, 1)
+    for call in (lambda: hyperelliptic_genus_one(1, sig.orders, 2),
+                 lambda: merge(sig, 2, 0, 1),
+                 lambda: split_to_sphere(sig, 2, 0, 0, 1)):
+        with pytest.raises(RotationError, match=r"^rotation 2 does not divide gcd 1$"):
+            call()
 
 
 def test_merge_result_examples():
@@ -112,16 +131,6 @@ def test_simple_degeneration_exists_examples():
     assert simple_degeneration_exists(validate(5, 2, (10,)))
     with pytest.raises(SignatureError, match="genus"):
         simple_degeneration_exists(validate(5, 1, (4, -4)))
-
-
-def test_move_records():
-    sig = validate(3, 2, (6,))
-    move = split_move(sig, 0, -1, 1)
-    assert move.feasible and move.result.orders == (1, -1)
-    bad = split_move(sig, 0, -3, 3)
-    assert not bad.feasible and bad.result is None and "split" in bad.kind
-    merged = merge_move(validate(3, 2, (4, 2)), 0, 1)
-    assert merged.feasible and merged.result.orders == (6,)
 
 
 def test_genus0_cylinder_examples():
