@@ -134,7 +134,9 @@ def _cmd_genus1(args):
 
 def _cmd_merge(args):
     sig = validate(args.k, args.genus, _orders(args.orders))
-    if args.genus == 1 and args.rotation is not None:
+    if args.rotation is not None and args.genus != 1:
+        raise StratumError("--rotation needs genus 1")
+    if args.rotation is not None:
         outcome = genus_one.merge(sig, args.rotation, args.i, args.j)
         lines = [
             f"merge entries {args.i},{args.j} at rotation {args.rotation}: "
@@ -168,6 +170,10 @@ def _cmd_split(args):
     if not 0 <= args.index < len(sig.orders):
         raise StratumError(f"index {args.index} out of range for {len(sig.orders)} entries")
     z = sig.orders[args.index]
+    if (args.a is None) != (args.b is None):
+        raise StratumError("--a and --b must be given together")
+    if args.rotation is not None and (args.genus != 1 or args.a is None):
+        raise StratumError("--rotation needs genus 1 and --a/--b")
     if args.a is None:
         pairs = degeneration.enumerate_zero_splits(sig.k, z)
         payload = {
@@ -182,10 +188,8 @@ def _cmd_split(args):
             for a, b in pairs
         ]
         return payload, lines
-    if args.b is None:
-        raise StratumError("--a and --b must be given together")
     payload = {"signature": sig, "a": args.a, "b": args.b}
-    if args.genus == 1 and args.rotation is not None:
+    if args.rotation is not None:
         ok = genus_one.split_to_sphere(sig, args.rotation, args.index, args.a, args.b)
         payload.update(rotation=args.rotation, reachable=ok)
         return payload, [f"split to sphere ({args.a},{args.b}): {ok}"]

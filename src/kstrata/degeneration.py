@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import SignatureError
-from .signature import StratumSignature, check_index, check_pair, validate
+from .signature import StratumSignature, check_index, check_k, check_pair, validate
 
 _NO_SIMPLE_DEGENERATION = frozenset({(2, 2, (5, -1)), (3, 2, (6,))})
 
@@ -108,6 +108,7 @@ def is_exceptional_stratum(sig: StratumSignature) -> bool:
 
 
 def _check_genus_zero(k: int, orders) -> tuple[int, ...]:
+    check_k(k)
     orders = tuple(int(o) for o in orders)
     if sum(orders) != -2 * k:
         raise SignatureError(

@@ -14,4 +14,4 @@ class RotationError(StratumError):
 
 
 class UnsupportedCase(StratumError):
-    """The requested case falls outside the supported classification tables."""
+    """The requested case falls outside the supported tables or budgets."""

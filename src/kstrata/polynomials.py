@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Supports the arithmetic needed to certify plane-curve constructions:
-parsing, derivatives, evaluation, univariate gcds and rational roots, and
-Sylvester resultants computed by evaluation at integer points and Newton
-interpolation, with fraction-free (Bareiss) determinants of integer
-matrices underneath, so every intermediate value stays exact.
+parsing, derivatives, evaluation, and Sylvester resultants computed by
+evaluation at integer points and Newton interpolation, with fraction-free
+(Bareiss) determinants of integer matrices underneath, so every
+intermediate value stays exact.  Univariate work (gcds and rational roots)
+runs on dense ascending coefficient lists; all gcds go through one
+Euclidean loop in ``gcd_many``.
 """
 
 from __future__ import annotations
@@ -139,11 +141,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise PolynomialError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -331,47 +328,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _lex_leading(p: Polynomial) -> tuple[int, ...]:
-    return max(p.terms)
-
-
-def exact_divide(numerator: Polynomial, denominator: Polynomial) -> Polynomial:
-    """Divide exactly, raising PolynomialError when the quotient is inexact.
-
-    Long division against the lex-leading term of the divisor; for exact
-    multiples the leading term is always divisible and the reduction
-    terminates by well-ordering of the lex order.
-    """
-    numerator._match(denominator)
-    if denominator.is_zero():
-        raise PolynomialError("division by the zero polynomial")
-    if denominator.is_constant():
-        c = denominator.constant_value()
-        return Polynomial(
-            numerator.variables, {e: v / c for e, v in numerator.terms.items()}
-        )
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    lead_d = _lex_leading(denominator)
-    lead_d_coeff = denominator.terms[lead_d]
-    remainder = numerator
-    while not remainder.is_zero():
-        lead_r = _lex_leading(remainder)
-        diff = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(d < 0 for d in diff):
-            raise PolynomialError("inexact polynomial division")
-        coeff = remainder.terms[lead_r] / lead_d_coeff
-        quotient[diff] = quotient.get(diff, Fraction(0)) + coeff
-        shifted = Polynomial(
-            denominator.variables,
-            {
-                tuple(a + b for a, b in zip(e, diff)): c * coeff
-                for e, c in denominator.terms.items()
-            },
-        )
-        remainder = remainder - shifted
-    return Polynomial(numerator.variables, quotient)
-
-
 def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     """Sylvester resultant eliminating one variable.
 
@@ -527,31 +483,6 @@ def _univariate_coeffs(p: Polynomial, name: str) -> list[Fraction]:
     return coeffs
 
 
-def _from_univariate(coeffs, name, variables) -> Polynomial:
-    variables = tuple(variables)
-    idx = variables.index(name)
-    terms = {}
-    for power, coeff in enumerate(coeffs):
-        if coeff:
-            exps = [0] * len(variables)
-            exps[idx] = power
-            terms[tuple(exps)] = coeff
-    return Polynomial(variables, terms)
-
-
-def gcd_univariate(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
-    """Monic gcd of two polynomials involving only one variable."""
-    p._match(q)
-    a = _univariate_coeffs(p, name) if not p.is_zero() else []
-    b = _univariate_coeffs(q, name) if not q.is_zero() else []
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if not a:
-        return Polynomial.zero(p.variables)
-    lead = a[-1]
-    return _from_univariate([c / lead for c in a], name, p.variables)
-
-
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a[:]
     while len(a) >= len(b):
@@ -561,16 +492,12 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             a[shift + i] -= factor * coeff
         while a and a[-1] == 0:
             a.pop()
-        if not a:
-            break
     return a
 
 
 def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     """All rational roots of a univariate polynomial, ascending."""
     coeffs = _univariate_coeffs(p, name)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     if not coeffs:
         raise PolynomialError("the zero polynomial has every root")
     roots = set()
@@ -597,14 +524,26 @@ def _eval_univariate(coeffs, value: Fraction) -> Fraction:
 
 
 def gcd_many(polys, name: str) -> Polynomial:
-    """Monic gcd of several univariate polynomials."""
+    """Monic gcd of several univariate polynomials; zero if all of them are."""
     polys = list(polys)
     if not polys:
         raise PolynomialError("gcd of nothing")
-    result = polys[0]
-    for p in polys[1:]:
-        result = gcd_univariate(result, p, name)
-    return result
+    a: list[Fraction] = []
+    for p in polys:
+        p._match(polys[0])
+        b = _univariate_coeffs(p, name)
+        while b:
+            a, b = b, _poly_mod(a, b)
+    unit = tuple(int(v == name) for v in polys[0].variables)
+    return Polynomial(
+        polys[0].variables,
+        {tuple(power * e for e in unit): c / a[-1] for power, c in enumerate(a)},
+    )
+
+
+def gcd_univariate(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
+    """Monic gcd of two polynomials involving only one variable."""
+    return gcd_many((p, q), name)
 
 
 def parse_homogeneous(text: str, variables=("x", "y", "z")) -> Polynomial:

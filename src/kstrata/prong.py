@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 from .errors import RotationError, SignatureError
 from . import genus_one
-from .signature import validate
+from .signature import check_k, validate
 
 _ENUMERATION_LIMIT = 10**6
 
 
 def _check_orders(k: int, a: int, b: int) -> None:
+    check_k(k)
     if a <= -k or b <= -k:
         raise SignatureError(f"orders must exceed -k = {-k}, got ({a}, {b})")
 
@@ -68,6 +69,7 @@ def prong_hom_image(k: int, a: int, e: int) -> ProngHomImage:
     The target is Z/gcd(k+a, k-a); the map is onto unless k and a are both
     odd, in which case the image has index 2.
     """
+    check_k(k)
     if e <= 1 or a == 0 or abs(a) % e != 0:
         raise RotationError(f"torsion order {e} must exceed 1 and divide |{a}|")
     rotation = abs(a) // e

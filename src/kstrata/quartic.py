@@ -138,11 +138,9 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
         if not gs:
             uncertified.append((chart, "all partials vanish identically"))
             continue
-        certified = False
         for elim, other in (others, others[::-1]):
             ok, gcd_poly = _certify_chart(gs, elim, other)
             if ok:
-                certified = True
                 break
             point = _search_singular_point(
                 partials, F.variables, chart, gs, gcd_poly, elim, other
@@ -151,7 +149,7 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
                 return SmoothnessCertificate(
                     "singular", point, f"common zero found on chart {chart} = 1"
                 )
-        if not certified:
+        else:
             uncertified.append((chart, "no elimination order gave a constant gcd"))
     if not uncertified:
         return SmoothnessCertificate("smooth", None, "all charts certified")
@@ -188,73 +186,29 @@ def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport
     expected = data["expected"]
     checks = []
 
-    certificate = smoothness_certificate(F)
-    checks.append(
-        SporadicCheck(
-            "smoothness",
-            certificate.status == "smooth",
-            "smooth",
-            certificate.status,
-        )
-    )
+    def check(name, want, got):
+        want, got = str(want), str(got)
+        checks.append(SporadicCheck(name, want == got, want, got))
 
+    check("smoothness", "smooth", smoothness_certificate(F).status)
     affine = F.substitute("z", 1)
     affine2 = Polynomial(("x", "y"), {e[:2]: c for e, c in affine.terms.items()})
-    checks.append(
-        SporadicCheck(
-            "affine_form_matches_quartic",
-            affine2 == f,
-            str(f),
-            str(affine2),
-        )
-    )
+    check("affine_form_matches_quartic", f, affine2)
 
     phi = branch_series(f, precision)
     wanted = [Fraction(0)] * 13
     for key, value in data["branch_coefficients"].items():
         wanted[int(key)] = Fraction(value)
-    got = list(phi.coefficients[:13])
-    checks.append(
-        SporadicCheck(
-            "branch_series",
-            got == wanted,
-            _series_text(wanted),
-            _series_text(got),
-        )
-    )
-
-    cubic_order = vanishing_order(g, phi, precision)
-    checks.append(
-        SporadicCheck(
-            "cubic_vanishing_order",
-            cubic_order == expected["cubic_order"],
-            str(expected["cubic_order"]),
-            str(cubic_order),
-        )
-    )
-
+    check("branch_series", _series_text(wanted), _series_text(phi.coefficients[:13]))
+    check("cubic_vanishing_order", expected["cubic_order"], vanishing_order(g, phi, precision))
     if "quadratic" in data:
         h = Polynomial.from_string(data["quadratic"], ("x", "y"))
-        quadratic_order = vanishing_order(h, phi, min(7, precision))
-        checks.append(
-            SporadicCheck(
-                "quadratic_vanishing_order",
-                quadratic_order == expected["quadratic_order"],
-                str(expected["quadratic_order"]),
-                str(quadratic_order),
-            )
-        )
+        order = vanishing_order(h, phi, min(7, precision))
+        check("quadratic_vanishing_order", expected["quadratic_order"], order)
 
     require_x_axis_tangent(f)
-    contact = phi.valuation()  # the contact order of the x-axis with the branch
-    checks.append(
-        SporadicCheck(
-            "tangent_contact_order",
-            contact == expected["contact_order"],
-            str(expected["contact_order"]),
-            str(contact),
-        )
-    )
+    # the contact order of the x-axis with the branch
+    check("tangent_contact_order", expected["contact_order"], phi.valuation())
     return SporadicReport(construction_id, tuple(checks))
 
 

@@ -57,8 +57,7 @@ def validate(k, genus, orders, allow_zero_orders=True) -> StratumSignature:
     k = int(k)
     genus = int(genus)
     orders = tuple(int(o) for o in orders)
-    if k < 1:
-        raise SignatureError(f"differential order k must be positive, got {k}")
+    check_k(k)
     if genus < 0:
         raise SignatureError(f"genus must be non-negative, got {genus}")
     if not allow_zero_orders and any(o == 0 for o in orders):
@@ -86,6 +85,12 @@ def parse_signature(text: str, allow_zero_orders=True) -> StratumSignature:
     body = m.group(3).strip()
     orders = tuple(int(part) for part in body.split(",")) if body else ()
     return validate(k, genus, orders, allow_zero_orders=allow_zero_orders)
+
+
+def check_k(k: int) -> None:
+    """Raise SignatureError unless the differential order k is positive."""
+    if k < 1:
+        raise SignatureError(f"differential order k must be positive, got {k}")
 
 
 def check_index(sig: StratumSignature, i: int) -> None:

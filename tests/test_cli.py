@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -91,6 +92,36 @@ BRANCH_PAYLOADS = {
     "arf_relative": {"relative_arf": 1},
     "prong_global": {"a": 1, "b": 1, "global_classes": 4, "k": 3, "rest": [-2], "rotation": 1},
     "prong_local": {"a": 2, "b": -2, "k": 3, "local_classes": 1},
+}
+
+
+# Commands that must stop with a usage error (exit 2): options that would be
+# ignored, k < 1 and a branch precision past the series cap.
+REJECTED_CASES = {
+    "split_b_without_a": (
+        ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0", "--b", "1"],
+        "--a and --b must be given together",
+    ),
+    "split_rotation_without_a_b": (
+        ["split", "--k", "3", "--genus", "1", "--orders", "6,-6", "--index", "0", "--rotation", "7"],
+        "--rotation needs genus 1",
+    ),
+    "split_rotation_genus2": (
+        ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0",
+         "--a", "-2", "--b", "2", "--rotation", "1"],
+        "--rotation needs genus 1",
+    ),
+    "merge_rotation_genus2": (
+        ["merge", "--k", "3", "--genus", "2", "--orders", "3,3", "--i", "0", "--j", "1", "--rotation", "5"],
+        "--rotation needs genus 1",
+    ),
+    "cylinder_negative_k": (["cylinder", "--k", "-2", "--orders", "2,2"], "k must be positive, got -2"),
+    "prong_zero_k": (["prong", "--k", "0", "--a", "2", "--b", "2"], "k must be positive, got 0"),
+    "prong_torsion_zero_k": (["prong", "--k", "0", "--a", "2", "--torsion", "2"], "k must be positive"),
+    "quartic_precision_cap": (
+        ["quartic-verify", "--construction", "OddArf_h0_0", "--precision", "1000000000"],
+        "precision 1000000000 exceeds",
+    ),
 }
 
 
@@ -271,3 +302,14 @@ def test_classify_orders_file_human(tmp_path):
         "k:5 g:2 orders:(10)", "components: 2", "  - arf(parity=0)", "  - arf(parity=1)",
         "k:1 g:2 orders:(3,-1)", "components: 0", "reason: EmptyStratum",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CASES))
+def test_rejected_commands_exit_2_quickly(name):
+    argv, message = REJECTED_CASES[name]
+    for args in (argv, [*argv, "--json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(args)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err

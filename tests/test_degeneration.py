@@ -231,3 +231,10 @@ def test_is_exceptional_stratum_examples():
     assert not is_exceptional_stratum(validate(1, 4, (3, 3)))
     with pytest.raises(SignatureError, match="genus"):
         is_exceptional_stratum(validate(3, 2, (6,)))
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_genus0_cylinders_reject_nonpositive_k(k):
+    for call in (genus0_has_cylinder, genus0_has_simple_cylinder):
+        with pytest.raises(SignatureError, match=f"k must be positive, got {k}"):
+            call(k, (-k, -k))

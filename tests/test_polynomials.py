@@ -6,7 +6,7 @@ import pytest
 from kstrata.polynomials import (
     Polynomial,
     PolynomialError,
-    exact_divide,
+    gcd_many,
     gcd_univariate,
     parse_homogeneous,
     rational_roots,
@@ -124,24 +124,6 @@ def test_resultant_specialization_on_numeric_roots():
     assert resultant(p, q, "y").is_zero()
     q = poly("y - 3") * poly("y - 5")
     assert not resultant(p, q, "y").is_zero()
-
-
-def test_exact_divide_inverts_multiplication():
-    rng = random.Random(47)
-    trials = 0
-    while trials < 80:
-        f, g = random_poly(rng), random_poly(rng)
-        if g.is_zero():
-            continue
-        assert exact_divide(f * g, g) == f
-        trials += 1
-
-
-def test_exact_divide_rejects_inexact():
-    with pytest.raises(PolynomialError, match="inexact"):
-        exact_divide(poly("x^2 + 1"), poly("x + 1"))
-    with pytest.raises(PolynomialError, match="zero"):
-        exact_divide(poly("x"), Polynomial.zero(XY))
 
 
 def test_gcd_univariate():
@@ -297,3 +279,70 @@ def test_resultant_matches_sympy_when_identically_zero():
                 continue
             assert resultant(p, q, "y").is_zero()
             assert _sympy_resultant(p, q, "y").is_zero()
+
+
+# -- univariate gcds against sympy -------------------------------------------
+
+
+def _sympy_gcd(polys, name):
+    """Monic gcd by sympy over QQ, as a Polynomial in the inputs' variables."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol(name)
+    idx = polys[0].variables.index(name)
+    g = sympy.Poly(0, t, domain="QQ")
+    for p in polys:
+        terms = {(e[idx],): sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        g = g.gcd(sympy.Poly.from_dict(terms, t, domain="QQ"))
+    if not g.is_zero:
+        g = g.monic()
+    unit = tuple(int(v == name) for v in polys[0].variables)
+    return Polynomial(
+        polys[0].variables,
+        {tuple(k * u for u in unit): Fraction(int(c.p), int(c.q)) for (k,), c in g.as_dict().items()},
+    )
+
+
+def random_univariate(rng, name, degree):
+    unit = tuple(int(v == name) for v in XY)
+    return Polynomial(
+        XY,
+        {
+            tuple(power * u for u in unit): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for power in range(degree + 1)
+        },
+    )
+
+
+def test_gcd_matches_sympy_with_planted_factors():
+    rng = random.Random(83)
+    zero, p = Polynomial.zero(XY), poly("6*x^3 - 3*x")
+    cases = [([zero], "x"), ([zero, zero], "y"), ([p], "x"), ([zero, p], "x"), ([p, zero], "x")]
+    for trial in range(60):
+        name = rng.choice(XY)
+        shared = random_univariate(rng, name, rng.randint(1, 3))
+        if shared.degree_in(name) <= 0:
+            continue
+        polys = [
+            shared * random_univariate(rng, name, rng.randint(0, 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if trial % 5 == 0:
+            polys.insert(rng.randint(0, len(polys)), zero)
+        cases.append((polys, name))
+        assert gcd_many(polys, name).degree_in(name) >= shared.degree_in(name)
+    for polys, name in cases:
+        g = gcd_many(polys, name)
+        assert g == _sympy_gcd(polys, name), polys
+        if len(polys) == 2:
+            assert gcd_univariate(*polys, name) == g
+
+
+def test_gcd_of_zero_and_single_inputs():
+    p = poly("2*x^2 - 2")
+    zero = Polynomial.zero(XY)
+    assert gcd_many([p], "x") == poly("x^2 - 1")
+    assert gcd_many([zero, p], "x") == poly("x^2 - 1") == gcd_univariate(p, zero, "x")
+    assert gcd_many([zero], "x") == zero == gcd_many([zero, zero], "x")
+    assert gcd_many([poly("3"), p], "x") == poly("1")
+    with pytest.raises(PolynomialError, match="nothing"):
+        gcd_many([], "x")

@@ -104,3 +104,10 @@ def test_global_classes_value_range_and_even_delta():
         assert value in {1, 2, abs(k + a)}
         if value == 2:
             assert math.gcd(abs(k + a), abs(k + b)) % 2 == 0
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_nonpositive_k_is_rejected(k):
+    for call in (local_classes, enumerate_local_classes, prong_hom_image):
+        with pytest.raises(SignatureError, match=f"k must be positive, got {k}"):
+            call(k, 2, 2)

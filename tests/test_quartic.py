@@ -1,7 +1,9 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
+from kstrata import quartic
 from kstrata.polynomials import Polynomial, PolynomialError
 from kstrata.quartic import (
     UnknownConstructionError,
@@ -93,3 +95,38 @@ def test_perturbed_cubic_breaks_the_contact_order():
     assert vanishing_order(g, phi, 13) == 12
     perturbed = g + Polynomial.from_string("x^3", ("x", "y"))
     assert vanishing_order(perturbed, phi, 13) != 12
+
+
+def _corrupted(field, value):
+    """The embedded constructions with one field of OddArf_h0_0 replaced."""
+    data = copy.deepcopy(quartic._load_constructions())
+    entry = data["OddArf_h0_0"]
+    *path, last = field
+    for key in path:
+        entry = entry[key]
+    entry[last] = value
+    return data
+
+
+AFFINE = "x^4 - x*y^3 + x^3 - y^3 - x^2 - x*y - y^2 + y"
+BRANCH = "1*x^2 + 1*x^6 + 2*x^7 + 4*x^8 + 8*x^9 + 19*x^10 + 44*x^11 + {}*x^12"
+# (1 + x) * AFFINE has the same branch at the origin, but is not the quartic at z = 1
+SCALED = str(Polynomial.from_string(AFFINE, ("x", "y")) * Polynomial.from_string("1 + x", ("x", "y")))
+CORRUPTIONS = {
+    "cubic_vanishing_order": (("expected", "cubic_order"), 11, "11", "12"),
+    "tangent_contact_order": (("expected", "contact_order"), 3, "3", "2"),
+    "branch_series": (("branch_coefficients", "12"), 102, BRANCH.format(102), BRANCH.format(101)),
+    "affine_form_matches_quartic": (("affine",), SCALED, SCALED, AFFINE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_one_corrupted_field_fails_only_its_check(monkeypatch, name):
+    field, value, expected, actual = CORRUPTIONS[name]
+    data = _corrupted(field, value)
+    monkeypatch.setattr(quartic, "_load_constructions", lambda: data)
+    report = verify_sporadic("OddArf_h0_0")
+    assert not report.all_passed
+    assert [c.name for c in report.checks if not c.passed] == [name]
+    (failed,) = [c for c in report.checks if c.name == name]
+    assert (failed.expected, failed.actual) == (expected, actual)

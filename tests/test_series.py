@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import Polynomial
 from kstrata.series import (
+    MAX_PRECISION,
     AtLeast,
     PowerSeries,
     SeriesError,
@@ -35,6 +37,12 @@ def random_unit_curve(rng, max_degree=4):
 def test_parabola_branch_is_exact():
     phi = branch_series(poly("y - x^2"), 5)
     assert phi.coefficients == (0, 0, 1, 0, 0, 0)
+
+
+def test_branch_precision_is_capped():
+    assert branch_series(poly("y - x^2"), MAX_PRECISION).coefficient(2) == 1
+    with pytest.raises(UnsupportedCase, match="exceeds"):
+        branch_series(poly("y - x^2"), MAX_PRECISION + 1)
 
 
 def test_branch_rejects_missing_origin():
