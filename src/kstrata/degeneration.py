@@ -3,15 +3,19 @@
 A split breaks a zero of order z on a genus-g surface into singularities
 a + b = z - 2k (both > -k) on a genus g-1 surface; a merge collides two
 singularities on the same surface.  Genus-zero cylinder existence reduces
-to exact subset sums of the order multiset.
+to counting the sub-multisets of the orders that sum to -k.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import SignatureError
+from .errors import SignatureError, UnsupportedCase
 from .signature import StratumSignature, check_index, check_k, check_pair, validate
+
+# enumerate_zero_splits lists at most this many pairs (a zero of order about
+# 2 * 10^5); the CLI prints each one
+MAX_ZERO_SPLITS = 100_000
 
 _NO_SIMPLE_DEGENERATION = frozenset({(2, 2, (5, -1)), (3, 2, (6,))})
 
@@ -31,11 +35,19 @@ _EXCEPTIONAL_STRATA = frozenset(
 def enumerate_zero_splits(k: int, z: int) -> tuple[tuple[int, int], ...]:
     """All unordered pairs (a, b) with a + b = z - 2k and a, b > -k.
 
-    Pairs containing 0 produce marked points on the split surface.
+    Pairs containing 0 produce marked points on the split surface.  There
+    are (z - 2k) // 2 + k of them; past MAX_ZERO_SPLITS the listing raises
+    UnsupportedCase.
     """
     if z < 2:
         raise SignatureError(f"can only split a zero of order >= 2, got {z}")
     total = z - 2 * k
+    count = total // 2 + k
+    if count > MAX_ZERO_SPLITS:
+        raise UnsupportedCase(
+            f"a zero of order {z} has {count} splits, more than the "
+            f"supported maximum {MAX_ZERO_SPLITS} to list"
+        )
     return tuple((a, total - a) for a in range(1 - k, total // 2 + 1))
 
 
@@ -47,7 +59,7 @@ def split_result(sig: StratumSignature, zero_index: int, a: int, b: int) -> Stra
     z = sig.orders[zero_index]
     if z < 2:
         raise SignatureError(f"entry {z} is not a splittable zero")
-    if (min(a, b), max(a, b)) not in enumerate_zero_splits(sig.k, z):
+    if a + b != z - 2 * sig.k or min(a, b) <= -sig.k:
         raise SignatureError(f"({a}, {b}) is not a valid split of {z}")
     rest = [o for idx, o in enumerate(sig.orders) if idx != zero_index]
     return validate(sig.k, sig.genus - 1, rest + [a, b])
@@ -117,54 +129,58 @@ def _check_genus_zero(k: int, orders) -> tuple[int, ...]:
     return orders
 
 
+def _count_sums(orders, target: int, cap: int) -> int:
+    """Sub-multisets of orders summing to target, counted up to cap.
+
+    Distinct values are taken in ascending order, each with every
+    multiplicity from 0 to its count, and each reachable partial sum keeps
+    min(cap, number of multiplicity vectors reaching it).  A partial sum is
+    dropped once the positive and negative entries still to come can no
+    longer bring it to target, so at most min(2^n, window) sums are held.
+    """
+    items = sorted(Counter(orders).items())
+    rising = sum(v * c for v, c in items if v > 0)  # mass still to come
+    falling = sum(v * c for v, c in items if v < 0)
+    counts = {0: 1}
+    for value, mult in items:
+        if value > 0:
+            rising -= value * mult
+        else:
+            falling -= value * mult
+        low, high = target - rising, target - falling
+        reached: dict[int, int] = {}
+        for s, ways in counts.items():
+            for c in range(mult + 1):
+                t = s + value * c
+                if low <= t <= high:
+                    reached[t] = min(cap, reached.get(t, 0) + ways)
+        counts = reached
+    return counts.get(target, 0)
+
+
 def genus0_has_cylinder(k: int, orders) -> bool:
     """Whether the genus-zero stratum contains a Euclidean cylinder.
 
     Holds iff some nonempty proper sub-multiset of the orders sums to -k.
-    Reachable (sum, size) pairs are accumulated value by value, which is
-    exhaustive over sub-multisets.
+    The orders sum to -2k with k >= 1, so a sub-multiset summing to -k is
+    never empty (sum 0) nor everything (sum -2k): the test is a plain
+    subset sum.
     """
     orders = _check_genus_zero(k, orders)
-    n = len(orders)
-    states = {(0, 0)}
-    for value, mult in sorted(Counter(orders).items()):
-        states = {
-            (s + value * c, size + c)
-            for (s, size) in states
-            for c in range(mult + 1)
-        }
-    return any(s == -k and 0 < size < n for s, size in states)
+    return _count_sums(orders, -k, 1) > 0
 
 
 def genus0_has_simple_cylinder(k: int, orders) -> bool:
     """Whether the genus-zero stratum contains a simple Euclidean cylinder.
 
     Requires a partition into two sub-multisets summing to -k with neither
-    equal to (-k/2, -k/2); for odd k the latter constraint is vacuous.
+    equal to (-k/2, -k/2); for odd k the latter constraint is vacuous.  For
+    even k with h = -k/2 present at least twice, the forbidden sides are
+    {h, h} and its complement, and both sum to -k.  So a simple cylinder
+    exists iff more than two sub-multisets sum to -k.  The two coincide only
+    for the orders (h, h, h, h), where {h, h} is the one sub-multiset
+    summing to -k, and the count of one is again too small.
     """
     orders = _check_genus_zero(k, orders)
-    if k % 2 == 1:
-        return genus0_has_cylinder(k, orders)
-    half = -(k // 2)
-    mult_half = orders.count(half)
-    n = len(orders)
-    states = {(0, 0, 0)}  # (sum, size, copies of -k/2 used)
-    for value, mult in sorted(Counter(orders).items()):
-        bump = 1 if value == half else 0
-        states = {
-            (s + value * c, size + c, used + bump * c)
-            for (s, size, used) in states
-            for c in range(mult + 1)
-        }
-    for s, size, used in states:
-        if s != -k or not 0 < size < n:
-            continue
-        side_bad = size == 2 and used == 2
-        complement_bad = (
-            size == n - 2
-            and used == mult_half - 2
-            and size - used == n - mult_half
-        )
-        if not side_bad and not complement_bad:
-            return True
-    return False
+    forbidden = 2 if k % 2 == 0 and orders.count(-k // 2) >= 2 else 0
+    return _count_sums(orders, -k, forbidden + 1) > forbidden

@@ -508,8 +508,13 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     if len(coeffs) > 1:
         scale = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
-        for num in divisors(ints[0]):
-            for den in divisors(ints[-1]):
+        lead = abs(ints[-1])
+        # Cauchy's bound: every root has |root| <= reach / lead
+        reach = lead + max(abs(c) for c in ints[:-1])
+        for den in divisors(lead):
+            for num in divisors(ints[0]):
+                if num * lead > den * reach:
+                    break
                 for candidate in (Fraction(num, den), Fraction(-num, den)):
                     if _eval_univariate(coeffs, candidate) == 0:
                         roots.add(candidate)
@@ -539,16 +544,3 @@ def gcd_many(polys, name: str) -> Polynomial:
         polys[0].variables,
         {tuple(power * e for e in unit): c / a[-1] for power, c in enumerate(a)},
     )
-
-
-def gcd_univariate(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
-    """Monic gcd of two polynomials involving only one variable."""
-    return gcd_many((p, q), name)
-
-
-def parse_homogeneous(text: str, variables=("x", "y", "z")) -> Polynomial:
-    """Parse and require a homogeneous polynomial (plane-curve input)."""
-    p = Polynomial.from_string(text, variables)
-    if not p.is_homogeneous():
-        raise PolynomialError(f"{text!r} is not homogeneous")
-    return p

@@ -39,10 +39,6 @@ class StratumSignature:
     def poles(self) -> tuple[int, ...]:
         return tuple(o for o in self.orders if o < 0)
 
-    @property
-    def marked_points(self) -> int:
-        return sum(1 for o in self.orders if o == 0)
-
     def __str__(self) -> str:
         return format_signature(self)
 

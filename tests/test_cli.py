@@ -96,7 +96,8 @@ BRANCH_PAYLOADS = {
 
 
 # Commands that must stop with a usage error (exit 2): options that would be
-# ignored, k < 1 and a branch precision past the series cap.
+# ignored, k < 1, a branch precision past the series cap and a split listing
+# past its budget.
 REJECTED_CASES = {
     "split_b_without_a": (
         ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0", "--b", "1"],
@@ -121,6 +122,10 @@ REJECTED_CASES = {
     "quartic_precision_cap": (
         ["quartic-verify", "--construction", "OddArf_h0_0", "--precision", "1000000000"],
         "precision 1000000000 exceeds",
+    ),
+    "split_listing_budget": (
+        ["split", "--k", "1", "--genus", "50000001", "--orders", "100000000", "--index", "0"],
+        "has 50000000 splits, more than the supported maximum",
     ),
 }
 
@@ -313,3 +318,16 @@ def test_rejected_commands_exit_2_quickly(name):
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+
+def test_split_applies_on_a_zero_too_large_to_list():
+    argv = ["split", "--k", "1", "--genus", "50000001", "--orders", "100000000", "--index", "0",
+            "--a", "3", "--b", "99999995"]
+    start = time.perf_counter()
+    assert run_json(argv) == {
+        "a": 3,
+        "b": 99999995,
+        "result": "k:1 g:50000000 orders:(99999995,3)",
+        "signature": "k:1 g:50000001 orders:(100000000)",
+    }
+    assert time.perf_counter() - start < 5

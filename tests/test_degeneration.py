@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from kstrata.degeneration import (
+    MAX_ZERO_SPLITS,
     enumerate_zero_splits,
     genus0_has_cylinder,
     genus0_has_simple_cylinder,
@@ -15,7 +17,7 @@ from kstrata.degeneration import (
     split_result,
     undo_split,
 )
-from kstrata.errors import RotationError, SignatureError
+from kstrata.errors import RotationError, SignatureError, UnsupportedCase
 from kstrata.genus_one import hyperelliptic_genus_one, merge, split_to_sphere
 from kstrata.signature import validate
 
@@ -45,6 +47,28 @@ def test_split_result_validation():
         split_result(validate(3, 2, (6,)), 0, -3, 3)
     with pytest.raises(SignatureError, match="splittable"):
         split_result(validate(2, 2, (5, -1)), 1, 0, 0)
+    for a, b in ((-1, 2), (4, -4), (0, 1)):
+        with pytest.raises(SignatureError, match="valid split"):
+            split_result(validate(3, 2, (6,)), 0, a, b)
+
+
+def test_split_listing_budget():
+    # (z - 2k) // 2 + k pairs: k = 1, z = 2 * MAX_ZERO_SPLITS is exactly at the budget
+    assert len(enumerate_zero_splits(1, 2 * MAX_ZERO_SPLITS)) == MAX_ZERO_SPLITS
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match="supported maximum"):
+        enumerate_zero_splits(1, 2 * MAX_ZERO_SPLITS + 2)
+    with pytest.raises(UnsupportedCase, match="supported maximum"):
+        enumerate_zero_splits(3, 10**18)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_split_result_on_a_zero_too_large_to_list():
+    sig = validate(1, 50_000_001, (100_000_000,))
+    assert split_result(sig, 0, 3, 99_999_995).orders == (99_999_995, 3)
+    assert split_result(sig, 0, 0, 99_999_998).orders == (99_999_998, 0)
+    with pytest.raises(SignatureError, match="valid split"):
+        split_result(sig, 0, -1, 99_999_999)
 
 
 def test_index_and_rotation_guards_keep_their_messages():
@@ -205,6 +229,73 @@ def test_cylinder_criteria_match_oracle_up_to_fourteen_entries():
             assert genus0_has_cylinder(k, orders) == oracle_cylinder(k, orders)
             assert genus0_has_simple_cylinder(k, orders) == oracle_simple_cylinder(k, orders)
             produced += 1
+
+
+def _assert_cylinders_match_oracle(k, orders):
+    assert genus0_has_cylinder(k, orders) == oracle_cylinder(k, orders), (k, orders)
+    assert genus0_has_simple_cylinder(k, orders) == oracle_simple_cylinder(k, orders), (k, orders)
+
+
+def test_cylinder_criteria_on_four_halves():
+    # (h, h, h, h): {h, h} is its own complement, the one forbidden side
+    for k in range(2, 13, 2):
+        _assert_cylinders_match_oracle(k, (-k // 2,) * 4)
+        assert genus0_has_cylinder(k, (-k // 2,) * 4)
+        assert not genus0_has_simple_cylinder(k, (-k // 2,) * 4)
+
+
+def test_cylinder_criteria_when_only_forbidden_sides_sum_to_minus_k():
+    assert genus0_has_cylinder(4, (-2, -2, -7, 3))
+    assert not genus0_has_simple_cylinder(4, (-2, -2, -7, 3))
+    rng = random.Random(43)
+    found = 0
+    while found < 30:
+        k = 2 * rng.randint(1, 5)
+        rest = [rng.randint(-3 * k, 2 * k) for _ in range(rng.randint(1, 5))]
+        rest.append(-k - sum(rest))  # {h, h} and the rest both sum to -k
+        orders = tuple([-k // 2] * 2 + rest)
+        if oracle_simple_cylinder(k, orders) or rest == [-k // 2] * 2:
+            continue
+        _assert_cylinders_match_oracle(k, orders)
+        found += 1
+
+
+def test_cylinder_criteria_with_many_halves():
+    rng = random.Random(47)
+    for k in (2, 4, 6, 8):
+        for copies in range(2, 7):
+            for _ in range(12):
+                rest = [rng.randint(-k, k) for _ in range(rng.randint(0, 4))]
+                orders = [-k // 2] * copies + rest
+                orders.append(-2 * k - sum(orders))
+                _assert_cylinders_match_oracle(k, tuple(orders))
+
+
+def test_cylinder_criteria_odd_k():
+    rng = random.Random(53)
+    for _ in range(150):
+        k = 2 * rng.randint(0, 4) + 1
+        body = [rng.choice([-k, -(k // 2), -(k // 2) - 1, rng.randint(-2 * k, 2 * k)])
+                for _ in range(rng.randint(1, 8))]
+        orders = tuple(body + [-2 * k - sum(body)])
+        _assert_cylinders_match_oracle(k, orders)
+        assert genus0_has_simple_cylinder(k, orders) == genus0_has_cylinder(k, orders)
+
+
+def test_cylinder_criteria_on_26_distinct_orders_are_fast():
+    rng = random.Random(59)
+    for k in (5, 6):
+        while True:
+            body = rng.sample(range(-500, 501), 25)
+            last = -2 * k - sum(body)
+            if abs(last) <= 500 and last not in body:
+                break
+        orders = tuple(body + [last])
+        start = time.perf_counter()
+        answers = (genus0_has_cylinder(k, orders), genus0_has_simple_cylinder(k, orders))
+        assert time.perf_counter() - start < 0.5
+        # distinct orders hold -k/2 at most once, so the criteria agree
+        assert answers[0] == answers[1]
 
 
 def test_simple_cylinder_implies_cylinder():

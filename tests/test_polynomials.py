@@ -7,8 +7,6 @@ from kstrata.polynomials import (
     Polynomial,
     PolynomialError,
     gcd_many,
-    gcd_univariate,
-    parse_homogeneous,
     rational_roots,
     resultant,
 )
@@ -71,9 +69,8 @@ def test_substitute_and_evaluate():
 
 
 def test_homogeneous_check():
-    assert parse_homogeneous("x^4 + y^4 + z^4").is_homogeneous()
-    with pytest.raises(PolynomialError, match="homogeneous"):
-        parse_homogeneous("x^4 + y^3")
+    assert poly("x^4 + y^4 + z^4", XYZ).is_homogeneous()
+    assert not poly("x^4 + y^3", XYZ).is_homogeneous()
 
 
 def test_resultant_examples():
@@ -126,12 +123,12 @@ def test_resultant_specialization_on_numeric_roots():
     assert not resultant(p, q, "y").is_zero()
 
 
-def test_gcd_univariate():
+def test_gcd_many_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
-    g = gcd_univariate(p, q, "x")
+    g = gcd_many((p, q), "x")
     assert g == poly("x - 1")
-    assert gcd_univariate(p, poly("x^2 + 1"), "x") == poly("1")
+    assert gcd_many((p, poly("x^2 + 1")), "x") == poly("1")
 
 
 def test_rational_roots():
@@ -150,6 +147,22 @@ def test_rational_roots_with_a_large_constant():
         Fraction(1025),
         Fraction(1048573),
     ]
+
+
+def test_rational_roots_find_every_planted_root():
+    # leading coefficients with many divisors give candidates past Cauchy's
+    # bound; every planted root must survive that filter
+    rng = random.Random(89)
+    for _ in range(40):
+        planted = {
+            Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))
+        }
+        p = Polynomial(XY, {(0, 0): Fraction(rng.choice([1, -2, 3, 12, 60]), rng.randint(1, 5))})
+        for root in planted:
+            p = p * Polynomial(XY, {(1, 0): Fraction(root.denominator), (0, 0): Fraction(-root.numerator)})
+        if rng.random() < 0.5:
+            p = p * poly(rng.choice(["x^2 + 1", "2*x^2 - 3", "x^2 + x + 5"]))
+        assert rational_roots(p, "x") == sorted(planted), p
 
 
 # -- resultants against sympy ------------------------------------------------
@@ -333,15 +346,13 @@ def test_gcd_matches_sympy_with_planted_factors():
     for polys, name in cases:
         g = gcd_many(polys, name)
         assert g == _sympy_gcd(polys, name), polys
-        if len(polys) == 2:
-            assert gcd_univariate(*polys, name) == g
 
 
 def test_gcd_of_zero_and_single_inputs():
     p = poly("2*x^2 - 2")
     zero = Polynomial.zero(XY)
     assert gcd_many([p], "x") == poly("x^2 - 1")
-    assert gcd_many([zero, p], "x") == poly("x^2 - 1") == gcd_univariate(p, zero, "x")
+    assert gcd_many([zero, p], "x") == poly("x^2 - 1") == gcd_many([p, zero], "x")
     assert gcd_many([zero], "x") == zero == gcd_many([zero, zero], "x")
     assert gcd_many([poly("3"), p], "x") == poly("1")
     with pytest.raises(PolynomialError, match="nothing"):

@@ -5,6 +5,7 @@ import pytest
 
 from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import Polynomial
+from kstrata.quartic import _load_constructions
 from kstrata.series import (
     MAX_PRECISION,
     AtLeast,
@@ -78,6 +79,47 @@ def test_branch_implicit_differentiation():
         fy = polynomial_on_branch(f.partial_derivative("y"), phi)
         combined = fx.truncate(precision - 1) + fy.truncate(precision - 1) * derivative
         assert all(c == 0 for c in combined.coefficients)
+
+
+def reference_branch_series(f, precision):
+    """Coefficient by coefficient: a_n solves a linear equation with pivot f_y(0,0)."""
+    pivot = f.partial_derivative("y").evaluate({"x": 0, "y": 0})
+    coeffs = [Fraction(0)] * (precision + 1)
+    for n in range(1, precision + 1):
+        residual = polynomial_on_branch(f, PowerSeries(coeffs[: n + 1]))
+        coeffs[n] = -residual.coefficient(n) / pivot
+    return PowerSeries(coeffs)
+
+
+def construction_curves():
+    return [poly(record["affine"]) for record in _load_constructions().values()]
+
+
+def test_branch_series_matches_reference_on_constructions():
+    # the recurrence's first N + 1 coefficients do not depend on the target
+    # precision, so one reference run serves every N up to 60
+    for f in construction_curves():
+        reference = reference_branch_series(f, 60)
+        for precision in [*range(31), 45, 60]:
+            assert branch_series(f, precision) == reference.truncate(precision)
+
+
+def test_branch_series_matches_reference_with_nonunit_pivots():
+    rng = random.Random(67)
+    pivots = [Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-1, 4)]
+    for trial in range(24):
+        f = random_unit_curve(rng) + Polynomial(XY, {(0, 1): pivots[trial % 4] - 1})
+        reference = reference_branch_series(f, 16)
+        for precision in range(17):
+            assert branch_series(f, precision) == reference.truncate(precision)
+
+
+def test_branch_series_at_the_cap_has_zero_residual():
+    # f(x, phi) = O(x^(N+1)) with phi(0) = 0 determines phi uniquely
+    for f in construction_curves():
+        phi = branch_series(f, MAX_PRECISION)
+        assert phi.precision == MAX_PRECISION and phi.coefficient(0) == 0
+        assert all(c == 0 for c in polynomial_on_branch(f, phi).coefficients)
 
 
 def test_vanishing_order_examples():
