@@ -9,7 +9,7 @@ import sys
 
 from . import classifier, degeneration, framing, genus_one, prong, quartic
 from .errors import StratumError
-from .signature import StratumSignature, format_signature, parse_signature, validate
+from .signature import StratumSignature, check_index, format_signature, parse_signature, validate
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -33,7 +33,7 @@ def _pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _signature_from_args(args):
-    return validate(args.k, args.genus, _orders(args.orders), allow_zero_orders=False)
+    return validate(args.k, args.genus, _orders(args.orders))
 
 
 # field values written as they are, without a recursive call
@@ -95,7 +95,7 @@ def _cmd_classify(args):
                 raw = raw.strip()
                 if not raw or raw.startswith("#"):
                     continue
-                sig = parse_signature(raw, allow_zero_orders=False)
+                sig = parse_signature(raw)
                 reports.append(classifier.primitive_nonhyperelliptic_components(sig))
         lines = (line for r in reports for line in _report_lines(r))
         return {"reports": reports}, lines
@@ -167,8 +167,7 @@ def _cmd_merge(args):
 
 def _cmd_split(args):
     sig = validate(args.k, args.genus, _orders(args.orders))
-    if not 0 <= args.index < len(sig.orders):
-        raise StratumError(f"index {args.index} out of range for {len(sig.orders)} entries")
+    check_index(sig, args.index)
     z = sig.orders[args.index]
     if (args.a is None) != (args.b is None):
         raise StratumError("--a and --b must be given together")

@@ -120,13 +120,7 @@ def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge
             False, None, (), "merging the only two singularities of (a,-a)"
         )
     result = validate(sig.k, 1, merged)
-    allowed = set(nonempty_rotations(result.orders))
-    d2 = math.gcd(*result.orders)
-    rotations = tuple(
-        r2
-        for r2 in sorted((d2 // e for e in divisors(d2)), reverse=True)
-        if r2 % rotation == 0 and r2 in allowed
-    )
+    rotations = tuple(r for r in nonempty_rotations(result.orders) if r % rotation == 0)
     if not rotations:
         return GenusOneMerge(
             False, result, (), "every admissible boundary component is empty"

@@ -4,9 +4,9 @@ Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, and Sylvester resultants computed by
 evaluation at integer points and Newton interpolation, with fraction-free
 (Bareiss) determinants of integer matrices underneath, so every
-intermediate value stays exact.  Univariate work (gcds and rational roots)
-runs on dense ascending coefficient lists; all gcds go through one
-Euclidean loop in ``gcd_many``.
+intermediate value stays exact.  Univariate work uses the same cleared
+denominators: l and the ascending integer coefficients of l*p.  All gcds go
+through one loop of primitive pseudo-remainders in ``gcd_many``.
 """
 
 from __future__ import annotations
@@ -472,60 +472,59 @@ def _integer_determinant(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _univariate_coeffs(p: Polynomial, name: str) -> list[Fraction]:
-    idx = p._index(name)
-    for exps in p.terms:
-        if any(e for j, e in enumerate(exps) if j != idx):
-            raise PolynomialError(f"{p} is not univariate in {name!r}")
-    coeffs = [Fraction(0)] * (p.degree_in(name) + 1)
-    for exps, coeff in p.terms.items():
-        coeffs[exps[idx]] = coeff
-    return coeffs
+def _univariate_ints(p: Polynomial, name: str):
+    """(l, a): l*p = a[0] + a[1]*name + ... in integers, l as for resultants."""
+    lcm, coeffs = _integer_coefficients(p, name)
+    if any(any(e) for c in coeffs for e in c):
+        raise PolynomialError(f"{p} is not univariate in {name!r}")
+    return lcm, [sum(c.values()) for c in coeffs]
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of lc(b)^s * a mod b for some s >= 0 (Collins 1967)."""
     a = a[:]
+    lead = b[-1]
     while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, coeff in enumerate(b):
-            a[shift + i] -= factor * coeff
+        factor, shift = a[-1], len(a) - len(b)
+        a = [lead * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
         while a and a[-1] == 0:
             a.pop()
-    return a
+    content = math.gcd(*a)
+    return [c // content for c in a] if content else a
 
 
 def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
-    """All rational roots of a univariate polynomial, ascending."""
-    coeffs = _univariate_coeffs(p, name)
+    """All rational roots of a univariate polynomial, ascending.
+
+    A candidate num/den is a root iff sum a_i * num^i * den^(n-i) is 0.
+    """
+    _, coeffs = _univariate_ints(p, name)
     if not coeffs:
         raise PolynomialError("the zero polynomial has every root")
     roots = set()
     if coeffs[0] == 0:
         roots.add(Fraction(0))
-        while coeffs and coeffs[0] == 0:
+        while coeffs[0] == 0:
             coeffs.pop(0)
-    if len(coeffs) > 1:
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
-        lead = abs(ints[-1])
+    n = len(coeffs) - 1
+    if n > 0:
+        lead = abs(coeffs[-1])
         # Cauchy's bound: every root has |root| <= reach / lead
-        reach = lead + max(abs(c) for c in ints[:-1])
+        reach = lead + max(abs(c) for c in coeffs[:-1])
         for den in divisors(lead):
-            for num in divisors(ints[0]):
+            scaled = [c * den ** (n - i) for i, c in enumerate(coeffs)]
+            for num in divisors(coeffs[0]):
                 if num * lead > den * reach:
                     break
-                for candidate in (Fraction(num, den), Fraction(-num, den)):
-                    if _eval_univariate(coeffs, candidate) == 0:
-                        roots.add(candidate)
+                for x in (num, -num):
+                    total = 0
+                    for c in reversed(scaled):
+                        total = total * x + c
+                    if total == 0:
+                        roots.add(Fraction(x, den))
     return sorted(roots)
-
-
-def _eval_univariate(coeffs, value: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(coeffs):
-        total = total * value + coeff
-    return total
 
 
 def gcd_many(polys, name: str) -> Polynomial:
@@ -533,14 +532,14 @@ def gcd_many(polys, name: str) -> Polynomial:
     polys = list(polys)
     if not polys:
         raise PolynomialError("gcd of nothing")
-    a: list[Fraction] = []
+    a: list[int] = []
     for p in polys:
         p._match(polys[0])
-        b = _univariate_coeffs(p, name)
+        _, b = _univariate_ints(p, name)
         while b:
-            a, b = b, _poly_mod(a, b)
+            a, b = b, _prem(a, b)
     unit = tuple(int(v == name) for v in polys[0].variables)
     return Polynomial(
         polys[0].variables,
-        {tuple(power * e for e in unit): c / a[-1] for power, c in enumerate(a)},
+        {tuple(power * e for e in unit): Fraction(c, a[-1]) for power, c in enumerate(a)},
     )

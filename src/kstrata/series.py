@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedCase
-from .polynomials import Polynomial, _univariate_coeffs
+from .polynomials import Polynomial, _univariate_ints
 
 # branch_series is O(d*N^2): 0.06 to 0.13 s at N = 100 for the two quartic
 # constructions on a 2-vCPU Xeon guest; the cap bounds what one call can cost
@@ -144,7 +144,8 @@ def polynomial_on_branch(
 
 
 def _poly_to_series(p: Polynomial, x_var: str, precision: int) -> PowerSeries:
-    coeffs = _univariate_coeffs(p, x_var)[: precision + 1]
+    scale, ints = _univariate_ints(p, x_var)
+    coeffs = [Fraction(c, scale) for c in ints[: precision + 1]]
     return PowerSeries(coeffs + [Fraction(0)] * (precision + 1 - len(coeffs)))
 
 

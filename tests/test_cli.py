@@ -127,6 +127,18 @@ REJECTED_CASES = {
         ["split", "--k", "1", "--genus", "50000001", "--orders", "100000000", "--index", "0"],
         "has 50000000 splits, more than the supported maximum",
     ),
+    "genus1_divisor_budget": (
+        ["genus1", "--k", "1", "--orders", "100000000000000006,-100000000000000006"],
+        "100000000000000006 exceeds the supported maximum",
+    ),
+    "classify_divisor_budget": (
+        ["classify", "--k", "1", "--genus", "1", "--orders", "100000000000000006,-100000000000000006"],
+        "100000000000000006 exceeds the supported maximum",
+    ),
+    "breakdown_divisor_budget": (
+        ["breakdown", "--k", "100000000000000006", "--genus", "2", "--orders", "200000000000000012"],
+        "100000000000000006 exceeds the supported maximum",
+    ),
 }
 
 
@@ -169,10 +181,15 @@ def test_classify_example_count_in_json():
     assert {c["type"] for c in payload["components"]} == {"arf"}
 
 
-def test_classify_rejects_marked_points_with_exit_2():
+def test_classify_rejects_marked_points_with_exit_2(tmp_path):
     code, out, err = run_cli(["classify", "--k", "2", "--genus", "2", "--orders", "5,-1,0"])
     assert code == 2
     assert "error" in err
+    batch = tmp_path / "strata.txt"
+    batch.write_text("k:5 g:2 orders:(10)\nk:2 g:2 orders:(5,-1,0)\n", encoding="utf-8")
+    code, out, err = run_cli(["classify", "--orders-file", str(batch)])
+    assert (code, out) == (2, "")
+    assert err == "error: classification rejects marked points (zero orders)\n"
 
 
 def test_classify_orders_file(tmp_path):

@@ -348,6 +348,46 @@ def test_gcd_matches_sympy_with_planted_factors():
         assert g == _sympy_gcd(polys, name), polys
 
 
+def test_univariate_work_rejects_a_second_variable():
+    p = poly("x^2 - x*y + 1")
+    with pytest.raises(PolynomialError, match="not univariate in 'x'"):
+        gcd_many([poly("x - 1"), p], "x")
+    with pytest.raises(PolynomialError, match="not univariate in 'x'"):
+        rational_roots(p, "x")
+
+
+def _sympy_rational_roots(p, name):
+    """Distinct rational roots by sympy, from the linear factors over QQ."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol(name)
+    idx = p.variables.index(name)
+    terms = {(e[idx],): sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    _, factors = sympy.Poly.from_dict(terms, t, domain="QQ").factor_list()
+    roots = [-f.nth(0) / f.nth(1) for f, _ in factors if f.degree() == 1]
+    return sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+
+
+def test_rational_roots_match_sympy():
+    # rational non-monic factors, repeated roots, a zero root on every third
+    # trial and a random quadratic that may or may not split
+    rng = random.Random(97)
+    for trial in range(60):
+        name = rng.choice(XY)
+        t = Polynomial.variable(name, XY)
+        p = Polynomial.constant(Fraction(rng.choice([-3, 2, 5, 12]), rng.randint(1, 7)), XY)
+        for _ in range(rng.randint(1, 3)):
+            lead = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            root = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            p = p * (lead * t - lead * root) ** rng.randint(1, 2)
+        if trial % 3 == 0:
+            p = p * t ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            p = p * random_univariate(rng, name, 2)
+        if p.is_zero():
+            continue
+        assert rational_roots(p, name) == _sympy_rational_roots(p, name), p
+
+
 def test_gcd_of_zero_and_single_inputs():
     p = poly("2*x^2 - 2")
     zero = Polynomial.zero(XY)

@@ -4,6 +4,7 @@ import pytest
 
 from kstrata.errors import SignatureError, UnsupportedCase
 from kstrata.signature import (
+    MAX_DIVISOR_INPUT,
     StratumSignature,
     divisors,
     format_signature,
@@ -37,11 +38,6 @@ def test_validate_rejects_nonpositive_k():
         validate(0, 2, (0,))
 
 
-def test_validate_zero_order_flag():
-    with pytest.raises(SignatureError, match="forbidden"):
-        validate(1, 1, (1, 0, -1), allow_zero_orders=False)
-
-
 def test_canonical_form_is_descending_and_idempotent():
     sig = validate(2, 2, (1, 2, -1, 1, 1))
     assert sig.orders == (2, 1, 1, 1, -1)
@@ -73,6 +69,17 @@ def test_gcd_orders_examples(k, genus, orders, expected):
 def test_gcd_orders_ignores_marked_points():
     assert gcd_orders(validate(2, 1, (4, 0, -4))) == 4
     assert gcd_orders(validate(1, 1, (0, 0))) == 0
+
+
+def test_divisors_up_to_the_cap():
+    assert divisors(-12) == (1, 2, 3, 4, 6, 12)
+    assert divisors(0) == ()
+    top = divisors(MAX_DIVISOR_INPUT)
+    assert top[0] == 1 and top[-1] == MAX_DIVISOR_INPUT
+    assert all(MAX_DIVISOR_INPUT % d == 0 for d in top)
+    for n in (MAX_DIVISOR_INPUT + 1, -MAX_DIVISOR_INPUT - 1):
+        with pytest.raises(UnsupportedCase, match="exceeds the supported maximum"):
+            divisors(n)
 
 
 def test_imprimitive_divisors_examples():
