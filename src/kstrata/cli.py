@@ -25,10 +25,11 @@ def _pairs(text: str) -> tuple[tuple[int, int], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise StratumError(f"bad pair {chunk!r}; expected 'wa,wb'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            wa, wb = map(int, chunk.split(","))
+        except ValueError:
+            raise StratumError(f"bad pair {chunk!r}; expected 'wa,wb'") from None
+        pairs.append((wa, wb))
     return tuple(pairs)
 
 
@@ -89,6 +90,8 @@ def _report_lines(report) -> list[str]:
 
 def _cmd_classify(args):
     if args.orders_file:
+        if (args.k, args.genus, args.orders) != (None, None, None):
+            raise StratumError("--orders-file takes no --k, --genus or --orders")
         reports = []
         with open(args.orders_file, encoding="utf-8") as handle:
             for raw in handle:
@@ -217,11 +220,14 @@ def _cmd_spin(args):
 
 
 def _cmd_prong(args):
-    if args.rotation is None and args.torsion is None and args.b is None:
-        raise StratumError("--b is required for local prong classes")
+    if args.rest is not None and args.rotation is None:
+        raise StratumError("--rest needs --rotation")
+    if args.torsion is not None and (args.rotation, args.b) != (None, None):
+        raise StratumError("--torsion takes no --b or --rotation")
+    if args.torsion is None and args.b is None:
+        kind = "local" if args.rotation is None else "global"
+        raise StratumError(f"--b is required for {kind} prong classes")
     if args.rotation is not None:
-        if args.b is None:
-            raise StratumError("--b is required for global prong classes")
         rest = _orders(args.rest) if args.rest else ()
         count = prong.global_classes_genus_one_split(args.k, args.rotation, args.a, args.b, rest)
         payload = {

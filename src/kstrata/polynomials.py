@@ -1,12 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Supports the arithmetic needed to certify plane-curve constructions:
-parsing, derivatives, evaluation, and Sylvester resultants computed by
-evaluation at integer points and Newton interpolation, with fraction-free
-(Bareiss) determinants of integer matrices underneath, so every
-intermediate value stays exact.  Univariate work uses the same cleared
-denominators: l and the ascending integer coefficients of l*p.  All gcds go
-through one loop of primitive pseudo-remainders in ``gcd_many``.
+parsing, derivatives, evaluation, and Sylvester resultants computed as one
+fraction-free (Bareiss) integer determinant each, the free variables packed
+into a single integer by Kronecker substitution, so every intermediate
+value stays exact.  Univariate work uses the same cleared denominators: l
+and the ascending integer coefficients of l*p.  All gcds go through one
+loop of primitive pseudo-remainders in ``gcd_many``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import UnsupportedCase
 from .signature import divisors
+
+# a resultant of Sylvester order m+n over S coefficient slots costs about
+# (m+n)^4 * S^2 with small coefficients; at the cap on a 2-vCPU Xeon guest,
+# 4 to 5 s for a univariate pair of order 562, 2.5 s for a dense bivariate
+# pair of degree 16 and 0.4 s for S = 79001 at order 2
+MAX_RESULTANT_WORK = 10**11
 
 
 class PolynomialError(ValueError):
@@ -335,11 +342,15 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     is a polynomial in the remaining variables (the variable slot stays but
     its exponent is zero everywhere).
 
-    The inputs are scaled to integer coefficients, the remaining variables
-    are evaluated at integer points until only integer Sylvester matrices
-    are left, and the resultant is interpolated back from their
-    determinants (Collins 1971).  The matrices keep the formal shape at
-    every point, so each determinant is the resultant's value there.
+    The inputs are scaled to integer coefficients and every remaining
+    variable is replaced by a power of two (Kronecker substitution): each
+    variable gets a mixed radix one more than its degree bound in the
+    result, and each of the S coefficient slots is B bits wide, enough for
+    any coefficient of the result and its sign.  One fraction-free
+    determinant of the packed integer Sylvester matrix then carries every
+    coefficient of the resultant as a signed base-2^B digit.  When
+    (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
+    it raises UnsupportedCase.
     """
     p._match(q)
     m, n = p.degree_in(name), q.degree_in(name)
@@ -347,11 +358,46 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
         raise PolynomialError(
             f"resultant needs positive degree in {name!r} (got {m} and {n})"
         )
+    # one radix per variable, one more than the result's degree bound in it
+    bezout = p.degree() * q.degree()
+    radices = [
+        1 if v == name else min(n * p.degree_in(v) + m * q.degree_in(v), bezout) + 1
+        for v in p.variables
+    ]
+    slots = math.prod(radices)
+    if (m + n) ** 4 * slots**2 > MAX_RESULTANT_WORK:
+        raise UnsupportedCase(
+            f"a resultant of order {m + n} over {slots} coefficient slots exceeds "
+            "the supported maximum"
+        )
+    strides = [math.prod(radices[:v]) for v in range(len(radices))]
     lp, pc = _integer_coefficients(p, name)
     lq, qc = _integer_coefficients(q, name)
-    res = _integer_resultant(pc, qc, p.degree() * q.degree())
+    # each Sylvester row's coefficients sum in absolute value to |p|_1 or
+    # |q|_1, so no coefficient of the result reaches their product
+    norm_p = sum(abs(a) for c in pc for a in c.values())
+    norm_q = sum(abs(a) for c in qc for a in c.values())
+    bits = (norm_p**n * norm_q**m).bit_length() + 1
+
+    def pack(c: dict) -> int:
+        return sum(a << bits * sum(k * s for k, s in zip(e, strides)) for e, a in c.items())
+
+    det = _integer_determinant(_sylvester([pack(c) for c in pc], [pack(c) for c in qc]))
     scale = lp**n * lq**m
-    return Polynomial(p.variables, {e: Fraction(c, scale) for e, c in res.items()})
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    terms = {}
+    place = 0
+    while det:
+        digit = det & mask
+        det >>= bits
+        if digit >= half:  # a negative coefficient borrows from the next slot
+            digit -= mask + 1
+            det += 1
+        if digit:
+            exps = tuple(place // s % r for s, r in zip(strides, radices))
+            terms[exps] = Fraction(digit, scale)
+        place += 1
+    return Polynomial(p.variables, terms)
 
 
 def _integer_coefficients(p: Polynomial, name: str):
@@ -366,74 +412,6 @@ def _integer_coefficients(p: Polynomial, name: str):
         reduced = exps[:idx] + (0,) + exps[idx + 1 :]
         coeffs[exps[idx]][reduced] = c.numerator * (lcm // c.denominator)
     return lcm, coeffs
-
-
-def _integer_resultant(pc: list[dict], qc: list[dict], bound: int) -> dict:
-    """Determinant of the formal Sylvester matrix of two integer polynomials.
-
-    ``pc`` and ``qc`` hold the coefficients of powers of the eliminated
-    variable; a vanishing leading one still counts.  ``bound`` caps the
-    degree of the result in any one variable (deg p * deg q at the top).
-    """
-    if not any(pc) or not any(qc):
-        return {}
-    occurring = {i for c in pc + qc for e in c for i, k in enumerate(e) if k}
-    if not occurring:
-        det = _integer_determinant(
-            _sylvester([sum(c.values()) for c in pc], [sum(c.values()) for c in qc])
-        )
-        origin = next(e for c in pc if c for e in c)
-        return {origin: det} if det else {}
-    v = min(occurring)
-    m, n = len(pc) - 1, len(qc) - 1
-    deg_p = max((e[v] for c in pc for e in c), default=0)
-    deg_q = max((e[v] for c in qc for e in c), default=0)
-    top = min(n * deg_p + m * deg_q, bound)
-    values = [
-        _integer_resultant(_evaluate(pc, v, t), _evaluate(qc, v, t), bound)
-        for t in range(top + 1)
-    ]
-    result = {}
-    for e in {e for value in values for e in value}:
-        coeffs = _interpolate([value.get(e, 0) for value in values])
-        for power, c in enumerate(coeffs):
-            if c:
-                result[e[:v] + (power,) + e[v + 1 :]] = c
-    return result
-
-
-def _evaluate(coeffs: list[dict], v: int, t: int) -> list[dict]:
-    """Set the variable at index v to the integer t in every coefficient."""
-    out = []
-    for c in coeffs:
-        values: dict = {}
-        for e, a in c.items():
-            key = e[:v] + (0,) + e[v + 1 :]
-            values[key] = values.get(key, 0) + a * t ** e[v]
-        out.append({e: a for e, a in values.items() if a})
-    return out
-
-
-def _interpolate(values: list[int]) -> list[int]:
-    """Ascending coefficients of the integer polynomial taking values[t] at t.
-
-    Newton divided differences at the points 0, 1, ..., every one an exact
-    integer division when such a polynomial exists.
-    """
-    c = list(values)
-    top = len(c) - 1
-    for k in range(1, top + 1):
-        for i in range(top, k - 1, -1):
-            c[i], rem = divmod(c[i] - c[i - 1], k)
-            if rem:
-                raise PolynomialError("values are not those of an integer polynomial")
-    coeffs = [c[top]]
-    for k in range(top - 1, -1, -1):
-        coeffs.insert(0, 0)
-        for j in range(len(coeffs) - 1):
-            coeffs[j] -= k * coeffs[j + 1]
-        coeffs[0] += c[k]
-    return coeffs
 
 
 def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:

@@ -96,9 +96,38 @@ BRANCH_PAYLOADS = {
 
 
 # Commands that must stop with a usage error (exit 2): options that would be
-# ignored, k < 1, a branch precision past the series cap and a split listing
-# past its budget.
+# ignored, malformed pairs, k < 1, a branch precision past the series cap and
+# a split listing past its budget.
 REJECTED_CASES = {
+    "classify_orders_file_with_k": (
+        ["classify", "--orders-file", "strata.txt", "--k", "3"],
+        "--orders-file takes no --k, --genus or --orders",
+    ),
+    "classify_orders_file_with_genus": (
+        ["classify", "--orders-file", "strata.txt", "--genus", "2"],
+        "--orders-file takes no --k, --genus or --orders",
+    ),
+    "classify_orders_file_with_orders": (
+        ["classify", "--orders-file", "strata.txt", "--orders", "6"],
+        "--orders-file takes no --k, --genus or --orders",
+    ),
+    "prong_rest_without_rotation": (
+        ["prong", "--k", "3", "--a", "1", "--b", "1", "--rest=-2"], "--rest needs --rotation",
+    ),
+    "prong_torsion_with_rotation": (
+        ["prong", "--k", "5", "--a", "3", "--torsion", "3", "--rotation", "1"],
+        "--torsion takes no --b or --rotation",
+    ),
+    "prong_torsion_with_b": (
+        ["prong", "--k", "5", "--a", "3", "--torsion", "3", "--b", "1"],
+        "--torsion takes no --b or --rotation",
+    ),
+    "arf_pair_not_integers": (["arf", "--pairs", "a,b"], "bad pair 'a,b'; expected 'wa,wb'"),
+    "arf_pair_of_three": (["arf", "--pairs", "1,1;1,2,3"], "bad pair '1,2,3'; expected 'wa,wb'"),
+    "spin_pair_not_integers": (
+        ["spin", "--k", "5", "--genus", "1", "--orders", "4,-4", "--pairs", "x,4"],
+        "bad pair 'x,4'; expected 'wa,wb'",
+    ),
     "split_b_without_a": (
         ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0", "--b", "1"],
         "--a and --b must be given together",

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import (
     Polynomial,
     PolynomialError,
@@ -13,6 +15,8 @@ from kstrata.polynomials import (
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
+XYZWU = ("x", "y", "z", "w", "u")
 
 
 def poly(text, variables=XY):
@@ -121,6 +125,45 @@ def test_resultant_specialization_on_numeric_roots():
     assert resultant(p, q, "y").is_zero()
     q = poly("y - 3") * poly("y - 5")
     assert not resultant(p, q, "y").is_zero()
+
+
+# Res_y(y - a, y - b) = a - b for a and b free of y.  In each pair b is free
+# of x, so the result's degree in x is the top digit that x's radix allows.
+# Negative coefficients sit under nonzero ones, so the signed digits borrow,
+# also across the x stride into z and w; some pairs end on a negative top
+# coefficient, and in one the coefficients come within a factor two of
+# 2^(B-1), the most a signed B-bit slot holds.
+PLANTED_PAIRS = [
+    ("x^5 - 3*x^2 + 2", "-7"),
+    ("-x^4 + 0*x^2 - 1", "0"),
+    ("-4*x^3 + 9*z + x*z^2", "6*z^2 - 1"),
+    ("x^2 - 5*z - x^2*z + 3", "-z^2 + 2*z"),
+    ("x^2*z*w - 3*w^2 + 5*x - 8", "-z^3*w + 2*z - 1"),
+    ("-x^3 + w - x*z*w^2", "-2*w^2 + z^2*w + 4"),
+    ("-2097151*x^2 + 2097151*z", "0"),
+    ("1048575*x^3 - 1048576*x*z*w - 1", "-1048575*z"),
+    ("x - 3*w^4", "w^2"),
+]
+
+
+@pytest.mark.parametrize("a, b", PLANTED_PAIRS)
+def test_resultant_of_planted_linear_pairs(a, b):
+    a, b = poly(a, XYZWU), poly(b, XYZWU)
+    y = Polynomial.variable("y", XYZWU)
+    assert resultant(y - a, y - b, "y") == a - b
+    assert resultant(y - b, y - a, "y") == b - a
+    assert resultant(2 * y - a, 3 * y - b, "y") == 3 * a - 2 * b
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [("y - x^1000000", "y + 1"), ("y^300 + 2", "y^300 - x + 1")],
+)
+def test_resultant_budget_raises_from_the_degrees(p, q):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match="exceeds the supported maximum"):
+        resultant(poly(p), poly(q), "y")
+    assert time.perf_counter() - start < 1
 
 
 def test_gcd_many_of_two():
@@ -246,8 +289,8 @@ def test_resultant_matches_sympy_three_variables():
 
 
 def test_resultant_matches_sympy_when_the_leading_coefficient_vanishes():
-    # the leading coefficients in y vanish at x = 0, 1, 2 or z = 0, all of
-    # them evaluation points; the formal Sylvester shape must be kept there
+    # the leading coefficients in y vanish at x = 0, 1, 2 or z = 0; the
+    # formal Sylvester shape must be kept
     rng = random.Random(71)
 
     def below(f, degree):
@@ -267,6 +310,24 @@ def test_resultant_matches_sympy_when_the_leading_coefficient_vanishes():
             )
         )
     _assert_matches_sympy(pairs, count=len(pairs))
+
+
+@pytest.mark.parametrize("variables, count", [(XYZW, 40), (XYZWU, 20)], ids=["three", "four"])
+def test_resultant_matches_sympy_with_three_and_four_free_variables(variables, count):
+    # sparse degree-2 pairs; each packs into one determinant, whatever the
+    # number of free variables
+    rng = random.Random(101 + len(variables))
+    checked = 0
+    while checked < count:
+        p = random_rational_poly(rng, variables, 2, 4)
+        q = random_rational_poly(rng, variables, 2, 4)
+        if p.degree_in("y") <= 0 or q.degree_in("y") <= 0:
+            continue
+        start = time.perf_counter()
+        r = resultant(p, q, "y")
+        assert time.perf_counter() - start < 1
+        assert r == _sympy_resultant(p, q, "y"), (p, q)
+        checked += 1
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
