@@ -3,11 +3,15 @@
 A split breaks a zero of order z on a genus-g surface into singularities
 a + b = z - 2k (both > -k) on a genus g-1 surface; a merge collides two
 singularities on the same surface.  Genus-zero cylinder existence reduces
-to counting the sub-multisets of the orders that sum to -k.
+to counting the sub-multisets of the orders that sum to -k, which is done
+by meeting in the middle: two half-size tables of partial sums and one
+join, with a work budget (MAX_CYLINDER_WORK) checked before either table
+is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from .errors import SignatureError, UnsupportedCase
@@ -16,6 +20,11 @@ from .signature import StratumSignature, check_index, check_k, check_pair, valid
 # enumerate_zero_splits lists at most this many pairs (a zero of order about
 # 2 * 10^5); the CLI prints each one
 MAX_ZERO_SPLITS = 100_000
+
+# steps of the two sum tables of _count_sums, one per held sum and
+# multiplicity; at the cap on a 2-vCPU Xeon guest, about 2 s and 190 MB for
+# one criterion on 40 orders near 2^40 (3.4 to 4.3 s for the CLI's two)
+MAX_CYLINDER_WORK = 3 * 10**6
 
 _NO_SIMPLE_DEGENERATION = frozenset({(2, 2, (5, -1)), (3, 2, (6,))})
 
@@ -132,13 +141,65 @@ def _check_genus_zero(k: int, orders) -> tuple[int, ...]:
 def _count_sums(orders, target: int, cap: int) -> int:
     """Sub-multisets of orders summing to target, counted up to cap.
 
-    Distinct values are taken in ascending order, each with every
-    multiplicity from 0 to its count, and each reachable partial sum keeps
-    min(cap, number of multiplicity vectors reaching it).  A partial sum is
-    dropped once the positive and negative entries still to come can no
-    longer bring it to target, so at most min(2^n, window) sums are held.
+    Meet in the middle (Horowitz-Sahni 1974): the distinct values, ascending,
+    are split where the products of (multiplicity + 1) on both sides
+    balance.  Each half gets a table from partial sum to min(cap, number of
+    multiplicity vectors reaching it); one join then sums L[s] * R[target - s].
+    The left table drops a sum once its remaining entries and the whole
+    right half can no longer bring it to target; the right table drops one
+    that can no longer land in [target - max L, target - min L].  So each
+    table holds at most min(2^(n/2), window) sums for n distinct values.
+    Past MAX_CYLINDER_WORK steps, estimated before any table is built, it
+    raises UnsupportedCase.
     """
     items = sorted(Counter(orders).items())
+    sizes = [mult + 1 for _, mult in items]
+    total, split, product = math.prod(sizes), 0, 1
+    while split < len(items) and product * product * sizes[split] < total:
+        product *= sizes[split]
+        split += 1
+    left, right = items[:split], items[split:]
+    whole = sum(abs(v) * c for v, c in items)
+    work = 0
+    for half in (left, right):
+        held, span = 1, 0
+        for value, mult in half:
+            work += held * (mult + 1)
+            # a table's sums lie within the span of the values taken so far
+            # and within the window that all the other values leave
+            span += abs(value) * mult
+            held = min(held * (mult + 1), span + 1, whole - span + 1)
+    if work > MAX_CYLINDER_WORK:
+        raise UnsupportedCase(
+            f"counting the sub-multisets of {len(orders)} orders takes about "
+            f"{work} steps, more than the supported maximum {MAX_CYLINDER_WORK}"
+        )
+    left_sums = _partial_sums(
+        left,
+        target - sum(v * c for v, c in right if v > 0),
+        target - sum(v * c for v, c in right if v < 0),
+        cap,
+    )
+    if not left_sums:
+        return 0
+    right_sums = _partial_sums(
+        right, target - max(left_sums), target - min(left_sums), cap
+    )
+    count = 0
+    for s, ways in right_sums.items():
+        count += ways * left_sums.get(target - s, 0)
+        if count >= cap:
+            return cap
+    return count
+
+
+def _partial_sums(items, low: int, high: int, cap: int) -> dict[int, int]:
+    """Sums of sub-multisets of items in [low, high], each counted up to cap.
+
+    Values are taken in the given order, each with every multiplicity from 0
+    to its count; a partial sum is dropped once the positive and negative
+    entries still to come can no longer bring it into [low, high].
+    """
     rising = sum(v * c for v, c in items if v > 0)  # mass still to come
     falling = sum(v * c for v, c in items if v < 0)
     counts = {0: 1}
@@ -147,15 +208,17 @@ def _count_sums(orders, target: int, cap: int) -> int:
             rising -= value * mult
         else:
             falling -= value * mult
-        low, high = target - rising, target - falling
+        lo, hi = low - rising, high - falling
+        steps = [value * c for c in range(mult + 1)]
         reached: dict[int, int] = {}
         for s, ways in counts.items():
-            for c in range(mult + 1):
-                t = s + value * c
-                if low <= t <= high:
-                    reached[t] = min(cap, reached.get(t, 0) + ways)
+            for step in steps:
+                t = s + step
+                if lo <= t <= hi:
+                    n = reached.get(t, 0) + ways
+                    reached[t] = n if n < cap else cap
         counts = reached
-    return counts.get(target, 0)
+    return counts
 
 
 def genus0_has_cylinder(k: int, orders) -> bool:
@@ -164,7 +227,8 @@ def genus0_has_cylinder(k: int, orders) -> bool:
     Holds iff some nonempty proper sub-multiset of the orders sums to -k.
     The orders sum to -2k with k >= 1, so a sub-multiset summing to -k is
     never empty (sum 0) nor everything (sum -2k): the test is a plain
-    subset sum.
+    subset sum, decided by one meet-in-the-middle count capped at 1.
+    Raises UnsupportedCase past MAX_CYLINDER_WORK.
     """
     orders = _check_genus_zero(k, orders)
     return _count_sums(orders, -k, 1) > 0
@@ -179,7 +243,9 @@ def genus0_has_simple_cylinder(k: int, orders) -> bool:
     {h, h} and its complement, and both sum to -k.  So a simple cylinder
     exists iff more than two sub-multisets sum to -k.  The two coincide only
     for the orders (h, h, h, h), where {h, h} is the one sub-multiset
-    summing to -k, and the count of one is again too small.
+    summing to -k, and the count of one is again too small.  The count comes
+    from the same meet-in-the-middle pass as genus0_has_cylinder, capped at
+    one more than the forbidden sides, and the same budget applies.
     """
     orders = _check_genus_zero(k, orders)
     forbidden = 2 if k % 2 == 0 and orders.count(-k // 2) >= 2 else 0

@@ -18,10 +18,13 @@ from fractions import Fraction
 from .errors import UnsupportedCase
 from .signature import divisors
 
-# a resultant of Sylvester order m+n over S coefficient slots costs about
-# (m+n)^4 * S^2 with small coefficients; at the cap on a 2-vCPU Xeon guest,
-# 4 to 5 s for a univariate pair of order 562, 2.5 s for a dense bivariate
-# pair of degree 16 and 0.4 s for S = 79001 at order 2
+# a resultant of Sylvester order m+n over S coefficient slots of B bits costs
+# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * W^2 for the
+# W = S*B/64 words of the packed result with large ones (the long divisions
+# of the Bareiss steps); both are held to this cap.  At the cap on a 2-vCPU
+# Xeon guest: 4 to 5 s for a univariate pair of order 562, 2.5 to 4.4 s for
+# a dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2, and
+# 5 s for a dense bivariate pair of degree 10 with 100-bit coefficients
 MAX_RESULTANT_WORK = 10**11
 
 
@@ -350,7 +353,8 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     determinant of the packed integer Sylvester matrix then carries every
     coefficient of the resultant as a signed base-2^B digit.  When
     (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
-    it raises UnsupportedCase.
+    or (m+n)^3 * (S*B/64)^2 does once the coefficients are cleared, it
+    raises UnsupportedCase.
     """
     p._match(q)
     m, n = p.degree_in(name), q.degree_in(name)
@@ -378,6 +382,12 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     norm_p = sum(abs(a) for c in pc for a in c.values())
     norm_q = sum(abs(a) for c in qc for a in c.values())
     bits = (norm_p**n * norm_q**m).bit_length() + 1
+    words = -(-slots * bits // 64)
+    if (m + n) ** 3 * words**2 > MAX_RESULTANT_WORK:
+        raise UnsupportedCase(
+            f"a resultant of order {m + n} over {slots} coefficient slots of {bits} "
+            "bits exceeds the supported maximum"
+        )
 
     def pack(c: dict) -> int:
         return sum(a << bits * sum(k * s for k, s in zip(e, strides)) for e, a in c.items())
@@ -469,14 +479,38 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
             a[shift + i] -= factor * c
         while a and a[-1] == 0:
             a.pop()
+    return _primitive(a)
+
+
+def _primitive(a: list[int]) -> list[int]:
     content = math.gcd(*a)
     return [c // content for c in a] if content else a
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of two integer polynomials, up to a rational factor."""
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b when b divides a in Z[x]."""
+    a = a[:]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(q))):
+        q[shift] = a[shift + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[shift + i] -= q[shift] * c
+    return q
 
 
 def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     """All rational roots of a univariate polynomial, ascending.
 
-    A candidate num/den is a root iff sum a_i * num^i * den^(n-i) is 0.
+    The squarefree part p / gcd(p, p'), which has the same roots and a
+    smaller constant term when p has repeated roots, supplies the candidates:
+    num/den is a root iff sum a_i * num^i * den^(n-i) is 0.
     """
     _, coeffs = _univariate_ints(p, name)
     if not coeffs:
@@ -486,6 +520,9 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
         roots.add(Fraction(0))
         while coeffs[0] == 0:
             coeffs.pop(0)
+    # a primitive g divides coeffs over Q, hence over Z (Gauss)
+    g = _primitive(_gcd_ints(coeffs, [i * c for i, c in enumerate(coeffs)][1:]))
+    coeffs = _primitive(_exact_quotient(coeffs, g))
     n = len(coeffs) - 1
     if n > 0:
         lead = abs(coeffs[-1])
@@ -513,9 +550,7 @@ def gcd_many(polys, name: str) -> Polynomial:
     a: list[int] = []
     for p in polys:
         p._match(polys[0])
-        _, b = _univariate_ints(p, name)
-        while b:
-            a, b = b, _prem(a, b)
+        a = _gcd_ints(a, _univariate_ints(p, name)[1])
     unit = tuple(int(v == name) for v in polys[0].variables)
     return Polynomial(
         polys[0].variables,

@@ -1,12 +1,17 @@
 import itertools
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
 import pytest
 
+from kstrata import cli
 from kstrata.degeneration import (
+    MAX_CYLINDER_WORK,
     MAX_ZERO_SPLITS,
+    _count_sums,
     enumerate_zero_splits,
     genus0_has_cylinder,
     genus0_has_simple_cylinder,
@@ -296,6 +301,108 @@ def test_cylinder_criteria_on_26_distinct_orders_are_fast():
         assert time.perf_counter() - start < 0.5
         # distinct orders hold -k/2 at most once, so the criteria agree
         assert answers[0] == answers[1]
+
+
+def brute_count(orders, target):
+    """Sub-multisets (multiplicity vectors) of orders summing to target."""
+    items = sorted(Counter(orders).items())
+    return sum(
+        sum(v * c for (v, _), c in zip(items, picks)) == target
+        for picks in itertools.product(*(range(mult + 1) for _, mult in items))
+    )
+
+
+def test_count_sums_matches_brute_force_multiset_count():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    settings = hypothesis.settings(max_examples=250, deadline=None, database=None, derandomize=True)
+
+    @settings
+    @hypothesis.given(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=11),
+        st.integers(-40, 40),
+        st.integers(1, 3),
+    )
+    def any_orders(orders, target, cap):
+        assert _count_sums(orders, target, cap) == min(cap, brute_count(orders, target))
+
+    # (h, h, h, h) and its many-halves variants, the inputs of the forbidden rule
+    @settings
+    @hypothesis.given(
+        st.integers(1, 6),
+        st.integers(2, 9),
+        st.lists(st.integers(-10, 10), max_size=4),
+        st.integers(1, 3),
+    )
+    def many_halves(half_k, copies, rest, cap):
+        k = 2 * half_k
+        orders = [-half_k] * copies + rest
+        orders.append(-2 * k - sum(orders))
+        assert _count_sums(orders, -k, cap) == min(cap, brute_count(orders, -k))
+
+    any_orders()
+    many_halves()
+
+
+def _wide_orders(rng, n, answer):
+    """n distinct orders near 2^40 with a planted cylinder answer.
+
+    k = 2 mod 4.  For True a planted half sums to -k; for False every order
+    is a multiple of 4, so no sub-multiset reaches -k.
+    """
+    while True:
+        k = 4 * rng.randint(1, 50) + 2
+        step = 1 if answer else 4
+        values = [step * rng.choice((-1, 1)) * rng.randint(2**39 // step, 2**40 // step)
+                  for _ in range(n)]
+        if answer:
+            values[n // 2 - 1] = -k - sum(values[: n // 2 - 1])
+            values[n - 1] = -k - sum(values[n // 2 : n - 1])
+        else:
+            values[n - 1] = -2 * k - sum(values[: n - 1])
+        if len(set(values)) == n:
+            rng.shuffle(values)
+            return k, tuple(values)
+
+
+@pytest.mark.parametrize("answer", [True, False])
+def test_cylinder_criteria_on_32_distinct_orders_near_2_40(answer):
+    k, orders = _wide_orders(random.Random(61), 32, answer)
+    start = time.perf_counter()
+    answers = (genus0_has_cylinder(k, orders), genus0_has_simple_cylinder(k, orders))
+    assert time.perf_counter() - start < 3
+    assert answers == (answer, answer)
+
+
+def _over_budget_cases():
+    # three values, each about 10^5 times
+    heavy = (-5,) * 100_002 + (2,) * 100_000 + (3,) * 100_000
+    return [_wide_orders(random.Random(67), 60, False), (5, heavy)]
+
+
+def test_cylinder_budget_raises_unsupported_case():
+    for k, orders in _over_budget_cases():
+        for call in (genus0_has_cylinder, genus0_has_simple_cylinder):
+            start = time.perf_counter()
+            with pytest.raises(UnsupportedCase, match=f"supported maximum {MAX_CYLINDER_WORK}"):
+                call(k, orders)
+            assert time.perf_counter() - start < 1
+
+
+def test_cylinder_cli_exits_2_past_the_budget():
+    (wide_k, wide), (heavy_k, heavy) = _over_budget_cases()
+    argv = ["cylinder", "--k", str(wide_k), "--orders", ",".join(map(str, wide))]
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "kstrata.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 2
+    assert "error: counting the sub-multisets of 60 orders" in result.stderr
+    # 300k orders do not fit one command-line argument; call main directly
+    start = time.perf_counter()
+    assert cli.main(["cylinder", "--k", str(heavy_k), "--orders", ",".join(map(str, heavy))]) == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_simple_cylinder_implies_cylinder():

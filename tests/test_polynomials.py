@@ -166,6 +166,24 @@ def test_resultant_budget_raises_from_the_degrees(p, q):
     assert time.perf_counter() - start < 1
 
 
+def test_resultant_budget_sees_coefficient_size():
+    # a dense pair of degree 12 with 100-bit coefficients passes the degree
+    # check; uncapped it runs for about 20 s
+    rng = random.Random(7)
+
+    def wide(degree):
+        return Polynomial(XY, {
+            (i, j): rng.choice([-1, 1]) * rng.randint(2**99, 2**100)
+            for i in range(degree + 1)
+            for j in range(degree + 1 - i)
+        })
+
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match="slots of [0-9]+ bits exceeds the supported maximum"):
+        resultant(wide(12), wide(12), "y")
+    assert time.perf_counter() - start < 1
+
+
 def test_gcd_many_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
@@ -189,6 +207,19 @@ def test_rational_roots_with_a_large_constant():
         Fraction(1, 3),
         Fraction(1025),
         Fraction(1048573),
+    ]
+
+
+def test_rational_roots_of_repeated_factors_with_a_huge_constant():
+    # the cleared constant is about 1.1e19, past MAX_DIVISOR_INPUT; the
+    # squarefree part has constant 37 * 39 * 31 * 29
+    x = Polynomial.variable("x", XY)
+    p = Polynomial.constant(Fraction(5, 3), XY)
+    for lead, root in ((Fraction(5, 2), Fraction(37, 9)), (6, Fraction(-39, 7)),
+                       (Fraction(4, 3), Fraction(31, 8)), (3, Fraction(-29, 5))):
+        p = p * (lead * x - lead * root) ** 3
+    assert rational_roots(p, "x") == [
+        Fraction(-29, 5), Fraction(-39, 7), Fraction(31, 8), Fraction(37, 9)
     ]
 
 
