@@ -1,4 +1,9 @@
-"""Command-line front end with human-readable and JSON output."""
+"""Command-line front end with human-readable and JSON output.
+
+Each ``_cmd_*`` imports the modules it runs, so a one-shot call loads only
+what its subcommand needs: ``classify`` never loads the polynomial
+arithmetic behind ``quartic-verify``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import json
 import re
 import sys
 
-from . import classifier, degeneration, framing, genus_one, prong, quartic
+from .constructions import available_constructions
 from .errors import StratumError
 from .signature import StratumSignature, check_index, format_signature, parse_signature, validate
 
@@ -89,6 +94,8 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_classify(args):
+    from . import classifier
+
     if args.orders_file:
         if (args.k, args.genus, args.orders) != (None, None, None):
             raise StratumError("--orders-file takes no --k, --genus or --orders")
@@ -107,6 +114,8 @@ def _cmd_classify(args):
 
 
 def _cmd_breakdown(args):
+    from . import classifier
+
     sig = _signature_from_args(args)
     rows = classifier.full_component_breakdown(sig)
     payload = {
@@ -125,6 +134,8 @@ def _cmd_breakdown(args):
 
 
 def _cmd_genus1(args):
+    from . import genus_one
+
     sig = validate(args.k, 1, _orders(args.orders))
     comps = genus_one.components(sig)
     lines = [format_signature(sig)] + [
@@ -136,6 +147,8 @@ def _cmd_genus1(args):
 
 
 def _cmd_merge(args):
+    from . import degeneration, genus_one
+
     sig = validate(args.k, args.genus, _orders(args.orders))
     if args.rotation is not None and args.genus != 1:
         raise StratumError("--rotation needs genus 1")
@@ -169,6 +182,8 @@ def _cmd_merge(args):
 
 
 def _cmd_split(args):
+    from . import degeneration, genus_one
+
     sig = validate(args.k, args.genus, _orders(args.orders))
     check_index(sig, args.index)
     z = sig.orders[args.index]
@@ -201,6 +216,8 @@ def _cmd_split(args):
 
 
 def _cmd_arf(args):
+    from . import framing
+
     pairs = _pairs(args.pairs)
     if args.sbar is None:
         value = framing.arf(pairs)
@@ -212,6 +229,8 @@ def _cmd_arf(args):
 
 
 def _cmd_spin(args):
+    from . import framing
+
     sig = validate(args.k, args.genus, _orders(args.orders))
     values = framing.SymplecticFramingValues.from_signature(sig, _pairs(args.pairs))
     value = framing.spin(values)
@@ -220,6 +239,8 @@ def _cmd_spin(args):
 
 
 def _cmd_prong(args):
+    from . import prong
+
     if args.rest is not None and args.rotation is None:
         raise StratumError("--rest needs --rotation")
     if args.torsion is not None and (args.rotation, args.b) != (None, None):
@@ -249,6 +270,8 @@ def _cmd_prong(args):
 
 
 def _cmd_cylinder(args):
+    from . import degeneration
+
     orders = _orders(args.orders)
     has = degeneration.genus0_has_cylinder(args.k, orders)
     simple = degeneration.genus0_has_simple_cylinder(args.k, orders)
@@ -262,6 +285,8 @@ def _cmd_cylinder(args):
 
 
 def _cmd_quartic_verify(args):
+    from . import quartic
+
     report = quartic.verify_sporadic(args.construction, precision=args.precision)
     lines = [f"construction {report.construction}:"] + [
         f"  {'PASS' if c.passed else 'FAIL'} {c.name} (expected {c.expected}, got {c.actual})"
@@ -345,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--construction",
         required=True,
-        choices=quartic.available_constructions(),
+        choices=available_constructions(),
     )
     p.add_argument("--precision", type=int, default=13)
     p.set_defaults(func=_cmd_quartic_verify)

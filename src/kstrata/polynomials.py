@@ -19,13 +19,16 @@ from .errors import UnsupportedCase
 from .signature import divisors
 
 # a resultant of Sylvester order m+n over S coefficient slots of B bits costs
-# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * W^2 for the
-# W = S*B/64 words of the packed result with large ones (the long divisions
-# of the Bareiss steps); both are held to this cap.  At the cap on a 2-vCPU
-# Xeon guest: 4 to 5 s for a univariate pair of order 562, 2.5 to 4.4 s for
-# a dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2, and
-# 5 s for a dense bivariate pair of degree 10 with 100-bit coefficients
+# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W + c)^2 for
+# the W = S*B/64 words of the packed result with large ones (the long
+# divisions of the Bareiss steps, each with a fixed cost of c words however
+# small its integers); both are held to this cap.  At the cap on a 2-vCPU
+# Xeon guest: 5 to 6 s for a univariate pair of order 240 with 4-bit
+# coefficients, about 1 s for a sparse univariate pair of order 316, 2.5 to 4.4 s
+# for a dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2,
+# and 5 s for a dense bivariate pair of degree 10 with 100-bit coefficients
 MAX_RESULTANT_WORK = 10**11
+BAREISS_STEP_WORDS = 48  # c above
 
 
 class PolynomialError(ValueError):
@@ -353,8 +356,8 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     determinant of the packed integer Sylvester matrix then carries every
     coefficient of the resultant as a signed base-2^B digit.  When
     (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
-    or (m+n)^3 * (S*B/64)^2 does once the coefficients are cleared, it
-    raises UnsupportedCase.
+    or (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficients
+    are cleared, it raises UnsupportedCase.
     """
     p._match(q)
     m, n = p.degree_in(name), q.degree_in(name)
@@ -383,7 +386,7 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     norm_q = sum(abs(a) for c in qc for a in c.values())
     bits = (norm_p**n * norm_q**m).bit_length() + 1
     words = -(-slots * bits // 64)
-    if (m + n) ** 3 * words**2 > MAX_RESULTANT_WORK:
+    if (m + n) ** 3 * (words + BAREISS_STEP_WORDS) ** 2 > MAX_RESULTANT_WORK:
         raise UnsupportedCase(
             f"a resultant of order {m + n} over {slots} coefficient slots of {bits} "
             "bits exceeds the supported maximum"

@@ -8,11 +8,10 @@ the marked point has the stated contact order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from .constructions import available_constructions, load_constructions as _load_constructions
 from .polynomials import (
     Polynomial,
     PolynomialError,
@@ -155,15 +154,6 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
         return SmoothnessCertificate("smooth", None, "all charts certified")
     detail = "; ".join(f"{chart}: {why}" for chart, why in uncertified)
     return SmoothnessCertificate("not_certified", None, detail)
-
-
-def _load_constructions() -> dict:
-    payload = resources.files("kstrata").joinpath("data/sporadic_quartics.json")
-    return json.loads(payload.read_text(encoding="utf-8"))
-
-
-def available_constructions() -> tuple[str, ...]:
-    return tuple(sorted(_load_constructions()))
 
 
 def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport:

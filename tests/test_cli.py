@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -377,3 +378,83 @@ def test_split_applies_on_a_zero_too_large_to_list():
         "signature": "k:1 g:50000001 orders:(100000000)",
     }
     assert time.perf_counter() - start < 5
+
+
+def run_to_exit(argv):
+    """(exit code, stdout, stderr) of a call that argparse ends with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--help"], "help.txt"), (["quartic-verify", "--help"], "quartic_verify_help.txt")],
+)
+def test_help_matches_golden(monkeypatch, argv, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = run_to_exit(argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_quartic_verify_help_lists_the_constructions(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _, out, _ = run_to_exit(["quartic-verify", "--help"])
+    assert "--construction {OddArf_h0_0,OddArf_h0_1}" in out
+
+
+def test_unknown_construction_is_a_usage_error():
+    code, out, err = run_to_exit(["quartic-verify", "--construction", "bad"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "kstrata quartic-verify: error: argument --construction: invalid choice: 'bad' "
+        "(choose from 'OddArf_h0_0', 'OddArf_h0_1')"
+    )
+
+
+# Runs one command in a new interpreter; prints the exit code, the output
+# and the modules the call loaded beyond what the interpreter started with.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from kstrata import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
+"""
+
+CERTIFICATION_STACK = {"kstrata.polynomials", "kstrata.series", "kstrata.quartic", "fractions"}
+
+
+def loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, out, modules = json.loads(done.stdout)
+    assert code == 0
+    return out, set(modules)
+
+
+def test_classify_loads_no_certification_stack():
+    out, loaded = loaded_by(GOLDEN_CASES["classify"])
+    assert out == (GOLDEN / "classify.json").read_text(encoding="utf-8")
+    assert "kstrata.classifier" in loaded
+    assert not loaded & CERTIFICATION_STACK
+
+
+@pytest.mark.parametrize("name", ["cylinder", "arf"])
+def test_combinatorial_commands_load_no_classifier(name):
+    out, loaded = loaded_by(GOLDEN_CASES[name])
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert not loaded & (CERTIFICATION_STACK | {"kstrata.classifier"})
+
+
+def test_quartic_verify_loads_the_certification_stack():
+    out, loaded = loaded_by(GOLDEN_CASES["quartic_verify"])
+    assert out == (GOLDEN / "quartic_verify.json").read_text(encoding="utf-8")
+    # fractions may be loaded before kstrata is, by the interpreter's site hooks
+    assert CERTIFICATION_STACK - {"fractions"} <= loaded

@@ -1,0 +1,73 @@
+"""The package surface: every public name resolves lazily from its home module."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kstrata
+
+SOURCE = str(Path(kstrata.__file__).resolve().parents[1])
+
+
+def fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=SOURCE)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout
+
+
+def test_import_loads_no_submodule():
+    out = fresh("import sys, kstrata; print(sorted(m for m in sys.modules if m.startswith('kstrata')))")
+    assert out == "['kstrata']\n"
+
+
+def test_all_is_sorted_and_complete():
+    assert kstrata.__all__ == sorted(set(kstrata.__all__))
+    assert len(kstrata.__all__) == 65
+
+
+@pytest.mark.parametrize("name", kstrata.__all__)
+def test_every_public_name_resolves_in_its_home_module(name):
+    value = getattr(kstrata, name)
+    assert value.__module__.startswith("kstrata.")
+    home = sys.modules[value.__module__]
+    assert getattr(home, name) is value
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from kstrata import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == kstrata.__all__
+
+
+def test_star_import_in_a_fresh_interpreter():
+    # nothing is cached yet, so every name goes through the lazy lookup
+    out = fresh("from kstrata import *\nimport kstrata\nprint(all(n in globals() for n in kstrata.__all__))")
+    assert out == "True\n"
+
+
+def test_dir_lists_every_public_name():
+    assert set(kstrata.__all__) <= set(dir(kstrata))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'kstrata' has no attribute 'no_such_name'"):
+        kstrata.no_such_name
+    assert not hasattr(kstrata, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from kstrata import no_such_name", {})
+
+
+def test_submodules_stay_attributes():
+    import kstrata.quartic
+
+    assert kstrata.quartic is sys.modules["kstrata.quartic"]
+    assert kstrata.resultant is kstrata.polynomials.resultant
+    out = fresh("import kstrata; print(kstrata.series.__name__)")
+    assert out == "kstrata.series\n"

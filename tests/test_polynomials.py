@@ -184,6 +184,21 @@ def test_resultant_budget_sees_coefficient_size():
     assert time.perf_counter() - start < 1
 
 
+def test_resultant_budget_counts_each_bareiss_step():
+    # a univariate pair of order 300 with 4-bit coefficients packs into 48
+    # words and passes both size estimates without the per-step floor;
+    # uncapped it runs for about 17 s
+    rng = random.Random(1)
+
+    def dense(degree):
+        return Polynomial(("y",), {(i,): rng.choice([-1, 1]) * rng.randint(1, 15) for i in range(degree + 1)})
+
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match="order 300 over 1 coefficient slots of [0-9]+ bits"):
+        resultant(dense(150), dense(150), "y")
+    assert time.perf_counter() - start < 1
+
+
 def test_gcd_many_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
