@@ -19,14 +19,15 @@ from .errors import UnsupportedCase
 from .signature import divisors
 
 # a resultant of Sylvester order m+n over S coefficient slots of B bits costs
-# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W + c)^2 for
+# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W^2 + c^2) for
 # the W = S*B/64 words of the packed result with large ones (the long
-# divisions of the Bareiss steps, each with a fixed cost of c words however
+# divisions of the Bareiss steps, each with a fixed cost of about c^2 however
 # small its integers); both are held to this cap.  At the cap on a 2-vCPU
-# Xeon guest: 5 to 6 s for a univariate pair of order 240 with 4-bit
-# coefficients, about 1 s for a sparse univariate pair of order 316, 2.5 to 4.4 s
-# for a dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2,
-# and 5 s for a dense bivariate pair of degree 10 with 100-bit coefficients
+# Xeon guest: about 10 s for a univariate pair of order 284 with 4-bit
+# coefficients (4 to 6 s at order 240), about 1 s for the sparse
+# univariate pair y^160 + 1, y^160 + y + 2 of order 320, 2.5 to 4.4 s for a
+# dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2, and 5 s
+# for a dense bivariate pair of degree 10 with 100-bit coefficients
 MAX_RESULTANT_WORK = 10**11
 BAREISS_STEP_WORDS = 48  # c above
 
@@ -170,15 +171,6 @@ class Polynomial:
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def coefficients_in(self, name: str) -> list["Polynomial"]:
-        """Coefficients of powers of one variable, as polynomials without it."""
-        idx = self._index(name)
-        buckets: list[dict] = [{} for _ in range(self.degree_in(name) + 1)]
-        for exps, coeff in self.terms.items():
-            reduced = exps[:idx] + (0,) + exps[idx + 1 :]
-            buckets[exps[idx]][reduced] = coeff
-        return [Polynomial(self.variables, b) for b in buckets]
-
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -239,14 +231,6 @@ class Polynomial:
         return Polynomial(self.variables, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise PolynomialError("negative powers are not polynomials")
-        result = Polynomial.constant(1, self.variables)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -356,7 +340,7 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     determinant of the packed integer Sylvester matrix then carries every
     coefficient of the resultant as a signed base-2^B digit.  When
     (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
-    or (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficients
+    or (m+n)^3 * ((S*B/64)^2 + BAREISS_STEP_WORDS^2) does once the coefficients
     are cleared, it raises UnsupportedCase.
     """
     p._match(q)
@@ -386,7 +370,7 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     norm_q = sum(abs(a) for c in qc for a in c.values())
     bits = (norm_p**n * norm_q**m).bit_length() + 1
     words = -(-slots * bits // 64)
-    if (m + n) ** 3 * (words + BAREISS_STEP_WORDS) ** 2 > MAX_RESULTANT_WORK:
+    if (m + n) ** 3 * (words**2 + BAREISS_STEP_WORDS**2) > MAX_RESULTANT_WORK:
         raise UnsupportedCase(
             f"a resultant of order {m + n} over {slots} coefficient slots of {bits} "
             "bits exceeds the supported maximum"

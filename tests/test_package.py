@@ -1,5 +1,6 @@
 """The package surface: every public name resolves lazily from its home module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -71,3 +72,16 @@ def test_submodules_stay_attributes():
     assert kstrata.resultant is kstrata.polynomials.resultant
     out = fresh("import kstrata; print(kstrata.series.__name__)")
     assert out == "kstrata.series\n"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # aliasing a public name to a private one (``load_constructions as
+    # _load_constructions``) is fine; reaching into a sibling's private names is not
+    found = []
+    for path in sorted(Path(kstrata.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "kstrata"
+            ):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []

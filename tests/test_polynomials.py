@@ -199,6 +199,14 @@ def test_resultant_budget_counts_each_bareiss_step():
     assert time.perf_counter() - start < 1
 
 
+def test_resultant_budget_admits_a_sparse_pair_of_high_order():
+    # order 320 packs into 8 words, so the per-step cost dominates; since
+    # g - f = y + 1, Res(f, g) = (-1)^160 * f(-1) = 2
+    f = Polynomial.from_string("y^160 + 1", ("y",))
+    g = Polynomial.from_string("y^160 + y + 2", ("y",))
+    assert resultant(f, g, "y") == Polynomial.constant(2, ("y",))
+
+
 def test_gcd_many_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
@@ -232,7 +240,8 @@ def test_rational_roots_of_repeated_factors_with_a_huge_constant():
     p = Polynomial.constant(Fraction(5, 3), XY)
     for lead, root in ((Fraction(5, 2), Fraction(37, 9)), (6, Fraction(-39, 7)),
                        (Fraction(4, 3), Fraction(31, 8)), (3, Fraction(-29, 5))):
-        p = p * (lead * x - lead * root) ** 3
+        factor = lead * x - lead * root
+        p = p * factor * factor * factor
     assert rational_roots(p, "x") == [
         Fraction(-29, 5), Fraction(-39, 7), Fraction(31, 8), Fraction(37, 9)
     ]
@@ -485,9 +494,11 @@ def test_rational_roots_match_sympy():
         for _ in range(rng.randint(1, 3)):
             lead = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             root = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-            p = p * (lead * t - lead * root) ** rng.randint(1, 2)
+            for _ in range(rng.randint(1, 2)):
+                p = p * (lead * t - lead * root)
         if trial % 3 == 0:
-            p = p * t ** rng.randint(1, 2)
+            for _ in range(rng.randint(1, 2)):
+                p = p * t
         if rng.random() < 0.5:
             p = p * random_univariate(rng, name, 2)
         if p.is_zero():

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from kstrata.errors import UnsupportedCase
-from kstrata.polynomials import Polynomial
+from kstrata.polynomials import Polynomial, PolynomialError
 from kstrata.quartic import _load_constructions
 from kstrata.series import (
     MAX_PRECISION,
@@ -18,6 +19,7 @@ from kstrata.series import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def poly(text):
@@ -120,6 +122,61 @@ def test_branch_series_at_the_cap_has_zero_residual():
         phi = branch_series(f, MAX_PRECISION)
         assert phi.precision == MAX_PRECISION and phi.coefficient(0) == 0
         assert all(c == 0 for c in polynomial_on_branch(f, phi).coefficients)
+
+
+def test_branch_series_skips_terms_beyond_the_precision():
+    start = time.perf_counter()
+    phi = branch_series(poly("y - x^2 + y^20000"), 13)
+    assert time.perf_counter() - start < 1
+    assert phi == branch_series(poly("y - x^2"), 13)
+
+
+def test_polynomial_on_branch_matches_polynomial_arithmetic():
+    # phi as a polynomial in x, the sum of c*x^i*phi^j formed in full, then
+    # truncated; phi(0) != 0 on two trials in three, y-degrees above N
+    rng = random.Random(71)
+    x = Polynomial.variable("x", XY)
+    for trial in range(40):
+        precision = rng.randint(0, 8)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(precision + 1)]
+        if trial % 3 == 0:
+            coeffs[0] = Fraction(0)
+        elif not coeffs[0]:
+            coeffs[0] = Fraction(1, 2)
+        terms = {(rng.randint(0, 2), precision + rng.randint(1, 3)): Fraction(rng.randint(1, 3))}
+        for _ in range(rng.randint(0, 5)):
+            terms[rng.randint(0, precision + 2), rng.randint(0, precision + 3)] = rng.randint(-3, 3)
+        g = Polynomial(XY, terms)
+        phi_x = Polynomial(XY, {(n, 0): c for n, c in enumerate(coeffs)})
+        expected = Polynomial.zero(XY)
+        for (i, j), c in g.terms.items():
+            term = Polynomial.constant(c, XY)
+            for factor in [x] * i + [phi_x] * j:
+                term = term * factor
+            expected = expected + term
+        want = tuple(expected.coefficient((n, 0)) for n in range(precision + 1))
+        assert polynomial_on_branch(g, PowerSeries(coeffs)).coefficients == want
+
+
+def test_a_variable_at_exponent_zero_changes_nothing():
+    phi = branch_series(poly("y - x^2 - x^3"), 12)
+    for text in ("y - x^2 - x^3", "y - x^4 + x*y - 2*y^3", "y - x^3 + x^2*y"):
+        f, f3 = poly(text), Polynomial.from_string(text, XYZ)
+        assert branch_series(f3, 12) == branch_series(f, 12)
+        assert tangent_contact_order(f3) == tangent_contact_order(f)
+        assert vanishing_order(f3, phi, 12) == vanishing_order(f, phi, 12)
+        assert polynomial_on_branch(f3, phi) == polynomial_on_branch(f, phi)
+
+
+def test_a_stray_variable_is_a_polynomial_error():
+    f = Polynomial.from_string("y - x^2 + z", XYZ)
+    phi = branch_series(poly("y - x^2"), 6)
+    with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
+        branch_series(f, 6)
+    with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
+        tangent_contact_order(f)
+    with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
+        vanishing_order(f, phi, 6)
 
 
 def test_vanishing_order_examples():
