@@ -130,7 +130,7 @@ def is_exceptional_stratum(sig: StratumSignature) -> bool:
 
 def _check_genus_zero(k: int, orders) -> tuple[int, ...]:
     check_k(k)
-    orders = tuple(int(o) for o in orders)
+    orders = tuple([int(o) for o in orders])
     if sum(orders) != -2 * k:
         raise SignatureError(
             f"orders {orders} sum to {sum(orders)}, expected -2k = {-2 * k}"

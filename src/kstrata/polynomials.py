@@ -19,21 +19,51 @@ from .errors import UnsupportedCase
 from .signature import divisors
 
 # a resultant of Sylvester order m+n over S coefficient slots of B bits costs
-# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W^2 + c^2) for
+# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W + c)^2 for
 # the W = S*B/64 words of the packed result with large ones (the long
-# divisions of the Bareiss steps, each with a fixed cost of about c^2 however
-# small its integers); both are held to this cap.  At the cap on a 2-vCPU
-# Xeon guest: about 10 s for a univariate pair of order 284 with 4-bit
-# coefficients (4 to 6 s at order 240), about 1 s for the sparse
-# univariate pair y^160 + 1, y^160 + y + 2 of order 320, 2.5 to 4.4 s for a
-# dense bivariate pair of degree 16, 0.4 s for S = 79001 at order 2, and 5 s
-# for a dense bivariate pair of degree 10 with 100-bit coefficients
+# divisions of the Bareiss steps, each costing as if its integers had about
+# c more words, however small they are); both are held to this cap.  At the
+# cap on a 2-vCPU Xeon guest: 5.5 s for a univariate pair of order 244 with
+# 4-bit coefficients (the largest such pair admitted; order 284 took 13 s),
+# 1.2 s for the sparse univariate pair y^160 + 1, y^160 + y + 2 of order
+# 320, 3.5 s for a dense bivariate pair of degree 16, 0.2 s for S = 79001 at
+# order 2, and 4.9 s for a dense bivariate pair of degree 10 with 100-bit
+# coefficients
 MAX_RESULTANT_WORK = 10**11
-BAREISS_STEP_WORDS = 48  # c above
+BAREISS_STEP_WORDS = 44  # c above
+
+# gcd_many's remainder sequence for degrees m >= n takes about
+# (m - n + 1)*m + n^2 row operations on coefficients of up to W words, where
+# 64*W = n*log2|p| + m*log2|q| bits (Hadamard's bound on the subresultants,
+# |p| the 2-norm); each costs about W^2 + c^2, c^2 the fixed cost of a row
+# operation however small its integers, and the sum is held to this cap.  At
+# the cap on a 2-vCPU Xeon guest: 4.8 s for a dense pair of degree 98 with
+# 100-bit coefficients, 4.3 s for a dense pair of degree 351 with 4-bit ones;
+# the sparse x^d - 1, x^d - x is refused from d = 693, though its sequence
+# stops after two remainders (6 ms at d = 600)
+MAX_GCD_WORK = 10**9
+GCD_STEP_WORDS = 12  # c above
 
 
 class PolynomialError(ValueError):
     """Invalid polynomial input or operation."""
+
+
+def exact(value, error=PolynomialError) -> Fraction:
+    """value as a Fraction: kept if one already, else converted exactly.
+
+    Ints, rationals and rational strings ("3", "-1/2", "0.1") are exact;
+    a float is refused with ``error``, since its binary value (0.1 is
+    3602879701896397/36028797018963968) is rarely the number meant.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise error(f"inexact value {value!r}: pass an int, a Fraction or a string")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"not a rational number: {value!r}") from exc
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(/)|(\+)|(-))")
@@ -50,7 +80,8 @@ class Polynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = exact(coeff)
             if len(exps) != width:
                 raise PolynomialError(
                     f"exponent tuple {exps} does not fit variables {self.variables}"
@@ -61,6 +92,14 @@ class Polynomial:
                 clean[exps] = coeff
         self.terms = clean
 
+    @classmethod
+    def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """From terms already keyed by valid exponent tuples; drops zeros."""
+        poly = cls.__new__(cls)
+        poly.variables = variables
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -70,7 +109,7 @@ class Polynomial:
     @classmethod
     def constant(cls, value, variables) -> "Polynomial":
         width = len(tuple(variables))
-        return cls(variables, {(0,) * width: Fraction(value)})
+        return cls(variables, {(0,) * width: exact(value)})
 
     @classmethod
     def variable(cls, name, variables) -> "Polynomial":
@@ -199,13 +238,13 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.variables, terms)
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
+        return Polynomial._of(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -227,8 +266,9 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+                term = c1 * c2
+                terms[key] = terms[key] + term if key in terms else term
+        return Polynomial._of(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -249,23 +289,23 @@ class Polynomial:
             if exps[idx] == 0:
                 continue
             reduced = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-            terms[reduced] = terms.get(reduced, Fraction(0)) + coeff * exps[idx]
-        return Polynomial(self.variables, terms)
+            terms[reduced] = coeff * exps[idx]  # distinct exps give distinct reduced
+        return Polynomial._of(self.variables, terms)
 
     def substitute(self, name: str, value) -> "Polynomial":
         """Substitute a rational value for one variable (kept in the ring)."""
         idx = self._index(name)
-        value = Fraction(value)
+        value = exact(value)
+        if value.denominator == 1:
+            value = value.numerator  # Fraction * int is the cheaper product
+        powers = {k: value**k for k in {exps[idx] for exps in self.terms}}
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             reduced = exps[:idx] + (0,) + exps[idx + 1 :]
-            scaled = coeff * value ** exps[idx]
-            total = terms.get(reduced, Fraction(0)) + scaled
-            if total:
-                terms[reduced] = total
-            else:
-                terms.pop(reduced, None)
-        return Polynomial(self.variables, terms)
+            power = powers[exps[idx]]
+            scaled = coeff if power == 1 else coeff * power
+            terms[reduced] = terms[reduced] + scaled if reduced in terms else scaled
+        return Polynomial._of(self.variables, terms)
 
     def evaluate(self, values: dict) -> Fraction:
         total = Fraction(0)
@@ -273,7 +313,10 @@ class Polynomial:
             product = coeff
             for name, exponent in zip(self.variables, exps):
                 if exponent:
-                    product *= Fraction(values[name]) ** exponent
+                    value = values[name]
+                    if not isinstance(value, Fraction):
+                        value = exact(value)
+                    product *= value**exponent
             total += product
         return total
 
@@ -340,7 +383,7 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     determinant of the packed integer Sylvester matrix then carries every
     coefficient of the resultant as a signed base-2^B digit.  When
     (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
-    or (m+n)^3 * ((S*B/64)^2 + BAREISS_STEP_WORDS^2) does once the coefficients
+    or (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficients
     are cleared, it raises UnsupportedCase.
     """
     p._match(q)
@@ -370,7 +413,7 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     norm_q = sum(abs(a) for c in qc for a in c.values())
     bits = (norm_p**n * norm_q**m).bit_length() + 1
     words = -(-slots * bits // 64)
-    if (m + n) ** 3 * (words**2 + BAREISS_STEP_WORDS**2) > MAX_RESULTANT_WORK:
+    if (m + n) ** 3 * (words + BAREISS_STEP_WORDS) ** 2 > MAX_RESULTANT_WORK:
         raise UnsupportedCase(
             f"a resultant of order {m + n} over {slots} coefficient slots of {bits} "
             "bits exceeds the supported maximum"
@@ -391,10 +434,10 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
             digit -= mask + 1
             det += 1
         if digit:
-            exps = tuple(place // s % r for s, r in zip(strides, radices))
+            exps = tuple([place // s % r for s, r in zip(strides, radices)])
             terms[exps] = Fraction(digit, scale)
         place += 1
-    return Polynomial(p.variables, terms)
+    return Polynomial._of(p.variables, terms)
 
 
 def _integer_coefficients(p: Polynomial, name: str):
@@ -402,7 +445,7 @@ def _integer_coefficients(p: Polynomial, name: str):
 
     l is the lcm of p's denominators; each coefficient is {exponents: int}.
     """
-    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    lcm = math.lcm(*[c.denominator for c in p.terms.values()])
     idx = p._index(name)
     coeffs: list[dict] = [{} for _ in range(p.degree_in(name) + 1)]
     for exps, c in p.terms.items():
@@ -529,15 +572,46 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     return sorted(roots)
 
 
+def _check_gcd_work(coeffs: list[list[int]]) -> None:
+    """Raise UnsupportedCase if gcd_many's remainder sequences cost too much.
+
+    The running gcd is charged with the smallest degree and the largest
+    norm folded in so far, each fold as the MAX_GCD_WORK comment says.
+    """
+    work, degree, norm = 0, None, 0
+    for a in coeffs:
+        if not a:  # a zero polynomial leaves the gcd as it is
+            continue
+        n, bits = len(a) - 1, sum(c * c for c in a).bit_length() // 2 + 1
+        if degree is not None:
+            high, low = max(degree, n), min(degree, n)
+            words = (n * norm + degree * bits) // 64 + 1
+            work += ((high - low + 1) * high + low * low) * (words**2 + GCD_STEP_WORDS**2)
+        degree = n if degree is None else min(degree, n)
+        norm = max(norm, bits)
+    if work > MAX_GCD_WORK:
+        raise UnsupportedCase(
+            f"a gcd of degrees {sorted(len(a) - 1 for a in coeffs if a)} "
+            "exceeds the supported maximum"
+        )
+
+
 def gcd_many(polys, name: str) -> Polynomial:
-    """Monic gcd of several univariate polynomials; zero if all of them are."""
+    """Monic gcd of several univariate polynomials; zero if all of them are.
+
+    Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes
+    before any remainder is taken, it raises UnsupportedCase.
+    """
     polys = list(polys)
     if not polys:
         raise PolynomialError("gcd of nothing")
-    a: list[int] = []
     for p in polys:
         p._match(polys[0])
-        a = _gcd_ints(a, _univariate_ints(p, name)[1])
+    coeffs = [_univariate_ints(p, name)[1] for p in polys]
+    _check_gcd_work(coeffs)
+    a: list[int] = []
+    for b in coeffs:
+        a = _gcd_ints(a, b)
     unit = tuple(int(v == name) for v in polys[0].variables)
     return Polynomial(
         polys[0].variables,

@@ -3,21 +3,27 @@
 A branch of f(x, y) = 0 through the origin with a transverse tangent is
 parameterized by (x, phi(x)).  Its coefficients follow from one pass of a
 recurrence over a table of the coefficients of phi, phi^2, ... (Knuth,
-TAOCP vol. 2, 4.7): each new coefficient of phi is a sum of earlier ones
-divided by df/dy(0, 0).  Orders of vanishing along the branch are
-intersection multiplicities.
+TAOCP vol. 2, 4.7), run over the integers: with f's denominators cleared
+and c = df/dy(0, 0), the rescaled curve f(c^2 x, c y) / c^2 has integer
+coefficients and a unit pivot, so each new coefficient is an integer sum of
+earlier ones, with no division; phi's rational coefficients are made once,
+at the end.  Orders of vanishing
+along the branch are intersection multiplicities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import UnsupportedCase
-from .polynomials import Polynomial, PolynomialError
+from .polynomials import Polynomial, PolynomialError, exact
 
-# branch_series is O(d*N^2): 0.04 to 0.08 s at N = 100 for the two quartic
-# constructions on a 2-vCPU Xeon guest; the cap bounds what one call can cost
+# branch_series is O(d*N^2) integer steps: 1.1 to 2.5 ms at N = 100 for the
+# two quartic constructions on a 2-vCPU Xeon guest (the host's speed varies
+# that much); the cap bounds what one call can cost
 MAX_PRECISION = 100
 
 
@@ -38,7 +44,9 @@ class PowerSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        coefficients = tuple(Fraction(c) for c in coefficients)
+        coefficients = tuple(
+            [c if isinstance(c, Fraction) else exact(c, SeriesError) for c in coefficients]
+        )
         if not coefficients:
             raise SeriesError("a series needs at least the constant coefficient")
         self.coefficients = coefficients
@@ -143,26 +151,45 @@ def _terms(poly: Polynomial, x_var: str, y_var: str) -> dict:
     return terms
 
 
+def _cleared(terms: dict) -> tuple[int, dict]:
+    """(l, terms times l) for l the lcm of their denominators: integer terms."""
+    lcm = math.lcm(*[c.denominator for c in terms.values()])
+    return lcm, {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
+
+
 def polynomial_on_branch(
     poly: Polynomial, phi: PowerSeries, x_var: str = "x", y_var: str = "y"
 ) -> PowerSeries:
-    """Series of poly(x, phi(x)) at phi's precision: the sum of c*x^i*phi^j."""
+    """Series of poly(x, phi(x)) at phi's precision: the sum of c*x^i*phi^j.
+
+    With l clearing poly's denominators and D phi's, the sum runs over Z as
+    the sum of l*c * x^i * (D*phi)^j * D^(top-j), divided by l*D^top once.
+    """
     precision = phi.precision
+    lcm, terms = _cleared(_terms(poly, x_var, y_var))
     by_power: dict[int, list] = {}
-    for (i, j), c in _terms(poly, x_var, y_var).items():
+    for (i, j), c in terms.items():
         if i <= precision:
             by_power.setdefault(j, []).append((i, c))
-    out = [Fraction(0)] * (precision + 1)
-    power = PowerSeries((1,) + (0,) * precision)
-    for j in range(max(by_power, default=0) + 1):
+    top = max(by_power, default=0)
+    den = math.lcm(*[c.denominator for c in phi.coefficients])
+    base = [c.numerator * (den // c.denominator) for c in phi.coefficients]
+    out = [0] * (precision + 1)
+    power = [1] + [0] * precision  # (D*phi)^j
+    for j in range(top + 1):
         if j:
-            power = power * phi
-            if not any(power.coefficients):  # so is every higher power
+            power = [
+                sum(map(mul, base[: n + 1], reversed(power[: n + 1])))
+                for n in range(precision + 1)
+            ]
+            if not any(power):  # so is every higher power
                 break
         for i, c in by_power.get(j, ()):
-            for n, a in enumerate(power.coefficients[: precision + 1 - i], i):
+            c *= den ** (top - j)
+            for n, a in enumerate(power[: precision + 1 - i], i):
                 out[n] += c * a
-    return PowerSeries(out)
+    scale = lcm * den**top
+    return PowerSeries([Fraction(c, scale) for c in out])
 
 
 def branch_series(
@@ -170,11 +197,14 @@ def branch_series(
 ) -> PowerSeries:
     """The unique series phi with phi(0) = 0 and f(x, phi(x)) = O(x^(N+1)).
 
-    Needs f(0,0) = 0 and df/dy(0,0) != 0.  The coefficient of x^n in
-    f(x, phi) is df/dy(0,0)*phi_n plus terms in phi_1..phi_(n-1) alone, so
-    one pass over n = 1..N solves for each phi_n in turn, keeping the
-    coefficients of the powers phi^j as it goes: O(d*N^2) for f of degree d
-    in y.  Precisions above MAX_PRECISION raise UnsupportedCase.
+    Needs f(0,0) = 0 and df/dy(0,0) != 0.  With f's denominators cleared and
+    c = df/dy(0,0) in Z, g(X, Y) = f(c^2*X, c*Y) / c^2 has integer
+    coefficients and dg/dY(0,0) = 1.  The coefficient of X^n in g(X, psi) is
+    psi_n plus terms in psi_1..psi_(n-1) alone, so one pass over n = 1..N
+    solves for each psi_n in turn over Z, keeping the coefficients of the
+    powers psi^j as it goes: O(d*N^2) for f of degree d in y.  Then
+    phi_n = c*psi_n / c^(2n).
+    Precisions above MAX_PRECISION raise UnsupportedCase.
     """
     if precision > MAX_PRECISION:
         raise UnsupportedCase(
@@ -183,23 +213,24 @@ def branch_series(
     terms = _terms(f, x_var, y_var)
     if (0, 0) in terms:
         raise SeriesError("curve does not pass through the origin")
-    pivot = terms.get((0, 1))
-    if pivot is None:
+    if (0, 1) not in terms:
         raise SeriesError("singular branch point: df/dy vanishes at the origin")
     # phi^j = O(x^j), so a term c*x^i*y^j with i + j > N cannot reach x^N
-    terms = [(i, j, c) for (i, j), c in terms.items() if i + j <= precision]
-    top = max((j for _, j, _ in terms), default=1)
-    # powers[j][n] is the coefficient of x^n in phi^j; powers[1] is phi
-    powers = [[Fraction(int(n == 0)) for n in range(precision + 1)]]
-    powers += [[Fraction(0)] * (precision + 1) for _ in range(top)]
-    phi = powers[1]
+    _, terms = _cleared({e: c for e, c in terms.items() if sum(e) <= precision or e == (0, 1)})
+    c = terms[0, 1]
+    # f's term b*x^i*y^j is g's b*c^(2i+j-2), an integer; the pivot's is 1
+    terms = [(i, j, b * c ** (2 * i + j - 2)) for (i, j), b in terms.items() if (i, j) != (0, 1)]
+    top = max([1] + [j for _, j, _ in terms])
+    # powers[j][n] is the coefficient of X^n in psi^j; powers[1] is psi
+    powers = [[int(n == 0) for n in range(precision + 1)]]
+    powers += [[0] * (precision + 1) for _ in range(top)]
+    psi = powers[1]
     for n in range(1, precision + 1):
         for j in range(2, min(top, n) + 1):
-            lower = powers[j - 1]
-            powers[j][n] = sum(phi[k] * lower[n - k] for k in range(1, n - j + 2))
-        # phi[n] is still 0 here, so the pivot term drops out of the sum
-        phi[n] = -sum(c * powers[j][n - i] for i, j, c in terms if i <= n) / pivot
-    return PowerSeries(phi)
+            # sum of psi[k] * powers[j - 1][n - k] over k = 1..n-j+1
+            powers[j][n] = sum(map(mul, psi[1 : n - j + 2], powers[j - 1][n - 1 : j - 2 : -1]))
+        psi[n] = -sum(b * powers[j][n - i] for i, j, b in terms if i <= n)
+    return PowerSeries([Fraction(c * v, c ** (2 * n)) for n, v in enumerate(psi)])
 
 
 def vanishing_order(

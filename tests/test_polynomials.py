@@ -72,6 +72,33 @@ def test_substitute_and_evaluate():
     assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == Fraction(2 - Fraction(3, 2) + 1)
 
 
+def test_exact_inputs_are_kept_and_floats_refused():
+    third = Fraction(1, 3)
+    p = Polynomial(XY, {(1, 0): third, (0, 1): 2, (0, 0): "-1/10"})
+    assert p.terms[1, 0] is third
+    assert p == poly("1/3*x + 2*y - 1/10")
+    assert Polynomial.constant("0.1", XY) == poly("1/10")
+    assert p.substitute("x", "3/2").evaluate({"y": 0}) == Fraction(2, 5)
+    for call in (
+        lambda: Polynomial(XY, {(1, 0): 0.1}),
+        lambda: Polynomial.constant(0.5, XY),
+        lambda: p.substitute("x", 0.1),
+        lambda: p.evaluate({"x": 0.5, "y": 1}),
+        lambda: Polynomial.constant("one", XY),
+    ):
+        with pytest.raises(PolynomialError, match="inexact value|not a rational"):
+            call()
+
+
+def test_substitute_matches_term_by_term_evaluation():
+    rng = random.Random(43)
+    for _ in range(40):
+        p = random_poly(rng, XYZ, max_degree=4, max_terms=8)
+        value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        point = {"x": Fraction(rng.randint(-3, 3), 2), "y": value, "z": Fraction(1, rng.randint(1, 5))}
+        assert p.substitute("y", value).evaluate(point) == p.evaluate(point)
+
+
 def test_homogeneous_check():
     assert poly("x^4 + y^4 + z^4", XYZ).is_homogeneous()
     assert not poly("x^4 + y^3", XYZ).is_homogeneous()
@@ -185,18 +212,18 @@ def test_resultant_budget_sees_coefficient_size():
 
 
 def test_resultant_budget_counts_each_bareiss_step():
-    # a univariate pair of order 300 with 4-bit coefficients packs into 48
-    # words and passes both size estimates without the per-step floor;
-    # uncapped it runs for about 17 s
-    rng = random.Random(1)
-
-    def dense(degree):
+    # univariate pairs of order 284 and 300 with 4-bit coefficients pack into
+    # 46 and 48 words and pass both size estimates without the per-step
+    # charge; uncapped they run for about 13 s and 17 s
+    def dense(rng, degree):
         return Polynomial(("y",), {(i,): rng.choice([-1, 1]) * rng.randint(1, 15) for i in range(degree + 1)})
 
-    start = time.perf_counter()
-    with pytest.raises(UnsupportedCase, match="order 300 over 1 coefficient slots of [0-9]+ bits"):
-        resultant(dense(150), dense(150), "y")
-    assert time.perf_counter() - start < 1
+    for degree in (142, 150):
+        rng = random.Random(1)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedCase, match=f"order {2 * degree} over 1 coefficient slots of [0-9]+ bits"):
+            resultant(dense(rng, degree), dense(rng, degree), "y")
+        assert time.perf_counter() - start < 1
 
 
 def test_resultant_budget_admits_a_sparse_pair_of_high_order():
@@ -515,3 +542,31 @@ def test_gcd_of_zero_and_single_inputs():
     assert gcd_many([poly("3"), p], "x") == poly("1")
     with pytest.raises(PolynomialError, match="nothing"):
         gcd_many([], "x")
+
+
+def test_gcd_budget_answers_a_sparse_pair_of_high_degree_at_once():
+    # the dense remainder sequence of x^d - 1, x^d - x would take minutes
+    p = Polynomial.from_string("x^100000 - 1", ("x",))
+    q = Polynomial.from_string("x^100000 - x", ("x",))
+    start = time.perf_counter()
+    try:
+        assert gcd_many([p, q], "x") == Polynomial.from_string("x - 1", ("x",))
+    except UnsupportedCase:
+        pass
+    assert time.perf_counter() - start < 1
+
+
+def test_gcd_budget_sees_degree_and_coefficient_size():
+    # a dense pair of degree 120 with 100-bit coefficients takes about 10 s
+    rng = random.Random(3)
+
+    def dense(degree, bits):
+        return Polynomial(("x",), {(i,): rng.choice([-1, 1]) * rng.randint(1, 2**bits) for i in range(degree + 1)})
+
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match=r"degrees \[120, 120\] exceeds the supported maximum"):
+        gcd_many([dense(120, 100), dense(120, 100)], "x")
+    assert time.perf_counter() - start < 1
+    shared = Polynomial.from_string("x^2 - 2", ("x",))
+    g = gcd_many([dense(40, 100) * shared, dense(40, 100) * shared], "x")
+    assert g == shared

@@ -116,6 +116,44 @@ def test_branch_series_matches_reference_with_nonunit_pivots():
             assert branch_series(f, precision) == reference.truncate(precision)
 
 
+def test_branch_series_matches_reference_with_rational_terms_and_pivots():
+    # every term rational, so clearing denominators and rescaling by the
+    # pivot both change the integers the pass runs on; with and without an x term
+    rng = random.Random(73)
+    pivots = [Fraction(12), Fraction(-7, 3), Fraction(1, 9)]
+    for trial in range(18):
+        terms = {(0, 1): pivots[trial % 3]}
+        for _ in range(rng.randint(2, 6)):
+            i, j = rng.randint(0, 4), rng.randint(0, 4)
+            if (i, j) not in ((0, 0), (0, 1)):
+                terms[i, j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 12))
+        if trial % 2:
+            terms[1, 0] = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        f = Polynomial(XY, terms)
+        reference = reference_branch_series(f, 30)
+        for precision in (0, 1, 2, 7, 15, 30):
+            assert branch_series(f, precision) == reference.truncate(precision)
+
+
+@pytest.mark.parametrize("f", construction_curves())
+def test_branch_series_makes_one_fraction_per_coefficient(f, monkeypatch):
+    # the pass runs over Z: a Fraction per output coefficient, and a few to
+    # spare, so rational arithmetic put back in the inner loop fails here
+    count = 0
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    phi = branch_series(f, MAX_PRECISION)
+    monkeypatch.undo()
+    assert phi.precision == MAX_PRECISION
+    assert 0 < count <= MAX_PRECISION + 1 + len(f.terms)
+
+
 def test_branch_series_at_the_cap_has_zero_residual():
     # f(x, phi) = O(x^(N+1)) with phi(0) = 0 determines phi uniquely
     for f in construction_curves():
@@ -234,6 +272,14 @@ def test_series_arithmetic_truncates_to_min_precision():
     assert (a + b).precision == 1
     assert (a * b).coefficients == (1, 3)
     assert (a * 2).coefficients == (2, 4, 6)
+
+
+def test_series_coefficients_are_exact():
+    assert PowerSeries((1, "1/2", Fraction(2, 3))).coefficients == (1, Fraction(1, 2), Fraction(2, 3))
+    with pytest.raises(SeriesError, match="inexact value"):
+        PowerSeries([0.1])
+    with pytest.raises(SeriesError, match="not a rational"):
+        PowerSeries([1, "x"])
 
 
 def test_series_valuation_and_display():
