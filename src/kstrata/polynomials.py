@@ -1,12 +1,19 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, stored over the integers.
+
+A polynomial keeps integer numerators over one positive common denominator,
+in lowest terms (content and primitive part; Knuth, TAOCP vol. 2, 4.6.1).
+Sums, products, derivatives, substitution and evaluation run on ints, and
+equality compares ints; coefficients become Fractions only where they
+leave (``terms``, ``coefficient``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, and Sylvester resultants computed as one
-fraction-free (Bareiss) integer determinant each, the free variables packed
-into a single integer by Kronecker substitution, so every intermediate
-value stays exact.  Univariate work uses the same cleared denominators: l
-and the ascending integer coefficients of l*p.  All gcds go through one
-loop of primitive pseudo-remainders in ``gcd_many``.
+fraction-free (Bareiss) integer determinant each, the stored numerators
+packed into a single integer per entry by Kronecker substitution, so every
+intermediate value stays exact.  Univariate work reads the same numerators.
+All gcds go through one loop of primitive pseudo-remainders in
+``gcd_many``, charged against a budget from the sparse terms before any
+dense coefficient list is built.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import UnsupportedCase
 from .signature import divisors
@@ -70,34 +78,57 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(/)|(\+)|(-))")
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuples mapped to nonzero coefficients."""
+    """Sparse polynomial, stored as integer numerators over one denominator.
 
-    __slots__ = ("variables", "terms")
+    ``_num`` maps exponent tuples to nonzero ints and ``_den`` is a positive
+    int; the polynomial is the sum of ``_num[e] / _den`` times the monomial
+    e.  The form is canonical, since the gcd of ``_den`` and every numerator
+    is 1, so equal polynomials have equal fields.  ``terms`` and
+    ``coefficient`` give the coefficients as Fractions.
+    """
+
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
         width = len(self.variables)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if not isinstance(coeff, Fraction):
                 coeff = exact(coeff)
             if len(exps) != width:
                 raise PolynomialError(
                     f"exponent tuple {exps} does not fit variables {self.variables}"
                 )
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise PolynomialError(f"negative exponent in {exps}")
             if coeff:
                 clean[exps] = coeff
-        self.terms = clean
+        # the lcm of reduced denominators leaves numerators coprime to it
+        den = math.lcm(*[c.denominator for c in clean.values()])
+        if den == 1:
+            self._num = {e: c.numerator for e, c in clean.items()}
+        else:
+            self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
-        """From terms already keyed by valid exponent tuples; drops zeros."""
+    def _of(cls, variables: tuple, num: dict, den: int = 1) -> "Polynomial":
+        """num / den for int numerators keyed by valid exponent tuples, den > 0.
+
+        Drops zero numerators and divides out the common factor once.
+        """
         poly = cls.__new__(cls)
         poly.variables = variables
-        poly.terms = {e: c for e, c in terms.items() if c}
+        num = {e: c for e, c in num.items() if c}
+        if den != 1:
+            common = math.gcd(den, *num.values())  # den itself when num is empty
+            if common != 1:
+                num = {e: c // common for e, c in num.items()}
+                den //= common
+        poly._num = num
+        poly._den = den
         return poly
 
     # -- constructors ---------------------------------------------------
@@ -108,16 +139,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, variables) -> "Polynomial":
-        width = len(tuple(variables))
-        return cls(variables, {(0,) * width: exact(value)})
+        variables = tuple(variables)
+        value = exact(value)
+        return cls._of(variables, {(0,) * len(variables): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name, variables) -> "Polynomial":
         variables = tuple(variables)
         if name not in variables:
             raise PolynomialError(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls._of(variables, {tuple(int(v == name) for v in variables): 1})
 
     @classmethod
     def from_string(cls, text: str, variables) -> "Polynomial":
@@ -189,26 +220,39 @@ class Polynomial:
 
     # -- structure ------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A new dict of the nonzero coefficients, as Fractions."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    def cleared(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(l, {exponents: int}): the least l > 0 making l*self integral, and l*self."""
+        return self._den, dict(self._num)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self._num), default=-1)
 
     def degree_in(self, name: str) -> int:
         idx = self._index(name)
-        return max((e[idx] for e in self.terms), default=-1)
+        return max((e[idx] for e in self._num), default=-1)
+
+    def _degrees(self) -> list[int]:
+        """The degree in each variable, in one pass; empty for the zero polynomial."""
+        return [max(column) for column in zip(*self._num)]
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len(set(map(sum, self._num))) <= 1
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def _index(self, name: str) -> int:
         try:
@@ -232,93 +276,121 @@ class Polynomial:
             return Polynomial.constant(other, self.variables)
         return None
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other over the lcm of the two denominators."""
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, sign * (den // other._den)
+        num = {e: c * mine for e, c in self._num.items()} if mine != 1 else dict(self._num)
+        for exps, coeff in other._num.items():
+            coeff *= theirs
+            num[exps] = num[exps] + coeff if exps in num else coeff
+        return Polynomial._of(self.variables, num, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        return Polynomial._of(self.variables, terms)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+        num: dict[tuple[int, ...], int] = {}
+        theirs = other._num.items()
+        for e1, c1 in self._num.items():
+            for e2, c2 in theirs:
+                key = tuple(map(add, e1, e2))
                 term = c1 * c2
-                terms[key] = terms[key] + term if key in terms else term
-        return Polynomial._of(self.variables, terms)
+                num[key] = num[key] + term if key in num else term
+        return Polynomial._of(self.variables, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self._den, frozenset(self._num.items())))
 
     # -- calculus and specialization -------------------------------------
 
     def partial_derivative(self, name: str) -> "Polynomial":
         idx = self._index(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
+        num = {}
+        for exps, coeff in self._num.items():
             if exps[idx] == 0:
                 continue
             reduced = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-            terms[reduced] = coeff * exps[idx]  # distinct exps give distinct reduced
-        return Polynomial._of(self.variables, terms)
+            num[reduced] = coeff * exps[idx]  # distinct exps give distinct reduced
+        return Polynomial._of(self.variables, num, self._den)
 
     def substitute(self, name: str, value) -> "Polynomial":
-        """Substitute a rational value for one variable (kept in the ring)."""
+        """Substitute a rational value for one variable (kept in the ring).
+
+        For value a/b and top the largest power of the variable, a term
+        c*name^k becomes c * a^k * b^(top-k) over the denominator times b^top.
+        """
         idx = self._index(name)
         value = exact(value)
-        if value.denominator == 1:
-            value = value.numerator  # Fraction * int is the cheaper product
-        powers = {k: value**k for k in {exps[idx] for exps in self.terms}}
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            reduced = exps[:idx] + (0,) + exps[idx + 1 :]
-            power = powers[exps[idx]]
-            scaled = coeff if power == 1 else coeff * power
-            terms[reduced] = terms[reduced] + scaled if reduced in terms else scaled
-        return Polynomial._of(self.variables, terms)
+        a, b = value.numerator, value.denominator
+        exponents = {e[idx] for e in self._num}
+        top = max(exponents, default=0)
+        powers = {k: a**k * b ** (top - k) for k in exponents}
+        num: dict[tuple[int, ...], int] = {}
+        for exps, coeff in self._num.items():
+            k = exps[idx]
+            if k:
+                exps = exps[:idx] + (0,) + exps[idx + 1 :]
+            power = powers[k]
+            if power != 1:
+                coeff *= power
+            num[exps] = num[exps] + coeff if exps in num else coeff
+        return Polynomial._of(self.variables, num, self._den * b**top)
 
     def evaluate(self, values: dict) -> Fraction:
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            product = coeff
-            for name, exponent in zip(self.variables, exps):
-                if exponent:
-                    value = values[name]
-                    if not isinstance(value, Fraction):
-                        value = exact(value)
-                    product *= value**exponent
-            total += product
-        return total
+        """The value at rational values of the variables that occur, as one Fraction."""
+        num = self._num
+        scale = self._den
+        tables = []  # (variable index, {k: a^k * b^(top-k)}) for value a/b
+        for idx, name in enumerate(self.variables):
+            powers = {e[idx] for e in num}
+            top = max(powers, default=0)
+            if not top:
+                continue
+            value = exact(values[name])
+            a, b = value.numerator, value.denominator
+            tables.append((idx, {k: a**k * b ** (top - k) for k in powers}))
+            scale *= b**top
+        total = 0
+        for exps, coeff in num.items():
+            for idx, table in tables:
+                coeff *= table[exps[idx]]
+            total += coeff
+        return Fraction(total, scale)
 
     # -- display ----------------------------------------------------------
 
@@ -326,11 +398,11 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, variables={self.variables})"
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[exps]
+        for exps in sorted(self._num, key=lambda e: (sum(e), e), reverse=True):
+            coeff = Fraction(self._num[exps], self._den)
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.variables, exps)
@@ -375,29 +447,31 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     is a polynomial in the remaining variables (the variable slot stays but
     its exponent is zero everywhere).
 
-    The inputs are scaled to integer coefficients and every remaining
-    variable is replaced by a power of two (Kronecker substitution): each
-    variable gets a mixed radix one more than its degree bound in the
-    result, and each of the S coefficient slots is B bits wide, enough for
-    any coefficient of the result and its sign.  One fraction-free
-    determinant of the packed integer Sylvester matrix then carries every
-    coefficient of the resultant as a signed base-2^B digit.  When
-    (m+n)^4 * S^2 exceeds MAX_RESULTANT_WORK, judged from the degrees alone,
-    or (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficients
-    are cleared, it raises UnsupportedCase.
+    The inputs' integer numerators are used as they are stored, and every
+    remaining variable is replaced by a power of two (Kronecker
+    substitution): each variable gets a mixed radix one more than its degree
+    bound in the result, and each of the S coefficient slots is B bits wide,
+    enough for any coefficient of the result and its sign.  One
+    fraction-free determinant of the packed integer Sylvester matrix then
+    carries every coefficient of the resultant as a signed base-2^B digit,
+    over the denominators' product.  When (m+n)^4 * S^2 exceeds
+    MAX_RESULTANT_WORK, judged from the degrees alone, or
+    (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficient
+    sizes are known, it raises UnsupportedCase.
     """
     p._match(q)
-    m, n = p.degree_in(name), q.degree_in(name)
+    idx = p._index(name)
+    degrees_p, degrees_q = p._degrees(), q._degrees()
+    m = degrees_p[idx] if degrees_p else -1
+    n = degrees_q[idx] if degrees_q else -1
     if m <= 0 or n <= 0:
         raise PolynomialError(
             f"resultant needs positive degree in {name!r} (got {m} and {n})"
         )
     # one radix per variable, one more than the result's degree bound in it
     bezout = p.degree() * q.degree()
-    radices = [
-        1 if v == name else min(n * p.degree_in(v) + m * q.degree_in(v), bezout) + 1
-        for v in p.variables
-    ]
+    radices = [min(n * a + m * b, bezout) + 1 for a, b in zip(degrees_p, degrees_q)]
+    radices[idx] = 1
     slots = math.prod(radices)
     if (m + n) ** 4 * slots**2 > MAX_RESULTANT_WORK:
         raise UnsupportedCase(
@@ -405,12 +479,10 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
             "the supported maximum"
         )
     strides = [math.prod(radices[:v]) for v in range(len(radices))]
-    lp, pc = _integer_coefficients(p, name)
-    lq, qc = _integer_coefficients(q, name)
     # each Sylvester row's coefficients sum in absolute value to |p|_1 or
     # |q|_1, so no coefficient of the result reaches their product
-    norm_p = sum(abs(a) for c in pc for a in c.values())
-    norm_q = sum(abs(a) for c in qc for a in c.values())
+    norm_p = sum(map(abs, p._num.values()))
+    norm_q = sum(map(abs, q._num.values()))
     bits = (norm_p**n * norm_q**m).bit_length() + 1
     words = -(-slots * bits // 64)
     if (m + n) ** 3 * (words + BAREISS_STEP_WORDS) ** 2 > MAX_RESULTANT_WORK:
@@ -418,14 +490,19 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
             f"a resultant of order {m + n} over {slots} coefficient slots of {bits} "
             "bits exceeds the supported maximum"
         )
+    shifts = [bits * s for s in strides]
+    shifts[idx] = 0  # the eliminated variable picks the Sylvester entry instead
 
-    def pack(c: dict) -> int:
-        return sum(a << bits * sum(k * s for k, s in zip(e, strides)) for e, a in c.items())
+    def pack(poly: Polynomial, degree: int) -> list[int]:
+        """The packed coefficient of each power of name, lowest first."""
+        packed = [0] * (degree + 1)
+        for exps, c in poly._num.items():
+            packed[exps[idx]] += c << sum(map(mul, exps, shifts))
+        return packed
 
-    det = _integer_determinant(_sylvester([pack(c) for c in pc], [pack(c) for c in qc]))
-    scale = lp**n * lq**m
+    det = _integer_determinant(_sylvester(pack(p, m), pack(q, n)))
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    terms = {}
+    num = {}
     place = 0
     while det:
         digit = det & mask
@@ -434,24 +511,9 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
             digit -= mask + 1
             det += 1
         if digit:
-            exps = tuple([place // s % r for s, r in zip(strides, radices)])
-            terms[exps] = Fraction(digit, scale)
+            num[tuple([place // s % r for s, r in zip(strides, radices)])] = digit
         place += 1
-    return Polynomial._of(p.variables, terms)
-
-
-def _integer_coefficients(p: Polynomial, name: str):
-    """Clear denominators: (l, the coefficients of the powers of name in l*p).
-
-    l is the lcm of p's denominators; each coefficient is {exponents: int}.
-    """
-    lcm = math.lcm(*[c.denominator for c in p.terms.values()])
-    idx = p._index(name)
-    coeffs: list[dict] = [{} for _ in range(p.degree_in(name) + 1)]
-    for exps, c in p.terms.items():
-        reduced = exps[:idx] + (0,) + exps[idx + 1 :]
-        coeffs[exps[idx]][reduced] = c.numerator * (lcm // c.denominator)
-    return lcm, coeffs
+    return Polynomial._of(p.variables, num, p._den**n * q._den**m)
 
 
 def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:
@@ -490,12 +552,23 @@ def _integer_determinant(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _univariate_ints(p: Polynomial, name: str):
-    """(l, a): l*p = a[0] + a[1]*name + ... in integers, l as for resultants."""
-    lcm, coeffs = _integer_coefficients(p, name)
-    if any(any(e) for c in coeffs for e in c):
-        raise PolynomialError(f"{p} is not univariate in {name!r}")
-    return lcm, [sum(c.values()) for c in coeffs]
+def _univariate_terms(p: Polynomial, name: str) -> dict[int, int]:
+    """{k: a_k} with l*p = sum of a_k * name^k, l the stored denominator."""
+    idx = p._index(name)
+    terms = {}
+    for exps, c in p._num.items():
+        if any(exps[:idx]) or any(exps[idx + 1 :]):
+            raise PolynomialError(f"{p} is not univariate in {name!r}")
+        terms[exps[idx]] = c
+    return terms
+
+
+def _dense(terms: dict[int, int]) -> list[int]:
+    """The ascending coefficient list of a sparse univariate polynomial."""
+    a = [0] * (max(terms, default=-1) + 1)
+    for k, c in terms.items():
+        a[k] = c
+    return a
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -540,18 +613,23 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
 
     The squarefree part p / gcd(p, p'), which has the same roots and a
     smaller constant term when p has repeated roots, supplies the candidates:
-    num/den is a root iff sum a_i * num^i * den^(n-i) is 0.
+    num/den is a root iff sum a_i * num^i * den^(n-i) is 0.  The remainder
+    sequence of p and p' is charged to MAX_GCD_WORK first, from the sparse
+    terms, and past it this raises UnsupportedCase.
     """
-    _, coeffs = _univariate_ints(p, name)
-    if not coeffs:
+    terms = _univariate_terms(p, name)
+    if not terms:
         raise PolynomialError("the zero polynomial has every root")
     roots = set()
-    if coeffs[0] == 0:
+    low = min(terms)
+    if low:
         roots.add(Fraction(0))
-        while coeffs[0] == 0:
-            coeffs.pop(0)
+        terms = {k - low: c for k, c in terms.items()}
+    derivative = {k - 1: k * c for k, c in terms.items() if k}
+    _check_gcd_work([terms, derivative])
+    coeffs = _dense(terms)
     # a primitive g divides coeffs over Q, hence over Z (Gauss)
-    g = _primitive(_gcd_ints(coeffs, [i * c for i, c in enumerate(coeffs)][1:]))
+    g = _primitive(_gcd_ints(coeffs, _dense(derivative)))
     coeffs = _primitive(_exact_quotient(coeffs, g))
     n = len(coeffs) - 1
     if n > 0:
@@ -572,17 +650,19 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     return sorted(roots)
 
 
-def _check_gcd_work(coeffs: list[list[int]]) -> None:
+def _check_gcd_work(polys: list[dict[int, int]]) -> None:
     """Raise UnsupportedCase if gcd_many's remainder sequences cost too much.
 
-    The running gcd is charged with the smallest degree and the largest
-    norm folded in so far, each fold as the MAX_GCD_WORK comment says.
+    Reads only the degree and the 2-norm of each sparse {k: a_k}, so nothing
+    is densified before the charge.  The running gcd is charged with the
+    smallest degree and the largest norm folded in so far, each fold as the
+    MAX_GCD_WORK comment says.
     """
     work, degree, norm = 0, None, 0
-    for a in coeffs:
-        if not a:  # a zero polynomial leaves the gcd as it is
+    for terms in polys:
+        if not terms:  # a zero polynomial leaves the gcd as it is
             continue
-        n, bits = len(a) - 1, sum(c * c for c in a).bit_length() // 2 + 1
+        n, bits = max(terms), sum(c * c for c in terms.values()).bit_length() // 2 + 1
         if degree is not None:
             high, low = max(degree, n), min(degree, n)
             words = (n * norm + degree * bits) // 64 + 1
@@ -591,7 +671,7 @@ def _check_gcd_work(coeffs: list[list[int]]) -> None:
         norm = max(norm, bits)
     if work > MAX_GCD_WORK:
         raise UnsupportedCase(
-            f"a gcd of degrees {sorted(len(a) - 1 for a in coeffs if a)} "
+            f"a gcd of degrees {sorted(max(t) for t in polys if t)} "
             "exceeds the supported maximum"
         )
 
@@ -599,21 +679,26 @@ def _check_gcd_work(coeffs: list[list[int]]) -> None:
 def gcd_many(polys, name: str) -> Polynomial:
     """Monic gcd of several univariate polynomials; zero if all of them are.
 
-    Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes
-    before any remainder is taken, it raises UnsupportedCase.
+    Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes of
+    the sparse terms before any dense list is built, it raises
+    UnsupportedCase.  A single nonzero input is only made monic.
     """
     polys = list(polys)
     if not polys:
         raise PolynomialError("gcd of nothing")
     for p in polys:
         p._match(polys[0])
-    coeffs = [_univariate_ints(p, name)[1] for p in polys]
-    _check_gcd_work(coeffs)
-    a: list[int] = []
-    for b in coeffs:
-        a = _gcd_ints(a, b)
+    nonzero = [t for t in (_univariate_terms(p, name) for p in polys) if t]
+    _check_gcd_work(nonzero)
+    gcd = nonzero[0] if nonzero else {}
+    if len(nonzero) > 1:
+        a: list[int] = []
+        for terms in nonzero:
+            a = _gcd_ints(a, _dense(terms))
+        gcd = dict(enumerate(a))
+    lead = gcd[max(gcd)] if gcd else 1
+    sign = 1 if lead > 0 else -1
     unit = tuple(int(v == name) for v in polys[0].variables)
-    return Polynomial(
-        polys[0].variables,
-        {tuple(power * e for e in unit): Fraction(c, a[-1]) for power, c in enumerate(a)},
+    return Polynomial._of(
+        polys[0].variables, {tuple(k * e for e in unit): sign * c for k, c in gcd.items()}, abs(lead)
     )

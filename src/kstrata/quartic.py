@@ -72,13 +72,12 @@ def _certify_chart(gs, elim, other):
     Returns (certified, gcd_poly): the gcd of the eliminants in the other
     variable, or None when an eliminant degenerates.
     """
-    with_elim = [g for g in gs if g.degree_in(elim) > 0]
-    without = [g for g in gs if g.degree_in(elim) <= 0]
-    if with_elim:
-        base = max(with_elim, key=lambda g: g.degree_in(elim))
-        eliminants = list(without)
-        for g in gs:
-            if g is base or g.degree_in(elim) <= 0:
+    degrees = [g.degree_in(elim) for g in gs]
+    if max(degrees) > 0:
+        base = gs[degrees.index(max(degrees))]
+        eliminants = [g for g, d in zip(gs, degrees) if d <= 0]
+        for g, d in zip(gs, degrees):
+            if g is base or d <= 0:
                 continue
             r = resultant(base, g, elim)
             if r.is_zero():
@@ -181,8 +180,8 @@ def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport
         checks.append(SporadicCheck(name, want == got, want, got))
 
     check("smoothness", "smooth", smoothness_certificate(F).status)
-    affine = F.substitute("z", 1)
-    affine2 = Polynomial(("x", "y"), {e[:2]: c for e, c in affine.terms.items()})
+    den, affine = F.substitute("z", 1).cleared()
+    affine2 = Polynomial(("x", "y"), {e[:2]: Fraction(c, den) for e, c in affine.items()})
     check("affine_form_matches_quartic", f, affine2)
 
     phi = branch_series(f, precision)

@@ -136,25 +136,23 @@ class PowerSeries:
         return f"{body} + O(x^{self.precision + 1})"
 
 
-def _terms(poly: Polynomial, x_var: str, y_var: str) -> dict:
-    """poly's terms as {(i, j): c} for c*x^i*y^j; no other variable may occur."""
+def _terms(poly: Polynomial, x_var: str, y_var: str) -> tuple[int, dict]:
+    """(l, {(i, j): a}) with l*poly = sum of a*x^i*y^j in integers, l > 0 least.
+
+    No other variable may occur.
+    """
     names = poly.variables
     for name in (x_var, y_var):
         if name not in names:
             raise PolynomialError(f"unknown variable {name!r}")
     ix, iy = names.index(x_var), names.index(y_var)
+    lcm, cleared = poly.cleared()
     terms = {}
-    for exps, c in poly.terms.items():
+    for exps, a in cleared.items():
         if sum(exps) != exps[ix] + exps[iy]:
             raise PolynomialError(f"{poly} is not a polynomial in {x_var!r} and {y_var!r}")
-        terms[exps[ix], exps[iy]] = c
-    return terms
-
-
-def _cleared(terms: dict) -> tuple[int, dict]:
-    """(l, terms times l) for l the lcm of their denominators: integer terms."""
-    lcm = math.lcm(*[c.denominator for c in terms.values()])
-    return lcm, {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
+        terms[exps[ix], exps[iy]] = a
+    return lcm, terms
 
 
 def polynomial_on_branch(
@@ -166,7 +164,7 @@ def polynomial_on_branch(
     the sum of l*c * x^i * (D*phi)^j * D^(top-j), divided by l*D^top once.
     """
     precision = phi.precision
-    lcm, terms = _cleared(_terms(poly, x_var, y_var))
+    lcm, terms = _terms(poly, x_var, y_var)
     by_power: dict[int, list] = {}
     for (i, j), c in terms.items():
         if i <= precision:
@@ -210,13 +208,13 @@ def branch_series(
         raise UnsupportedCase(
             f"precision {precision} exceeds the supported maximum {MAX_PRECISION}"
         )
-    terms = _terms(f, x_var, y_var)
+    _, terms = _terms(f, x_var, y_var)
     if (0, 0) in terms:
         raise SeriesError("curve does not pass through the origin")
     if (0, 1) not in terms:
         raise SeriesError("singular branch point: df/dy vanishes at the origin")
     # phi^j = O(x^j), so a term c*x^i*y^j with i + j > N cannot reach x^N
-    _, terms = _cleared({e: c for e, c in terms.items() if sum(e) <= precision or e == (0, 1)})
+    terms = {e: b for e, b in terms.items() if sum(e) <= precision or e == (0, 1)}
     c = terms[0, 1]
     # f's term b*x^i*y^j is g's b*c^(2i+j-2), an integer; the pivot's is 1
     terms = [(i, j, b * c ** (2 * i + j - 2)) for (i, j), b in terms.items() if (i, j) != (0, 1)]
@@ -263,5 +261,5 @@ def tangent_contact_order(
 
 def require_x_axis_tangent(f: Polynomial, x_var: str = "x", y_var: str = "y") -> None:
     """Raise SeriesError unless df/dx vanishes at the origin."""
-    if (1, 0) in _terms(f, x_var, y_var):
+    if (1, 0) in _terms(f, x_var, y_var)[1]:
         raise SeriesError("tangent line at the origin is not the x-axis")

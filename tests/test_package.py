@@ -85,3 +85,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             ):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_no_module_reads_private_polynomial_fields():
+    # outside polynomials, the integer numerators are read through
+    # Polynomial.cleared(), so the storage can change in one module
+    from kstrata.polynomials import Polynomial
+
+    private = {name for name in vars(Polynomial) if name.startswith("_") and not name.endswith("__")}
+    assert {"_num", "_den", "_of"} <= private
+    found = []
+    for path in sorted(Path(kstrata.__file__).parent.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_substitute_and_evaluate():
 def test_exact_inputs_are_kept_and_floats_refused():
     third = Fraction(1, 3)
     p = Polynomial(XY, {(1, 0): third, (0, 1): 2, (0, 0): "-1/10"})
-    assert p.terms[1, 0] is third
+    assert p.terms[1, 0] == third and type(p.terms[1, 0]) is Fraction
     assert p == poly("1/3*x + 2*y - 1/10")
     assert Polynomial.constant("0.1", XY) == poly("1/10")
     assert p.substitute("x", "3/2").evaluate({"y": 0}) == Fraction(2, 5)
@@ -570,3 +571,47 @@ def test_gcd_budget_sees_degree_and_coefficient_size():
     shared = Polynomial.from_string("x^2 - 2", ("x",))
     g = gcd_many([dense(40, 100) * shared, dense(40, 100) * shared], "x")
     assert g == shared
+
+
+@pytest.mark.parametrize("degree", [2_000_000, 10**8])
+def test_gcd_budget_refuses_a_high_degree_before_densifying(degree):
+    # the dense coefficient lists of x^d - 1 would take 169 MB at d = 2e6
+    # and exhaust memory at 1e8; the charge reads the sparse terms alone
+    p = Polynomial.from_string(f"x^{degree} - 1", ("x",))
+    line = Polynomial.from_string("x - 1", ("x",))
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match=rf"degrees \[1, {degree}\] exceeds"):
+        gcd_many([p, line], "x")
+    with pytest.raises(UnsupportedCase, match=rf"degrees \[{degree - 1}, {degree}\] exceeds"):
+        rational_roots(p, "x")
+    # one polynomial is only made monic, from its sparse terms
+    assert gcd_many([Polynomial.zero(("x",)), 3 * p], "x") == p
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 10**6
+
+
+def dense_univariate(rng, degree, bits):
+    return Polynomial(("x",), {(i,): rng.choice([-1, 1]) * rng.randint(1, 2**bits - 1) for i in range(degree + 1)})
+
+
+def test_rational_roots_budget_refuses_a_dense_high_degree_at_once():
+    # the remainder sequence of p against p' costs about d^4: 4.4 s at
+    # degree 300 with 4-bit coefficients, so degree 400 is charged and refused
+    p = dense_univariate(random.Random(7), 400, 4)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match=r"degrees \[399, 400\] exceeds"):
+        rational_roots(p, "x")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rational_roots_budget_admits_moderate_inputs():
+    # the benchmark ladder's shape: constant term 1e6, two rational roots
+    x = Polynomial.variable("x", ("x",))
+    ladder = (x - 8) * (3 * x - 5) * (x * x + 7 * x + 25000)
+    assert rational_roots(ladder, "x") == [Fraction(5, 3), Fraction(8)]
+    # a dense degree-60 factor with 8-bit coefficients, times a planted root
+    p = dense_univariate(random.Random(11), 60, 8) * (2 * x - 1)
+    assert Fraction(1, 2) in rational_roots(p, "x")
