@@ -155,7 +155,8 @@ class Polynomial:
         """Parse a sum of terms like ``3*x^2*y`` or ``-1/2 x y^3``.
 
         Coefficients are integers or fractions; a missing coefficient means
-        1 and juxtaposition works as multiplication.
+        1 and juxtaposition works as multiplication, as does a ``*`` between
+        two factors.
         """
         variables = tuple(variables)
         tokens = _tokenize(text)
@@ -177,7 +178,10 @@ class Polynomial:
             while i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
                 kind, value = tokens[i]
                 if kind == "op" and value == "*":
+                    # only between two factors: x**2, x* and * x are errors
                     i += 1
+                    if not saw_factor or i >= len(tokens) or tokens[i][0] == "op":
+                        raise PolynomialError(f"misplaced '*' in {text!r}")
                     continue
                 if kind == "num":
                     i += 1
@@ -373,24 +377,11 @@ class Polynomial:
 
     def evaluate(self, values: dict) -> Fraction:
         """The value at rational values of the variables that occur, as one Fraction."""
-        num = self._num
-        scale = self._den
-        tables = []  # (variable index, {k: a^k * b^(top-k)}) for value a/b
-        for idx, name in enumerate(self.variables):
-            powers = {e[idx] for e in num}
-            top = max(powers, default=0)
-            if not top:
-                continue
-            value = exact(values[name])
-            a, b = value.numerator, value.denominator
-            tables.append((idx, {k: a**k * b ** (top - k) for k in powers}))
-            scale *= b**top
-        total = 0
-        for exps, coeff in num.items():
-            for idx, table in tables:
-                coeff *= table[exps[idx]]
-            total += coeff
-        return Fraction(total, scale)
+        poly = self
+        for name, top in zip(self.variables, self._degrees()):
+            if top:
+                poly = poly.substitute(name, values[name])
+        return poly.coefficient((0,) * len(self.variables))
 
     # -- display ----------------------------------------------------------
 

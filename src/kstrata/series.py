@@ -1,5 +1,10 @@
 """Truncated power series over exact rationals, and curve-branch expansions.
 
+A PowerSeries holds exact coefficients c_0..c_N and carries no arithmetic:
+the functions below form the sums and products they need over the
+integers.  Every curve is a polynomial in the variables ``x`` and ``y``;
+another variable may be declared, but only at exponent zero.
+
 A branch of f(x, y) = 0 through the origin with a transverse tangent is
 parameterized by (x, phi(x)).  Its coefficients follow from one pass of a
 recurrence over a table of the coefficients of phi, phi^2, ... (Knuth,
@@ -7,8 +12,8 @@ TAOCP vol. 2, 4.7), run over the integers: with f's denominators cleared
 and c = df/dy(0, 0), the rescaled curve f(c^2 x, c y) / c^2 has integer
 coefficients and a unit pivot, so each new coefficient is an integer sum of
 earlier ones, with no division; phi's rational coefficients are made once,
-at the end.  Orders of vanishing
-along the branch are intersection multiplicities.
+at the end.  Orders of vanishing along the branch are intersection
+multiplicities.
 """
 
 from __future__ import annotations
@@ -67,42 +72,6 @@ class PowerSeries:
             )
         return PowerSeries(self.coefficients[: precision + 1])
 
-    def _aligned(self, other: "PowerSeries") -> int:
-        return min(self.precision, other.precision)
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = self._aligned(other)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))[: n + 1]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = self._aligned(other)
-        return PowerSeries(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))[: n + 1]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries(tuple(c * other for c in self.coefficients))
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = self._aligned(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients[: n + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
@@ -136,38 +105,39 @@ class PowerSeries:
         return f"{body} + O(x^{self.precision + 1})"
 
 
-def _terms(poly: Polynomial, x_var: str, y_var: str) -> tuple[int, dict]:
+def _terms(poly: Polynomial) -> tuple[int, dict]:
     """(l, {(i, j): a}) with l*poly = sum of a*x^i*y^j in integers, l > 0 least.
 
     No other variable may occur.
     """
     names = poly.variables
-    for name in (x_var, y_var):
+    for name in ("x", "y"):
         if name not in names:
             raise PolynomialError(f"unknown variable {name!r}")
-    ix, iy = names.index(x_var), names.index(y_var)
+    ix, iy = names.index("x"), names.index("y")
     lcm, cleared = poly.cleared()
     terms = {}
     for exps, a in cleared.items():
         if sum(exps) != exps[ix] + exps[iy]:
-            raise PolynomialError(f"{poly} is not a polynomial in {x_var!r} and {y_var!r}")
+            raise PolynomialError(f"{poly} is not a polynomial in 'x' and 'y'")
         terms[exps[ix], exps[iy]] = a
     return lcm, terms
 
 
-def polynomial_on_branch(
-    poly: Polynomial, phi: PowerSeries, x_var: str = "x", y_var: str = "y"
-) -> PowerSeries:
+def polynomial_on_branch(poly: Polynomial, phi: PowerSeries) -> PowerSeries:
     """Series of poly(x, phi(x)) at phi's precision: the sum of c*x^i*phi^j.
 
     With l clearing poly's denominators and D phi's, the sum runs over Z as
     the sum of l*c * x^i * (D*phi)^j * D^(top-j), divided by l*D^top once.
     """
     precision = phi.precision
-    lcm, terms = _terms(poly, x_var, y_var)
+    lcm, terms = _terms(poly)
+    # with phi(0) = 0, phi^j = O(x^j): a term c*x^i*y^j with i + j > N cannot
+    # reach x^N, so top, the largest power of phi formed, is at most N
+    weight = 0 if phi.coefficients[0] else 1
     by_power: dict[int, list] = {}
     for (i, j), c in terms.items():
-        if i <= precision:
+        if i + weight * j <= precision:
             by_power.setdefault(j, []).append((i, c))
     top = max(by_power, default=0)
     den = math.lcm(*[c.denominator for c in phi.coefficients])
@@ -190,9 +160,7 @@ def polynomial_on_branch(
     return PowerSeries([Fraction(c, scale) for c in out])
 
 
-def branch_series(
-    f: Polynomial, precision: int, x_var: str = "x", y_var: str = "y"
-) -> PowerSeries:
+def branch_series(f: Polynomial, precision: int) -> PowerSeries:
     """The unique series phi with phi(0) = 0 and f(x, phi(x)) = O(x^(N+1)).
 
     Needs f(0,0) = 0 and df/dy(0,0) != 0.  With f's denominators cleared and
@@ -208,7 +176,7 @@ def branch_series(
         raise UnsupportedCase(
             f"precision {precision} exceeds the supported maximum {MAX_PRECISION}"
         )
-    _, terms = _terms(f, x_var, y_var)
+    _, terms = _terms(f)
     if (0, 0) in terms:
         raise SeriesError("curve does not pass through the origin")
     if (0, 1) not in terms:
@@ -231,9 +199,7 @@ def branch_series(
     return PowerSeries([Fraction(c * v, c ** (2 * n)) for n, v in enumerate(psi)])
 
 
-def vanishing_order(
-    g: Polynomial, phi: PowerSeries, precision: int, x_var: str = "x", y_var: str = "y"
-):
+def vanishing_order(g: Polynomial, phi: PowerSeries, precision: int):
     """Order of vanishing of g(x, phi(x)): an int, or AtLeast(precision + 1).
 
     This is the intersection multiplicity of g with the branch carried by
@@ -243,23 +209,21 @@ def vanishing_order(
         raise SeriesError(
             f"series precision {phi.precision} below requested {precision}"
         )
-    return polynomial_on_branch(g, phi.truncate(precision), x_var, y_var).valuation()
+    return polynomial_on_branch(g, phi.truncate(precision)).valuation()
 
 
-def tangent_contact_order(
-    f: Polynomial, precision: int = 13, x_var: str = "x", y_var: str = "y"
-):
+def tangent_contact_order(f: Polynomial, precision: int = 13):
     """Contact order of the x-axis with the branch of f = y + higher order.
 
     Equals the valuation of the branch series: 2 at an ordinary point
     (no holomorphic form triple-vanishes there), 3 at a flex that is not a
     hyperflex, and 4 or more at a hyperflex.
     """
-    require_x_axis_tangent(f, x_var, y_var)
-    return branch_series(f, precision, x_var, y_var).valuation()
+    require_x_axis_tangent(f)
+    return branch_series(f, precision).valuation()
 
 
-def require_x_axis_tangent(f: Polynomial, x_var: str = "x", y_var: str = "y") -> None:
+def require_x_axis_tangent(f: Polynomial) -> None:
     """Raise SeriesError unless df/dx vanishes at the origin."""
-    if (1, 0) in _terms(f, x_var, y_var)[1]:
+    if (1, 0) in _terms(f)[1]:
         raise SeriesError("tangent line at the origin is not the x-axis")

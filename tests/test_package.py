@@ -1,6 +1,14 @@
-"""The package surface: every public name resolves lazily from its home module."""
+"""The package surface: every public name resolves lazily from its home module.
+
+``golden/api.txt`` records the signature of every public name, so a
+parameter added or removed shows up as a diff to that file.  Rewrite it,
+only on purpose, with
+
+    PYTHONPATH=src python tests/test_package.py
+"""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +19,7 @@ import pytest
 import kstrata
 
 SOURCE = str(Path(kstrata.__file__).resolve().parents[1])
+API = Path(__file__).parent / "golden" / "api.txt"
 
 
 def fresh(code: str) -> str:
@@ -88,17 +97,70 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_no_module_reads_private_polynomial_fields():
-    # outside polynomials, the integer numerators are read through
+    # outside polynomials, only series reads the integer numerators, through
     # Polynomial.cleared(), so the storage can change in one module
     from kstrata.polynomials import Polynomial
 
     private = {name for name in vars(Polynomial) if name.startswith("_") and not name.endswith("__")}
     assert {"_num", "_den", "_of"} <= private
-    found = []
+    found, readers = [], set()
     for path in sorted(Path(kstrata.__file__).parent.glob("*.py")):
         if path.name == "polynomials.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            if isinstance(node, ast.Attribute) and node.attr == "cleared":
+                readers.add(path.name)
     assert found == []
+    assert readers == {"series.py"}
+
+
+def bare(signature: inspect.Signature) -> str:
+    """Parameter names, kinds and default reprs, without annotations."""
+    params = [p.replace(annotation=p.empty) for p in signature.parameters.values()]
+    return str(signature.replace(parameters=params, return_annotation=signature.empty))
+
+
+def api_text() -> str:
+    """One line per public name, and one per public method, property or slot of a class.
+
+    A class line gives its constructor (``(...)`` when that is a builtin's,
+    as for exceptions) and its bases other than object; members are those
+    defined in the package's own classes, so the file does not move with
+    the Python version.
+    """
+    lines = []
+    for name in kstrata.__all__:
+        value = getattr(kstrata, name)
+        if not isinstance(value, type):
+            lines.append(f"{name}{bare(inspect.signature(value))}")
+            continue
+        try:
+            constructor = bare(inspect.signature(value))
+        except ValueError:
+            constructor = "(...)"
+        bases = [base.__name__ for base in value.__bases__ if base is not object]
+        lines.append(f"class {name}{constructor}" + (f" [{', '.join(bases)}]" if bases else ""))
+        members = {}
+        for owner in reversed(value.__mro__):
+            if owner.__module__.startswith("kstrata"):
+                members.update({k: v for k, v in vars(owner).items() if not k.startswith("_")})
+        for member, attr in sorted(members.items()):
+            if isinstance(attr, property):
+                lines.append(f"{name}.{member} [property]")
+            elif inspect.ismemberdescriptor(attr):
+                lines.append(f"{name}.{member} [slot]")
+            elif isinstance(attr, (staticmethod, classmethod)) or inspect.isfunction(attr):
+                lines.append(f"{name}.{member}{bare(inspect.signature(getattr(value, member)))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_public_signatures_match_the_golden():
+    golden = API.read_text()
+    assert api_text() == golden
+    assert "x_var" not in golden and "y_var" not in golden
+
+
+if __name__ == "__main__":
+    API.write_text(api_text())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kstrata.constructions import load_constructions
 from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import (
     Polynomial,
@@ -52,6 +53,18 @@ def test_parsing_errors():
         poly("x + ")
     with pytest.raises(PolynomialError, match="tokenize"):
         poly("x + $")
+
+
+def test_a_star_stands_only_between_factors():
+    for text in ("x**2", "x*", "* x", "2*x - *y", "x*+y", "1/2**x"):
+        with pytest.raises(PolynomialError, match="misplaced"):
+            poly(text)
+    assert poly("2*x*y") == poly("2 x y") == poly("2*x y")
+    for record in load_constructions().values():
+        for key in ("quartic", "affine", "cubic", "quadratic"):
+            if key in record:
+                p = poly(record[key], XYZ)
+                assert poly(str(p), XYZ) == p
 
 
 def test_str_round_trip():
