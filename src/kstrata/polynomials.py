@@ -190,6 +190,8 @@ class Polynomial:
                         i += 1
                         if i >= len(tokens) or tokens[i][0] != "num":
                             raise PolynomialError(f"bad fraction in {text!r}")
+                        if not tokens[i][1]:
+                            raise PolynomialError(f"zero denominator in {text!r}")
                         coeff *= Fraction(numerator, tokens[i][1])
                         i += 1
                     else:
@@ -380,6 +382,8 @@ class Polynomial:
         poly = self
         for name, top in zip(self.variables, self._degrees()):
             if top:
+                if name not in values:
+                    raise PolynomialError(f"no value for variable {name!r}")
                 poly = poly.substitute(name, values[name])
         return poly.coefficient((0,) * len(self.variables))
 

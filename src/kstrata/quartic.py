@@ -4,6 +4,13 @@ Verifies, in exact rational arithmetic, that the embedded quartic
 constructions behave as claimed: the curve is smooth, the marked branch has
 the stated expansion, the cubic meets it to order 12, and the tangency at
 the marked point has the stated contact order.
+
+Smoothness is checked over the disjoint union P^2 = A^2, A^1, {pt} (Cox,
+Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
+x, y, z: the affine chart x = 1 by resultants, then the line x = 0, y = 1
+by one univariate gcd and the point (0 : 0 : 1) by evaluation.  Only when
+one of these is not clean are the charts y = 1 and z = 1 checked in full,
+to exhibit a singular point or say why none was found.
 """
 
 from __future__ import annotations
@@ -30,9 +37,12 @@ class UnknownConstructionError(ValueError):
 class SmoothnessCertificate:
     """Semi-decision for smoothness of a projective plane curve.
 
-    ``smooth`` means every affine chart was certified by a constant gcd of
-    resultants of the partials.  ``singular`` exhibits an exact rational
-    common zero of the partials.  Anything else is ``not_certified``.
+    For v0, v1, v2 the curve's variables, ``smooth`` (detail ``"all charts
+    certified"``) means the chart v0 = 1 was certified by a constant gcd of
+    resultants of the partials, and the line v0 = 0 and the point
+    (0 : 0 : 1) that it misses are clean: the partials have no common zero
+    in P^2.  ``singular`` exhibits an exact rational common zero of the
+    partials.  Anything else is ``not_certified``.
     """
 
     status: str  # "smooth" | "singular" | "not_certified"
@@ -114,13 +124,61 @@ def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other
     return None
 
 
+def _chart_certificate(partials, variables, chart) -> SmoothnessCertificate:
+    """The verdict on the affine chart ``chart = 1`` alone.
+
+    ``smooth`` when the chart is certified, ``singular`` with an exact
+    rational common zero of the partials on it, else ``not_certified``
+    with the reason.
+    """
+    others = [v for v in variables if v != chart]
+    gs, has_unit = _chart_survey(partials, chart)
+    if has_unit:
+        return SmoothnessCertificate("smooth")
+    if not gs:
+        return SmoothnessCertificate("not_certified", None, "all partials vanish identically")
+    for elim, other in (others, others[::-1]):
+        ok, gcd_poly = _certify_chart(gs, elim, other)
+        if ok:
+            return SmoothnessCertificate("smooth")
+        point = _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other)
+        if point is not None:
+            return SmoothnessCertificate(
+                "singular", point, f"common zero found on chart {chart} = 1"
+            )
+    return SmoothnessCertificate("not_certified", None, "no elimination order gave a constant gcd")
+
+
+def _clean_at_infinity(partials, variables) -> bool:
+    """True if the partials have no common zero on the line v0 = 0.
+
+    That line is the affine line v0 = 0, v1 = 1, where the partials are
+    univariate in v2, plus the point (0 : 0 : 1).  The line is clean when the
+    gcd of the partials there is a nonzero constant; the point is clean when
+    some partial is nonzero at it.
+    """
+    v0, v1, v2 = variables
+    g = gcd_many([p.substitute(v0, 0).substitute(v1, 1) for p in partials], v2)
+    if g.is_zero() or not g.is_constant():
+        return False
+    point = {v0: 0, v1: 0, v2: 1}
+    return any(p.evaluate(point) for p in partials)
+
+
 def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     """Certify smoothness of the projective curve F = 0 when possible.
 
-    Chart by chart, the partial derivatives are dehomogenized and one
-    variable is eliminated by resultants; a constant gcd proves the chart
-    free of singular points.  Exhibiting a rational common zero proves
-    singularity.  Everything else is reported as not certified.
+    P^2 is covered as A^2, the line at infinity minus a point, and that
+    point, for ``v0, v1, v2 = F.variables``: first the chart v0 = 1, where
+    the partial derivatives are dehomogenized and one variable is eliminated
+    by resultants, a constant gcd proving the chart free of singular points;
+    then, if that chart is certified, the line v0 = 0, v1 = 1 by one
+    univariate gcd and the point (0 : 0 : 1) by evaluation.  If those are
+    clean too, the curve is smooth.  Otherwise the charts v1 = 1 and
+    v2 = 1 are checked in full as the first one was; they cannot certify
+    what the line or the point left open, but may exhibit a rational common
+    zero, which proves singularity.  Everything else is reported as not
+    certified, with the reason for each chart that failed.
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
@@ -129,26 +187,13 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     partials = [F.partial_derivative(v) for v in F.variables]
     uncertified = []
     for chart in F.variables:
-        others = [v for v in F.variables if v != chart]
-        gs, has_unit = _chart_survey(partials, chart)
-        if has_unit:
-            continue
-        if not gs:
-            uncertified.append((chart, "all partials vanish identically"))
-            continue
-        for elim, other in (others, others[::-1]):
-            ok, gcd_poly = _certify_chart(gs, elim, other)
-            if ok:
-                break
-            point = _search_singular_point(
-                partials, F.variables, chart, gs, gcd_poly, elim, other
-            )
-            if point is not None:
-                return SmoothnessCertificate(
-                    "singular", point, f"common zero found on chart {chart} = 1"
-                )
-        else:
-            uncertified.append((chart, "no elimination order gave a constant gcd"))
+        verdict = _chart_certificate(partials, F.variables, chart)
+        if verdict.status == "singular":
+            return verdict
+        if verdict.status == "not_certified":
+            uncertified.append((chart, verdict.detail))
+        elif chart == F.variables[0] and _clean_at_infinity(partials, F.variables):
+            break
     if not uncertified:
         return SmoothnessCertificate("smooth", None, "all charts certified")
     detail = "; ".join(f"{chart}: {why}" for chart, why in uncertified)

@@ -55,6 +55,20 @@ def test_parsing_errors():
         poly("x + $")
 
 
+@pytest.mark.parametrize("text", ["1/0*x", "x + 2/0", "0/0"])
+def test_a_zero_denominator_is_a_polynomial_error(text):
+    with pytest.raises(PolynomialError, match="zero denominator"):
+        poly(text)
+
+
+def test_evaluate_names_a_variable_without_a_value():
+    p = poly("x*y + 1")
+    with pytest.raises(PolynomialError, match="'y'"):
+        p.evaluate({"x": 1})
+    # a variable that does not occur needs no value
+    assert poly("x + 1").evaluate({"x": 2}) == 3
+
+
 def test_a_star_stands_only_between_factors():
     for text in ("x**2", "x*", "* x", "2*x - *y", "x*+y", "1/2**x"):
         with pytest.raises(PolynomialError, match="misplaced"):

@@ -1,11 +1,14 @@
 import copy
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from kstrata import quartic
-from kstrata.polynomials import Polynomial, PolynomialError
+from kstrata.polynomials import Polynomial, PolynomialError, resultant
 from kstrata.quartic import (
+    SmoothnessCertificate,
     UnknownConstructionError,
     available_constructions,
     smoothness_certificate,
@@ -43,6 +46,180 @@ def test_nodal_quartic_singular_point_is_found():
     assert cert.point is not None
     x, y, z = cert.point
     assert (x, y) == (Fraction(0), Fraction(0)) or (x, z) == (Fraction(0), Fraction(0))
+
+
+# -- the chart x = 1, the line x = 0, y = 1 and the point (0 : 0 : 1) ---------
+
+
+def three_chart_rule(F):
+    """The reference rule: all three charts checked in full, with the same helpers."""
+    partials = [F.partial_derivative(v) for v in F.variables]
+    uncertified = []
+    for chart in F.variables:
+        others = [v for v in F.variables if v != chart]
+        gs, has_unit = quartic._chart_survey(partials, chart)
+        if has_unit:
+            continue
+        if not gs:
+            uncertified.append((chart, "all partials vanish identically"))
+            continue
+        for elim, other in (others, others[::-1]):
+            ok, gcd_poly = quartic._certify_chart(gs, elim, other)
+            if ok:
+                break
+            point = quartic._search_singular_point(
+                partials, F.variables, chart, gs, gcd_poly, elim, other
+            )
+            if point is not None:
+                return SmoothnessCertificate(
+                    "singular", point, f"common zero found on chart {chart} = 1"
+                )
+        else:
+            uncertified.append((chart, "no elimination order gave a constant gcd"))
+    if not uncertified:
+        return SmoothnessCertificate("smooth", None, "all charts certified")
+    detail = "; ".join(f"{chart}: {why}" for chart, why in uncertified)
+    return SmoothnessCertificate("not_certified", None, detail)
+
+
+def chart_x_certifies(F):
+    partials = [F.partial_derivative(v) for v in XYZ]
+    return quartic._chart_certificate(partials, XYZ, "x").status == "smooth"
+
+
+def power(p, k):
+    out = Polynomial.constant(1, p.variables)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+QUARTIC_EXPONENTS = [
+    tuple(combo.count(i) for i in range(3)) for combo in combinations_with_replacement(range(3), 4)
+]
+
+
+def singular_at(rng, t):
+    """A random quartic with a singular point at (0 : 1 : t), or at (0 : 0 : 1) if t is None.
+
+    It is G(u, v, w) with every term of degree >= 2 in u, v, the coordinates
+    u = x, v = z - t*y, w = y (u = x, v = y, w = z for the point).
+    """
+    if t is None:
+        u, v, w = homog("x"), homog("y"), homog("z")
+    else:
+        u, v, w = homog("x"), homog("z") - homog("y") * t, homog("y")
+    F = Polynomial.zero(XYZ)
+    for a, b, c in QUARTIC_EXPONENTS:
+        if a + b >= 2 and rng.random() < 0.7:
+            F = F + power(u, a) * power(v, b) * power(w, c) * rng.randint(-3, 3)
+    return F
+
+
+def test_a_node_on_the_line_at_infinity_keeps_its_point_and_detail():
+    u, v, w = homog("x"), homog("z - 2*y"), homog("y")
+    F = w * w * u * v + power(u, 4) + power(v, 4) + power(u, 3) * w
+    assert chart_x_certifies(F)
+    cert = smoothness_certificate(F)
+    assert cert == SmoothnessCertificate(
+        "singular", (Fraction(0), Fraction(1), Fraction(2)), "common zero found on chart y = 1"
+    )
+    assert cert == three_chart_rule(F)
+
+
+@pytest.mark.parametrize("text", ["x*y*z^2 + x^4 + y^4", "x*y*z^2 + x^4 + y^4 - x^3*z + 2*y^3*z"])
+def test_a_node_at_the_point_at_infinity_keeps_its_point_and_detail(text):
+    F = homog(text)
+    assert chart_x_certifies(F)
+    cert = smoothness_certificate(F)
+    assert cert == SmoothnessCertificate(
+        "singular", (Fraction(0), Fraction(0), Fraction(1)), "common zero found on chart z = 1"
+    )
+    assert cert == three_chart_rule(F)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # (z^2 - 2y^2)^2 + x^4 and a perturbation by x times a cubic vanishing
+        # on z^2 = 2y^2: both are singular at (0 : 1 : +-sqrt 2)
+        "z^4 - 4*y^2*z^2 + 4*y^4 + x^4",
+        "z^4 - 4*y^2*z^2 + 4*y^4 + x^4 + x*y*z^2 - 2*x*y^3 + x^3*z",
+    ],
+)
+def test_an_irrational_singular_point_at_infinity_is_never_smooth(text):
+    F = homog(text)
+    assert chart_x_certifies(F)
+    cert = smoothness_certificate(F)
+    assert cert.status == "not_certified"
+    assert cert == three_chart_rule(F)
+
+
+def sympy_smooth(sympy, F):
+    """True if the partials of F generate the unit ideal on each affine chart."""
+    symbols = sympy.symbols(XYZ)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+        for exps, c in F.terms.items()
+    )
+    partials = [sympy.diff(expr, s) for s in symbols]
+    for chart in symbols:
+        others = [s for s in symbols if s != chart]
+        gs = [g for g in (sympy.expand(p.subs(chart, 1)) for p in partials) if g != 0]
+        if not gs or list(sympy.groebner(gs, *others, order="grevlex")) != [1]:
+            return False
+    return True
+
+
+def seeded_quartics():
+    """Dense, sparse and planted-singularity quartics, many singular or reducible."""
+    rng = random.Random(1515)
+    out = []
+    for _ in range(40):
+        out.append(Polynomial(XYZ, {e: rng.randint(-5, 5) for e in QUARTIC_EXPONENTS}))
+    for _ in range(80):
+        support = rng.sample(QUARTIC_EXPONENTS, rng.randint(2, 8))
+        out.append(Polynomial(XYZ, {e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in support}))
+    for _ in range(20):
+        out.append(singular_at(rng, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    for _ in range(20):
+        out.append(singular_at(rng, None))
+    for _ in range(10):
+        line = homog("x") * rng.randint(1, 3) + homog("z") * rng.randint(-3, 3)
+        cubic = Polynomial(XYZ, {(a, b, c - 1): rng.randint(-3, 3) for a, b, c in QUARTIC_EXPONENTS if c})
+        out.append(line * cubic)
+    return [F for F in out if not F.is_zero()]
+
+
+def test_the_line_and_point_agree_with_three_full_charts():
+    sympy = pytest.importorskip("sympy")
+    statuses = set()
+    for F in seeded_quartics():
+        new, old = smoothness_certificate(F), three_chart_rule(F)
+        statuses.add(new.status)
+        if new != old:
+            # the one change allowed: a spurious failure on chart y or z
+            assert (old.status, new) == (
+                "not_certified",
+                SmoothnessCertificate("smooth", None, "all charts certified"),
+            ), F
+            assert sympy_smooth(sympy, F), F
+    assert statuses == {"smooth", "singular", "not_certified"}
+
+
+def test_a_smooth_dense_quartic_costs_two_resultants(monkeypatch):
+    calls = []
+
+    def counting(p, q, name):
+        calls.append(name)
+        return resultant(p, q, name)
+
+    monkeypatch.setattr(quartic, "resultant", counting)
+    F = homog(
+        "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
+    )
+    assert smoothness_certificate(F).status == "smooth"
+    assert len(calls) == 2  # chart x = 1 only; three full charts took 6
 
 
 def test_smoothness_requires_homogeneous_three_variables():
