@@ -3,6 +3,11 @@
 Each ``_cmd_*`` imports the modules it runs, so a one-shot call loads only
 what its subcommand needs: ``classify`` never loads the polynomial
 arithmetic behind ``quartic-verify``.
+
+``main`` writes stdout once per call, after the command has finished, so a
+failing call writes nothing there.  ``classify --orders-file`` classifies
+every line before it writes; within the call each distinct stratum is
+parsed, classified and rendered once, and a repeated line is a lookup.
 """
 
 from __future__ import annotations
@@ -93,22 +98,63 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
+def _json_text(payload) -> str:
+    return json.dumps(_to_json(payload), indent=2, sort_keys=True)
+
+
+def _report_json(report) -> str:
+    # a report inside {"reports": [...]} sits two levels deep; JSON strings
+    # hold no raw newline, so indenting every line by 4 spaces is exact
+    return "    " + _json_text(report).replace("\n", "\n    ")
+
+
+def _lines_text(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _report_text(report) -> str:
+    return _lines_text(_report_lines(report))
+
+
+def _classify_batch(path: str, as_json: bool) -> str:
+    """The whole output of ``classify --orders-file``, in one string.
+
+    ``rendered`` lives for this call only.  It maps each canonical signature,
+    and each stripped line text, to its report in the output's form.
+    """
+    from . import classifier
+
+    render = _report_json if as_json else _report_text
+    rendered = {}
+    chunks = []
+    with open(path, encoding="utf-8") as handle:
+        for raw in handle:
+            raw = raw.strip()
+            if not raw or raw.startswith("#"):
+                continue
+            text = rendered.get(raw)
+            if text is None:
+                sig = parse_signature(raw)
+                text = rendered.get(sig)
+                if text is None:
+                    text = render(classifier.primitive_nonhyperelliptic_components(sig))
+                    rendered[sig] = text
+                rendered[raw] = text
+            chunks.append(text)
+    if not as_json:
+        return "".join(chunks)
+    if not chunks:
+        return _json_text({"reports": []}) + "\n"
+    return '{\n  "reports": [\n' + ",\n".join(chunks) + "\n  ]\n}\n"
+
+
 def _cmd_classify(args):
     from . import classifier
 
     if args.orders_file:
         if (args.k, args.genus, args.orders) != (None, None, None):
             raise StratumError("--orders-file takes no --k, --genus or --orders")
-        reports = []
-        with open(args.orders_file, encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw or raw.startswith("#"):
-                    continue
-                sig = parse_signature(raw)
-                reports.append(classifier.primitive_nonhyperelliptic_components(sig))
-        lines = (line for r in reports for line in _report_lines(r))
-        return {"reports": reports}, lines
+        return _classify_batch(args.orders_file, args.json)
     report = classifier.primitive_nonhyperelliptic_components(_signature_from_args(args))
     return report, _report_lines(report)
 
@@ -389,12 +435,14 @@ def main(argv=None) -> int:
         if args.k is None or args.genus is None or args.orders is None:
             parser.error("classify needs --k, --genus and --orders (or --orders-file)")
     try:
-        payload, lines = args.func(args)
-        if args.json:
-            print(json.dumps(_to_json(payload), indent=2, sort_keys=True))
+        result = args.func(args)
+        if isinstance(result, str):  # classify --orders-file renders its own text
+            text = result
+        elif args.json:
+            text = _json_text(result[0]) + "\n"
         else:
-            for line in lines:
-                print(line)
+            text = _lines_text(result[1])
+        sys.stdout.write(text)
         return 0
     except (ValueError, OSError) as exc:
         # the domain errors (StratumError, PolynomialError, SeriesError, ...)

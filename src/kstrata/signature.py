@@ -79,7 +79,12 @@ def parse_signature(text: str) -> StratumSignature:
         raise SignatureError(f"unparseable signature: {text!r}")
     k, genus = int(m.group(1)), int(m.group(2))
     body = m.group(3).strip()
-    orders = tuple(int(part) for part in body.split(",")) if body else ()
+    try:
+        # int() refuses the empty, doubled-sign and space-joined entries the
+        # regex lets through: "(2,)", "(--2)", "(1 1)"
+        orders = tuple(int(part) for part in body.split(",")) if body else ()
+    except ValueError:
+        raise SignatureError(f"unparseable signature: {text!r}") from None
     return validate(k, genus, orders)
 
 

@@ -1,15 +1,19 @@
+import collections
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from kstrata import cli
+from kstrata.signature import validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -458,3 +462,137 @@ def test_quartic_verify_loads_the_certification_stack():
     assert out == (GOLDEN / "quartic_verify.json").read_text(encoding="utf-8")
     # fractions may be loaded before kstrata is, by the interpreter's site hooks
     assert CERTIFICATION_STACK - {"fractions"} <= loaded
+
+
+# -- classify --orders-file ---------------------------------------------------
+
+# One stratum per descriptor kind, empty reason and note the classifier has.
+BATCH_SPECIALS = [
+    (3, 2, (6,)),  # generic
+    (5, 2, (10,)),  # arf
+    (1, 3, (6, -1, -1)),  # relative_arf
+    (3, 3, (12,)),  # cubic_sporadic
+    (3, 1, (6, -6)),  # genus_one
+    (1, 0, (1, -3)),  # genus-zero note
+    (2, 0, (2, -6)),  # Imprimitive
+    (1, 2, (2,)),  # NoPrimitiveNonhyperelliptic
+    (1, 1, (1, -1)),  # NoPrimitiveNonhyperelliptic in genus one
+    (1, 2, (3, -1)),  # EmptyStratum
+]
+
+
+def seeded_signatures(rng, count):
+    """Valid signatures with nonzero orders: k 1-8, genus 0-4, 1-6 entries."""
+    out = []
+    while len(out) < count:
+        k, genus = rng.randint(1, 8), rng.randint(0, 4)
+        orders = [rng.randint(-2 * k, 3 * k) for _ in range(rng.randint(0, 5))]
+        orders.append(k * (2 * genus - 2) - sum(orders))
+        if 0 not in orders and abs(orders[-1]) <= 6 * k:
+            out.append((k, genus, tuple(orders)))
+    return out
+
+
+def signature_line(k, genus, orders):
+    return f"k:{k} g:{genus} orders:({','.join(map(str, orders))})"
+
+
+def write_batch(path, signatures):
+    path.write_text("".join(signature_line(*s) + "\n" for s in signatures), encoding="utf-8")
+    return path
+
+
+def test_batch_output_equals_the_single_calls(tmp_path):
+    rng = random.Random(16)
+    pool = BATCH_SPECIALS + seeded_signatures(rng, 150)
+    entries = [rng.choice(pool) for _ in range(400)] + BATCH_SPECIALS
+    rng.shuffle(entries)
+    lines, singles = ["# a sweep with repeats", ""], []
+    for k, genus, orders in entries:
+        orders = list(orders)
+        rng.shuffle(orders)
+        line = signature_line(k, genus, orders)
+        lines.append(line if rng.random() < 0.8 else f"  {line.replace(':', ': ')}  ")
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# comment", "   "]))
+        singles.append(["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))])
+    batch = tmp_path / "strata.txt"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    expected = {"human": "", "json": []}
+    for argv in singles:
+        expected["human"] += run_cli(argv)[1]
+        expected["json"].append(json.loads(run_cli([*argv, "--json"])[1]))
+    assert run_cli(["classify", "--orders-file", str(batch)]) == (0, expected["human"], "")
+    assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (
+        0, json.dumps({"reports": expected["json"]}, indent=2, sort_keys=True) + "\n", "",
+    )
+    kinds = {c["type"] for r in expected["json"] for c in r["components"]}
+    assert kinds == {"generic", "arf", "relative_arf", "cubic_sporadic", "genus_one"}
+    assert {r.get("empty_reason") for r in expected["json"]} == {
+        None, "Imprimitive", "NoPrimitiveNonhyperelliptic", "EmptyStratum",
+    }
+
+
+def test_empty_batch(tmp_path):
+    batch = tmp_path / "strata.txt"
+    batch.write_text("# nothing to classify\n\n", encoding="utf-8")
+    assert run_cli(["classify", "--orders-file", str(batch)]) == (0, "", "")
+    assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, '{\n  "reports": []\n}\n', "")
+
+
+def test_batch_rejects_a_malformed_orders_list(tmp_path):
+    batch = tmp_path / "strata.txt"
+    batch.write_text("k:5 g:2 orders:(10)\nk:1 g:2 orders:(2,)\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert run_cli(["classify", "--orders-file", str(batch), *mode]) == (
+            2, "", "error: unparseable signature: 'k:1 g:2 orders:(2,)'\n",
+        )
+
+
+def test_batch_with_a_bad_last_line_writes_nothing(tmp_path):
+    signatures = seeded_signatures(random.Random(2000), 2000)
+    batch = write_batch(tmp_path / "strata.txt", signatures)
+    with batch.open("a", encoding="utf-8") as handle:
+        handle.write("k:3 g:2 orders:(5)\n")
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli(["classify", "--orders-file", str(batch), *mode])
+        assert (code, out) == (2, "")
+        assert err == "error: orders (5,) sum to 5, expected k(2g-2) = 6\n"
+
+
+def test_batch_classifies_each_distinct_stratum_once_per_call(tmp_path, monkeypatch):
+    from kstrata import classifier
+
+    seen = collections.Counter()
+    classify = classifier.primitive_nonhyperelliptic_components
+
+    def counting(sig):
+        seen[sig] += 1
+        return classify(sig)
+
+    monkeypatch.setattr(classifier, "primitive_nonhyperelliptic_components", counting)
+    signatures = seeded_signatures(random.Random(3), 300)
+    signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:100]]
+    batch = write_batch(tmp_path / "strata.txt", signatures)
+    distinct = {validate(*s) for s in signatures}
+    assert len(distinct) < len(signatures)
+    for calls in (1, 2):
+        assert run_cli(["classify", "--orders-file", str(batch), "--json"])[0] == 0
+        assert seen == {sig: calls for sig in distinct}
+
+
+def test_batch_json_peak_memory_stays_near_its_output(tmp_path):
+    batch = write_batch(tmp_path / "strata.txt", seeded_signatures(random.Random(5), 5000))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            assert cli.main(["classify", "--orders-file", str(batch), "--json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    # the output string, its copy in the StringIO and one rendered text per
+    # distinct stratum; a whole-payload tree and encoder chunk list is ~13x
+    assert peak < 8 * size, f"peak {peak} bytes for {size} bytes of output"

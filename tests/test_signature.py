@@ -58,6 +58,14 @@ def test_parse_rejects_garbage():
         parse_signature("k=3 g=2 (6)")
 
 
+@pytest.mark.parametrize("body", ["(2,)", "(,2)", "(1,,1)", "(1 1)", "(--2)", "(-)", "(2-)"])
+def test_parse_rejects_malformed_orders_lists(body):
+    text = f"k:1 g:2 orders:{body}"
+    with pytest.raises(SignatureError) as exc:
+        parse_signature(text)
+    assert str(exc.value) == f"unparseable signature: {text!r}"
+
+
 @pytest.mark.parametrize(
     "k, genus, orders, expected",
     [(1, 1, (6, -6), 6), (2, 1, (2, 2, -4), 2), (1, 1, (3, 1, -4), 1)],
