@@ -5,9 +5,10 @@ what its subcommand needs: ``classify`` never loads the polynomial
 arithmetic behind ``quartic-verify``.
 
 ``main`` writes stdout once per call, after the command has finished, so a
-failing call writes nothing there.  ``classify --orders-file`` classifies
-every line before it writes; within the call each distinct stratum is
-parsed, classified and rendered once, and a repeated line is a lookup.
+failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
+``--json`` and the lines for the human form; ``classify --orders-file`` is
+``_classify_batch``, which classifies every line before it renders, each
+distinct stratum once, and encodes its JSON reports in a few encoder runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .signature import StratumSignature, check_index, format_signature, parse_si
 
 def _orders(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise StratumError(f"bad orders list {text!r}: {exc}") from None
 
@@ -102,59 +103,66 @@ def _json_text(payload) -> str:
     return json.dumps(_to_json(payload), indent=2, sort_keys=True)
 
 
-def _report_json(report) -> str:
-    # a report inside {"reports": [...]} sits two levels deep; JSON strings
-    # hold no raw newline, so indenting every line by 4 spaces is exact
-    return "    " + _json_text(report).replace("\n", "\n    ")
-
-
 def _lines_text(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _report_text(report) -> str:
-    return _lines_text(_report_lines(report))
+# {"reports": [...]} as json.dumps(..., indent=2) writes it around its reports,
+# and the line that closes one report
+_REPORTS_HEAD, _REPORTS_TAIL, _REPORT_END = '{\n  "reports": [\n', "\n  ]\n}", "\n    }"
+# reports per encoder run: enough to spread its set-up, few enough that its
+# chunk list stays small next to the output
+_REPORTS_PER_RUN = 1000
 
 
-def _classify_batch(path: str, as_json: bool) -> str:
+def _report_json_texts(reports) -> list[str]:
+    """Each report's text inside ``{"reports": [...]}``, in runs of the encoder.
+
+    JSON strings hold no raw newline, so a line ``    },`` closes a report
+    and nothing else.
+    """
+    texts = []
+    for start in range(0, len(reports), _REPORTS_PER_RUN):
+        run = _json_text({"reports": reports[start:start + _REPORTS_PER_RUN]})
+        body = run[len(_REPORTS_HEAD):-len(_REPORTS_TAIL)] + ",\n"
+        texts += [piece + _REPORT_END for piece in body.split(_REPORT_END + ",\n")[:-1]]
+    return texts
+
+
+def _classify_batch(args) -> str:
     """The whole output of ``classify --orders-file``, in one string.
 
-    ``rendered`` lives for this call only.  It maps each canonical signature,
-    and each stripped line text, to its report in the output's form.
+    ``index`` lives for this call only.  It maps each canonical signature to
+    its place among the distinct reports, so each distinct stratum is
+    classified and rendered once and a repeated one is a lookup.
     """
     from . import classifier
 
-    render = _report_json if as_json else _report_text
-    rendered = {}
-    chunks = []
-    with open(path, encoding="utf-8") as handle:
+    if (args.k, args.genus, args.orders) != (None, None, None):
+        raise StratumError("--orders-file takes no --k, --genus or --orders")
+    index, reports, order = {}, [], []
+    with open(args.orders_file, encoding="utf-8") as handle:
         for raw in handle:
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
-            text = rendered.get(raw)
-            if text is None:
-                sig = parse_signature(raw)
-                text = rendered.get(sig)
-                if text is None:
-                    text = render(classifier.primitive_nonhyperelliptic_components(sig))
-                    rendered[sig] = text
-                rendered[raw] = text
-            chunks.append(text)
-    if not as_json:
-        return "".join(chunks)
-    if not chunks:
+            sig = parse_signature(raw)
+            i = index.setdefault(sig, len(reports))
+            if i == len(reports):
+                reports.append(classifier.primitive_nonhyperelliptic_components(sig))
+            order.append(i)
+    if not args.json:
+        texts = [_lines_text(_report_lines(report)) for report in reports]
+        return "".join(texts[i] for i in order)
+    if not reports:
         return _json_text({"reports": []}) + "\n"
-    return '{\n  "reports": [\n' + ",\n".join(chunks) + "\n  ]\n}\n"
+    texts = _report_json_texts(reports)
+    return _REPORTS_HEAD + ",\n".join(texts[i] for i in order) + _REPORTS_TAIL + "\n"
 
 
 def _cmd_classify(args):
     from . import classifier
 
-    if args.orders_file:
-        if (args.k, args.genus, args.orders) != (None, None, None):
-            raise StratumError("--orders-file takes no --k, --genus or --orders")
-        return _classify_batch(args.orders_file, args.json)
     report = classifier.primitive_nonhyperelliptic_components(_signature_from_args(args))
     return report, _report_lines(report)
 
@@ -431,17 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "classify" and not args.orders_file:
+    batch = args.command == "classify" and args.orders_file
+    if args.command == "classify" and not batch:
         if args.k is None or args.genus is None or args.orders is None:
             parser.error("classify needs --k, --genus and --orders (or --orders-file)")
     try:
-        result = args.func(args)
-        if isinstance(result, str):  # classify --orders-file renders its own text
-            text = result
-        elif args.json:
-            text = _json_text(result[0]) + "\n"
+        if batch:
+            text = _classify_batch(args)
         else:
-            text = _lines_text(result[1])
+            payload, lines = args.func(args)
+            text = _json_text(payload) + "\n" if args.json else _lines_text(lines)
         sys.stdout.write(text)
         return 0
     except (ValueError, OSError) as exc:

@@ -116,6 +116,19 @@ REJECTED_CASES = {
         ["classify", "--orders-file", "strata.txt", "--orders", "6"],
         "--orders-file takes no --k, --genus or --orders",
     ),
+    "classify_orders_trailing_comma": (
+        ["classify", "--k", "1", "--genus", "2", "--orders", "2,"], "bad orders list '2,'",
+    ),
+    "classify_orders_leading_comma": (
+        ["classify", "--k", "1", "--genus", "2", "--orders", ",2"], "bad orders list ',2'",
+    ),
+    "classify_orders_doubled_comma": (
+        ["classify", "--k", "1", "--genus", "2", "--orders", "1,,1"], "bad orders list '1,,1'",
+    ),
+    "prong_rest_trailing_comma": (
+        ["prong", "--k", "3", "--a", "1", "--b", "1", "--rotation", "1", "--rest=-2,"],
+        "bad orders list '-2,'",
+    ),
     "prong_rest_without_rotation": (
         ["prong", "--k", "3", "--a", "1", "--b", "1", "--rest=-2"], "--rest needs --rotation",
     ),
@@ -534,6 +547,21 @@ def test_batch_output_equals_the_single_calls(tmp_path):
     }
 
 
+@pytest.mark.parametrize("per_run", [1, 7, None])
+def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path, monkeypatch, per_run):
+    from kstrata import classifier
+
+    if per_run is not None:
+        monkeypatch.setattr(cli, "_REPORTS_PER_RUN", per_run)
+    signatures = seeded_signatures(random.Random(7), 2500)
+    signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:500]]
+    batch = write_batch(tmp_path / "strata.txt", signatures)
+    reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
+    assert len(set(reports)) > 1000  # more than one encoder run at the default
+    expected = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
+    assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, expected + "\n", "")
+
+
 def test_empty_batch(tmp_path):
     batch = tmp_path / "strata.txt"
     batch.write_text("# nothing to classify\n\n", encoding="utf-8")
@@ -541,12 +569,13 @@ def test_empty_batch(tmp_path):
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, '{\n  "reports": []\n}\n', "")
 
 
-def test_batch_rejects_a_malformed_orders_list(tmp_path):
+@pytest.mark.parametrize("body", ["2,", ",2", "1,,1"])
+def test_batch_rejects_a_malformed_orders_list(tmp_path, body):
     batch = tmp_path / "strata.txt"
-    batch.write_text("k:5 g:2 orders:(10)\nk:1 g:2 orders:(2,)\n", encoding="utf-8")
+    batch.write_text(f"k:5 g:2 orders:(10)\nk:1 g:2 orders:({body})\n", encoding="utf-8")
     for mode in ([], ["--json"]):
         assert run_cli(["classify", "--orders-file", str(batch), *mode]) == (
-            2, "", "error: unparseable signature: 'k:1 g:2 orders:(2,)'\n",
+            2, "", f"error: unparseable signature: 'k:1 g:2 orders:({body})'\n",
         )
 
 
