@@ -622,6 +622,7 @@ def test_batch_json_peak_memory_stays_near_its_output(tmp_path):
     finally:
         tracemalloc.stop()
     size = len(out.getvalue())
-    # the output string, its copy in the StringIO and one rendered text per
-    # distinct stratum; a whole-payload tree and encoder chunk list is ~13x
+    # the output string, its copy in the StringIO, one text per distinct
+    # stratum and one encoder run's chunk list; a whole-payload tree and
+    # encoder chunk list is ~13x
     assert peak < 8 * size, f"peak {peak} bytes for {size} bytes of output"
