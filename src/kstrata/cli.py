@@ -7,8 +7,10 @@ arithmetic behind ``quartic-verify``.
 ``main`` writes stdout once per call, after the command has finished, so a
 failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
 ``--json`` and the lines for the human form; ``classify --orders-file`` is
-``_classify_batch``, which classifies every line before it renders, each
-distinct stratum once, and encodes its JSON reports in a few encoder runs.
+``_classify_batch``, which parses and classifies every line before it
+renders.  It parses each distinct line text once, classifies each distinct
+stratum once and renders each distinct report body once, its JSON in a few
+encoder runs.
 """
 
 from __future__ import annotations
@@ -89,7 +91,12 @@ def _describe(descriptor) -> str:
 
 
 def _report_lines(report) -> list[str]:
-    lines = [f"{format_signature(report.signature)}", f"components: {report.count}"]
+    return [format_signature(report.signature), *_body_lines(report)]
+
+
+def _body_lines(report) -> list[str]:
+    """A report's human lines after its signature line."""
+    lines = [f"components: {report.count}"]
     for descriptor in report.components:
         lines.append(f"  - {_describe(descriptor)}")
     if report.empty_reason:
@@ -115,48 +122,81 @@ _REPORTS_HEAD, _REPORTS_TAIL, _REPORT_END = '{\n  "reports": [\n', "\n  ]\n}", "
 _REPORTS_PER_RUN = 1000
 
 
-def _report_json_texts(reports) -> list[str]:
-    """Each report's text inside ``{"reports": [...]}``, in runs of the encoder.
+# the signature of a report body while it is encoded: json writes it as
+# "\u0000", and no other string in a report holds a control character
+_BLANK = "\0"
+_BLANK_JSON = json.dumps(_BLANK)
 
-    JSON strings hold no raw newline, so a line ``    },`` closes a report
-    and nothing else.
+
+def _body_key(report):
+    return report.count, report.components, report.empty_reason, report.note
+
+
+def _body_json_halves(bodies) -> list[list[str]]:
+    """Each body's text inside ``{"reports": [...]}``, split at its signature.
+
+    A body is encoded as a report whose signature is ``_BLANK``, in runs of
+    the encoder.  JSON strings hold no raw newline, so a line ``    },``
+    closes a report and nothing else.
     """
-    texts = []
-    for start in range(0, len(reports), _REPORTS_PER_RUN):
-        run = _json_text({"reports": reports[start:start + _REPORTS_PER_RUN]})
-        body = run[len(_REPORTS_HEAD):-len(_REPORTS_TAIL)] + ",\n"
-        texts += [piece + _REPORT_END for piece in body.split(_REPORT_END + ",\n")[:-1]]
-    return texts
+    halves = []
+    for start in range(0, len(bodies), _REPORTS_PER_RUN):
+        run = [_to_json(report) for report in bodies[start:start + _REPORTS_PER_RUN]]
+        for payload in run:
+            payload["signature"] = _BLANK
+        text = json.dumps({"reports": run}, indent=2, sort_keys=True)
+        text = text[len(_REPORTS_HEAD):-len(_REPORTS_TAIL)] + ",\n"
+        for piece in text.split(_REPORT_END + ",\n")[:-1]:
+            pair = (piece + _REPORT_END).split(_BLANK_JSON)
+            if len(pair) != 2:
+                raise RuntimeError(f"report body {piece!r} holds {_BLANK_JSON} {len(pair) - 1} times")
+            halves.append(pair)
+    return halves
 
 
 def _classify_batch(args) -> str:
     """The whole output of ``classify --orders-file``, in one string.
 
-    ``index`` lives for this call only.  It maps each canonical signature to
-    its place among the distinct reports, so each distinct stratum is
-    classified and rendered once and a repeated one is a lookup.
+    Three memos, which live for this call only, do each distinct piece of
+    work once.  ``by_text`` maps a stripped line text to its stratum, so a
+    repeated text costs one lookup; ``by_sig`` maps a canonical signature to
+    its place among the distinct strata, each classified once; ``by_body``
+    maps a report body, the report less its signature, to its place among
+    the distinct bodies, each rendered once.  A stratum's text is its
+    signature spliced into its body's text.
     """
     from . import classifier
 
     if (args.k, args.genus, args.orders) != (None, None, None):
         raise StratumError("--orders-file takes no --k, --genus or --orders")
-    index, reports, order = {}, [], []
+    by_text, by_sig, by_body = {}, {}, {}
+    strata, bodies, order = [], [], []  # strata: (signature, body index)
     with open(args.orders_file, encoding="utf-8") as handle:
         for raw in handle:
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
-            sig = parse_signature(raw)
-            i = index.setdefault(sig, len(reports))
-            if i == len(reports):
-                reports.append(classifier.primitive_nonhyperelliptic_components(sig))
+            i = by_text.get(raw)
+            if i is None:
+                sig = parse_signature(raw)
+                i = by_text[raw] = by_sig.setdefault(sig, len(strata))
+                if i == len(strata):
+                    report = classifier.primitive_nonhyperelliptic_components(sig)
+                    b = by_body.setdefault(_body_key(report), len(bodies))
+                    if b == len(bodies):
+                        bodies.append(report)
+                    strata.append((sig, b))
             order.append(i)
     if not args.json:
-        texts = [_lines_text(_report_lines(report)) for report in reports]
+        tails = [_lines_text(_body_lines(report)) for report in bodies]
+        texts = [f"{format_signature(sig)}\n{tails[b]}" for sig, b in strata]
         return "".join(texts[i] for i in order)
-    if not reports:
+    if not strata:
         return _json_text({"reports": []}) + "\n"
-    texts = _report_json_texts(reports)
+    halves = _body_json_halves(bodies)
+    texts = [
+        f"{halves[b][0]}{json.dumps(format_signature(sig))}{halves[b][1]}" for sig, b in strata
+    ]
     return _REPORTS_HEAD + ",\n".join(texts[i] for i in order) + _REPORTS_TAIL + "\n"
 
 
@@ -183,7 +223,7 @@ def _cmd_breakdown(args):
     lines = [format_signature(sig)]
     for row in rows:
         lines.append(f"d={row.divisor}: {format_signature(row.signature)}")
-        lines.extend("  " + line for line in _report_lines(row.report)[1:])
+        lines.extend("  " + line for line in _body_lines(row.report))
     return payload, lines
 
 

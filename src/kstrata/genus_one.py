@@ -58,7 +58,10 @@ def nonempty_rotations(orders) -> tuple[int, ...]:
     locus where those two points coincide, so it is empty and excluded;
     marked points neither count toward the two nor change d.
     """
-    d = math.gcd(*orders)
+    return _nonempty_rotations(orders, math.gcd(*orders))
+
+
+def _nonempty_rotations(orders, d: int) -> tuple[int, ...]:
     if d == 0:
         return ()
     rotations = [d // e for e in divisors(d)]
@@ -73,14 +76,15 @@ def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
     if not any(sig.orders):
         raise SignatureError("all orders are zero: no differential is prescribed")
     d = gcd_orders(sig)
+    hyperelliptic = _hyperelliptic_rotation(tuple(sorted(sig.orders)))
     return tuple(
         GenusOneComponent(
             rotation=r,
             torsion_order=d // r,
             primitive=math.gcd(sig.k, r) == 1,
-            hyperelliptic=hyperelliptic_genus_one(sig.k, sig.orders, r),
+            hyperelliptic=r == hyperelliptic,
         )
-        for r in nonempty_rotations(sig.orders)
+        for r in _nonempty_rotations(sig.orders, d)
     )
 
 
@@ -91,15 +95,20 @@ def hyperelliptic_genus_one(k: int, orders, rotation: int) -> bool:
     (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
     """
     _check_rotation(rotation, math.gcd(*orders))
-    r = rotation
-    multiset = tuple(sorted(orders))
-    patterns = (
-        (-r, -r, r, r),
-        (-r, -r, 2 * r),
-        (-2 * r, r, r),
-        (-2 * r, 2 * r),
-    )
-    return multiset in patterns
+    return _hyperelliptic_rotation(tuple(sorted(orders))) == rotation
+
+
+def _hyperelliptic_rotation(multiset: tuple[int, ...]) -> int:
+    """The one rotation r whose component is hyperelliptic, or 0 if none.
+
+    ``multiset`` is ascending.  Its largest entry is r in the patterns
+    (-r, -r, r, r) and (-2r, r, r), and 2r in (-r, -r, 2r) and (-2r, 2r).
+    """
+    top = multiset[-1]
+    for r in (top, top // 2):
+        if multiset in ((-r, -r, r, r), (-r, -r, 2 * r), (-2 * r, r, r), (-2 * r, 2 * r)):
+            return r
+    return 0
 
 
 def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge:

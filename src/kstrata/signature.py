@@ -52,16 +52,19 @@ def validate(k, genus, orders) -> StratumSignature:
     Raises SignatureError when k <= 0, genus < 0, or the orders do not sum
     to k(2*genus - 2).
     """
-    k = int(k)
-    genus = int(genus)
-    orders = tuple(int(o) for o in orders)
+    return _canonical(int(k), int(genus), tuple(int(o) for o in orders))
+
+
+def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> StratumSignature:
+    """``validate`` on values that are already ints."""
     check_k(k)
     if genus < 0:
         raise SignatureError(f"genus must be non-negative, got {genus}")
     expected = k * (2 * genus - 2)
-    if sum(orders) != expected:
+    total = sum(orders)
+    if total != expected:
         raise SignatureError(
-            f"orders {orders} sum to {sum(orders)}, expected k(2g-2) = {expected}"
+            f"orders {orders} sum to {total}, expected k(2g-2) = {expected}"
         )
     return StratumSignature(k, genus, tuple(sorted(orders, reverse=True)))
 
@@ -77,15 +80,16 @@ def parse_signature(text: str) -> StratumSignature:
     m = _SIGNATURE_RE.match(text)
     if m is None:
         raise SignatureError(f"unparseable signature: {text!r}")
-    k, genus = int(m.group(1)), int(m.group(2))
     body = m.group(3).strip()
     try:
         # int() refuses the empty, doubled-sign and space-joined entries the
-        # regex lets through: "(2,)", "(--2)", "(1 1)"
-        orders = tuple(int(part) for part in body.split(",")) if body else ()
+        # regex lets through: "(2,)", "(--2)", "(1 1)"; and any integer
+        # longer than the interpreter's digit limit
+        k, genus = int(m.group(1)), int(m.group(2))
+        orders = tuple(map(int, body.split(","))) if body else ()
     except ValueError:
         raise SignatureError(f"unparseable signature: {text!r}") from None
-    return validate(k, genus, orders)
+    return _canonical(k, genus, orders)
 
 
 def check_k(k: int) -> None:

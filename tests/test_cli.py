@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import io
 import json
 import os
@@ -456,11 +457,17 @@ def loaded_by(argv):
     return out, set(modules)
 
 
-def test_classify_loads_no_certification_stack():
-    out, loaded = loaded_by(GOLDEN_CASES["classify"])
+def test_classify_loads_no_certification_stack(tmp_path):
+    out, single = loaded_by(GOLDEN_CASES["classify"])
     assert out == (GOLDEN / "classify.json").read_text(encoding="utf-8")
-    assert "kstrata.classifier" in loaded
-    assert not loaded & CERTIFICATION_STACK
+    assert "kstrata.classifier" in single
+    assert not single & CERTIFICATION_STACK
+    batch = write_batch(tmp_path / "strata.txt", BATCH_SPECIALS)
+    for mode in ([], ["--json"]):
+        argv = ["classify", "--orders-file", str(batch), *mode]
+        out, loaded = loaded_by(argv)
+        assert out == run_cli(argv)[1]
+        assert loaded <= single
 
 
 @pytest.mark.parametrize("name", ["cylinder", "arf"])
@@ -553,11 +560,11 @@ def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path, monkeypatch
 
     if per_run is not None:
         monkeypatch.setattr(cli, "_REPORTS_PER_RUN", per_run)
-    signatures = seeded_signatures(random.Random(7), 2500)
+    signatures = seeded_signatures(random.Random(7), 2500) + genus_one_sweep(1100)
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:500]]
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
-    assert len(set(reports)) > 1000  # more than one encoder run at the default
+    assert len({cli._body_key(r) for r in reports}) > 1000  # more than one encoder run at the default
     expected = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, expected + "\n", "")
 
@@ -626,3 +633,78 @@ def test_batch_json_peak_memory_stays_near_its_output(tmp_path):
     # stratum and one encoder run's chunk list; a whole-payload tree and
     # encoder chunk list is ~13x
     assert peak < 8 * size, f"peak {peak} bytes for {size} bytes of output"
+
+
+def test_batch_rejects_an_integer_past_the_digit_limit(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    line = f"k:{'9' * (limit + 1)} g:1 orders:()"
+    batch = tmp_path / "strata.txt"
+    batch.write_text(f"k:5 g:2 orders:(10)\n{line}\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert run_cli(["classify", "--orders-file", str(batch), *mode]) == (
+            2, "", f"error: unparseable signature: {line!r}\n",
+        )
+
+
+def test_batch_parses_each_distinct_line_text_once_per_call(tmp_path, monkeypatch):
+    seen = collections.Counter()
+    parse = cli.parse_signature
+
+    def counting(text):
+        seen[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_signature", counting)
+    signatures = seeded_signatures(random.Random(4), 300)
+    lines = [signature_line(*s) for s in signatures]
+    # the same texts padded, and the same strata written another way
+    lines += [f"  {line}\t" for line in lines[:100]]
+    lines += [signature_line(k, g, orders[::-1]) for k, g, orders in signatures[:100]]
+    batch = tmp_path / "strata.txt"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    texts = {line.strip() for line in lines}
+    assert len(texts) < len(lines)
+    for calls, mode in ((1, ["--json"]), (2, [])):
+        assert run_cli(["classify", "--orders-file", str(batch), *mode])[0] == 0
+        assert seen == {text: calls for text in texts}
+
+
+def genus_one_sweep(count):
+    """k:1 g:1 orders:(2d,3d,-5d): each d has its own rotations, so its own report body."""
+    return [(1, 1, (2 * d, 3 * d, -5 * d)) for d in range(1, count + 1)]
+
+
+def test_genus_one_sweep_equals_the_single_calls(tmp_path, monkeypatch):
+    from kstrata import classifier
+
+    monkeypatch.setattr(cli, "_REPORTS_PER_RUN", 7)
+    signatures = genus_one_sweep(60)
+    signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[::5]] + signatures[:10]
+    batch = write_batch(tmp_path / "strata.txt", signatures)
+    reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
+    assert len({cli._body_key(r) for r in reports}) > 7
+    singles = {}
+    for k, genus, orders in set(signatures):
+        argv = ["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))]
+        singles[k, genus, orders] = run_cli(argv)[1], json.loads(run_cli([*argv, "--json"])[1])
+    human = "".join(singles[s][0] for s in signatures)
+    assert run_cli(["classify", "--orders-file", str(batch)]) == (0, human, "")
+    payload = json.dumps({"reports": [singles[s][1] for s in signatures]}, indent=2, sort_keys=True)
+    assert payload == json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
+    assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, payload + "\n", "")
+
+
+def test_batch_json_refuses_a_body_that_holds_the_blank_signature(tmp_path, monkeypatch):
+    from kstrata import classifier
+
+    classify = classifier.primitive_nonhyperelliptic_components
+    monkeypatch.setattr(
+        classifier, "primitive_nonhyperelliptic_components",
+        lambda sig: dataclasses.replace(classify(sig), note=cli._BLANK),
+    )
+    batch = write_batch(tmp_path / "strata.txt", BATCH_SPECIALS)
+    code, out, err = run_cli(["classify", "--orders-file", str(batch), "--json"])
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: RuntimeError(") and "2 times" in err

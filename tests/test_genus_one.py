@@ -207,3 +207,36 @@ def test_default_witness_always_reaches_sphere():
             a1, a2 = default_split_witness(k, a, rotation)
             assert a1 + a2 == a - 2 * k and min(a1, a2) > -k
             assert split_to_sphere(sig, rotation, idx, a1, a2)
+
+
+def hyperelliptic_reference(orders, r):
+    return tuple(sorted(orders)) in ((-r, -r, r, r), (-r, -r, 2 * r), (-2 * r, r, r), (-2 * r, 2 * r))
+
+
+def test_components_agree_with_per_rotation_calls():
+    rng = random.Random(17)
+    shapes = [(1, 1, -1, -1), (2, -1, -1), (-2, 1, 1), (2, -2)]
+    seen = set()
+    for _ in range(500):
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            scale = rng.randint(1, 12)
+            body = [scale * o for o in rng.choice(shapes)]
+        else:
+            body = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+            body.append(-sum(body))
+        if rng.random() < 0.2:
+            body.append(0)
+        if not any(body):
+            continue
+        sig = validate(k, 1, body)
+        comps = components(sig)
+        assert tuple(c.rotation for c in comps) == nonempty_rotations(sig.orders)
+        for c in comps:
+            assert c.hyperelliptic == hyperelliptic_genus_one(k, sig.orders, c.rotation)
+        d = gcd_orders(sig)
+        for r in (d // e for e in divisors(d)):
+            expected = hyperelliptic_reference(sig.orders, r)
+            assert hyperelliptic_genus_one(k, sig.orders, r) == expected
+            seen.add(expected)
+    assert seen == {True, False}

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -64,6 +65,51 @@ def test_parse_rejects_malformed_orders_lists(body):
     with pytest.raises(SignatureError) as exc:
         parse_signature(text)
     assert str(exc.value) == f"unparseable signature: {text!r}"
+
+
+@pytest.mark.parametrize(
+    "template", ["k:{n} g:1 orders:()", "k:1 g:{n} orders:()", "k:1 g:1 orders:({n},-{n})"]
+)
+def test_parse_rejects_integers_past_the_digit_limit(template):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    text = template.format(n="9" * (limit + 1))
+    with pytest.raises(SignatureError) as exc:
+        parse_signature(text)
+    assert str(exc.value) == f"unparseable signature: {text!r}"
+
+
+def test_parse_agrees_with_validate_on_any_rendering():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(-2, 9),
+        st.integers(-2, 5),
+        st.lists(st.integers(-40, 40), max_size=6),
+        st.booleans(),
+        st.data(),
+    )
+    def agree(k, genus, orders, balanced, data):
+        if balanced:
+            orders.append(k * (2 * genus - 2) - sum(orders))
+        orders = data.draw(st.permutations(orders))
+        space = st.text(" \t", max_size=2)
+        pad, gap = (lambda: data.draw(space)), (lambda: data.draw(space.map(" ".__add__)))
+        body = ",".join(f"{pad()}{o}{pad()}" for o in orders)
+        text = f"{pad()}k:{pad()}{k}{gap()}g:{pad()}{genus}{gap()}orders:{pad()}({body}){pad()}"
+        try:
+            expected = validate(k, genus, orders)
+        except SignatureError as exc:
+            with pytest.raises(SignatureError) as parsed:
+                parse_signature(text)
+            assert str(parsed.value) == str(exc)
+        else:
+            assert parse_signature(text) == expected
+
+    agree()
 
 
 @pytest.mark.parametrize(
