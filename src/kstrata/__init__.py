@@ -70,14 +70,7 @@ _HOMES = {
         "smoothness_certificate",
         "verify_sporadic",
     ),
-    "series": (
-        "AtLeast",
-        "PowerSeries",
-        "SeriesError",
-        "branch_series",
-        "tangent_contact_order",
-        "vanishing_order",
-    ),
+    "series": ("PowerSeries", "SeriesError", "branch_series", "intersection_multiplicity"),
     "signature": (
         "StratumSignature",
         "format_signature",

@@ -30,8 +30,14 @@ class SymplecticFramingValues:
 
     @classmethod
     def from_signature(cls, sig: StratumSignature, pairs) -> "SymplecticFramingValues":
+        """Values on a symplectic basis, one (a_i, b_i) pair per handle."""
+        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        if len(pairs) != sig.genus:
+            raise SignatureError(
+                f"genus {sig.genus} needs {sig.genus} symplectic pairs, got {len(pairs)}"
+            )
         boundary = tuple(boundary_framing_value(sig.k, o) for o in sig.orders)
-        return cls(sig.k, tuple((int(a), int(b)) for a, b in pairs), boundary)
+        return cls(sig.k, pairs, boundary)
 
 
 def arf(pairs) -> int:

@@ -3,7 +3,9 @@
 Verifies, in exact rational arithmetic, that the embedded quartic
 constructions behave as claimed: the curve is smooth, the marked branch has
 the stated expansion, the cubic meets it to order 12, and the tangency at
-the marked point has the stated contact order.
+the marked point has the stated contact order.  The contact orders are
+intersection numbers at the marked point, computed without series; only the
+branch expansion depends on a precision.
 
 Smoothness is checked over the disjoint union P^2 = A^2, A^1, {pt} (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
@@ -26,7 +28,7 @@ from .polynomials import (
     rational_roots,
     resultant,
 )
-from .series import branch_series, require_x_axis_tangent, vanishing_order
+from .series import branch_series, intersection_multiplicity, require_x_axis_tangent
 
 
 class UnknownConstructionError(ValueError):
@@ -203,7 +205,11 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
 def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport:
     """Run every certification check for one embedded quartic construction.
 
-    The precision must cover the order-12 contact checks.
+    The contact orders are the intersection numbers of the affine quartic
+    f with the cubic, the quadratic and the x-axis at the origin, a simple
+    point of f, so they are exact.  The precision sets how far the branch
+    series of f is computed; its first 13 coefficients are compared with the
+    data file, so it must be at least 12.
     """
     if precision < 12:
         raise ValueError(f"precision {precision} cannot resolve the order-12 checks")
@@ -229,20 +235,23 @@ def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport
     affine2 = Polynomial(("x", "y"), {e[:2]: c for e, c in affine.items()})
     check("affine_form_matches_quartic", f, affine2)
 
+    # raises unless the origin is a simple point of f, where the intersection
+    # numbers below are orders of vanishing along its branch
     phi = branch_series(f, precision)
     wanted = [Fraction(0)] * 13
     for key, value in data["branch_coefficients"].items():
         wanted[int(key)] = Fraction(value)
     check("branch_series", _series_text(wanted), _series_text(phi.coefficients[:13]))
-    check("cubic_vanishing_order", expected["cubic_order"], vanishing_order(g, phi, precision))
+    check("cubic_vanishing_order", expected["cubic_order"], intersection_multiplicity(f, g))
     if "quadratic" in data:
         h = Polynomial.from_string(data["quadratic"], ("x", "y"))
-        order = vanishing_order(h, phi, min(7, precision))
+        order = intersection_multiplicity(f, h)
         check("quadratic_vanishing_order", expected["quadratic_order"], order)
 
     require_x_axis_tangent(f)
     # the contact order of the x-axis with the branch
-    check("tangent_contact_order", expected["contact_order"], phi.valuation())
+    y = Polynomial.variable("y", ("x", "y"))
+    check("tangent_contact_order", expected["contact_order"], intersection_multiplicity(f, y))
     return SporadicReport(construction_id, tuple(checks))
 
 

@@ -1,10 +1,9 @@
-"""Truncated power series over exact rationals, and curve-branch expansions.
+"""Curve branches as exact power series, and intersection numbers at the origin.
 
-A PowerSeries holds exact coefficients c_0..c_N and carries no arithmetic:
-the functions below form the sums and products they need over the
-integers.  Every curve is a polynomial in the variables ``x`` and ``y``;
-another variable may be declared, but only at exponent zero.
+Every curve is a polynomial in the variables ``x`` and ``y``; another
+variable may be declared, but only at exponent zero.
 
+A PowerSeries holds exact coefficients c_0..c_N and carries no arithmetic.
 A branch of f(x, y) = 0 through the origin with a transverse tangent is
 parameterized by (x, phi(x)).  Its coefficients follow from one pass of a
 recurrence over a table of the coefficients of phi, phi^2, ... (Knuth,
@@ -12,14 +11,17 @@ TAOCP vol. 2, 4.7), run over the integers: with f's denominators cleared
 and c = df/dy(0, 0), the rescaled curve f(c^2 x, c y) / c^2 has integer
 coefficients and a unit pivot, so each new coefficient is an integer sum of
 earlier ones, with no division; phi's rational coefficients are made once,
-at the end.  Orders of vanishing along the branch are intersection
-multiplicities.
+at the end.
+
+Intersection numbers take no series and no precision: Fulton's algorithm
+(Algebraic Curves, 3.3) computes them exactly from the curves' integer
+terms.  At a simple point of f, I(f, g) is the order of vanishing of g
+along f's branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -31,16 +33,17 @@ from .polynomials import Polynomial, PolynomialError, exact
 # that much); the cap bounds what one call can cost
 MAX_PRECISION = 100
 
+# intersection_multiplicity charges each step the terms and 64-bit words of
+# both curves' coefficients.  A reduction cancels one power of x, and the
+# reduced curve may gain a term each time: y - x^400 against y + 7x - 5x^2
+# charges 9.6e5 in 0.1 s on a 2-vCPU Xeon guest, and y - x^(10^7) against
+# y + x - x^2 reaches the cap in 0.35 s; each order check of the quartic
+# constructions charges under 300
+MAX_INTERSECTION_WORK = 10**6
+
 
 class SeriesError(ValueError):
-    """Invalid series input or insufficient precision."""
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """An order of vanishing only bounded below by the working precision."""
-
-    bound: int
+    """Invalid series or curve input, insufficient precision, or a shared component."""
 
 
 class PowerSeries:
@@ -80,33 +83,12 @@ class PowerSeries:
     def __hash__(self):
         return hash(self.coefficients)
 
-    def valuation(self):
-        """Smallest exponent with nonzero coefficient, or AtLeast past precision."""
-        for n, c in enumerate(self.coefficients):
-            if c:
-                return n
-        return AtLeast(self.precision + 1)
-
     def __repr__(self):
         return f"PowerSeries({self.coefficients!r})"
 
-    def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            elif abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + (f"x^{n}" if n > 1 else "x"))
-            else:
-                parts.append(f"{c}*x^{n}" if n > 1 else f"{c}*x")
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"{body} + O(x^{self.precision + 1})"
 
-
-def _terms(poly: Polynomial) -> tuple[int, dict]:
-    """(l, {(i, j): a}) with l*poly = sum of a*x^i*y^j in integers, l > 0 least.
+def _terms(poly: Polynomial) -> dict:
+    """{(i, j): a} with l*poly = sum of a*x^i*y^j in integers, l > 0 least.
 
     No other variable may occur.
     """
@@ -115,49 +97,12 @@ def _terms(poly: Polynomial) -> tuple[int, dict]:
         if name not in names:
             raise PolynomialError(f"unknown variable {name!r}")
     ix, iy = names.index("x"), names.index("y")
-    lcm, cleared = poly.cleared()
     terms = {}
-    for exps, a in cleared.items():
+    for exps, a in poly.cleared()[1].items():
         if sum(exps) != exps[ix] + exps[iy]:
             raise PolynomialError(f"{poly} is not a polynomial in 'x' and 'y'")
         terms[exps[ix], exps[iy]] = a
-    return lcm, terms
-
-
-def polynomial_on_branch(poly: Polynomial, phi: PowerSeries) -> PowerSeries:
-    """Series of poly(x, phi(x)) at phi's precision: the sum of c*x^i*phi^j.
-
-    With l clearing poly's denominators and D phi's, the sum runs over Z as
-    the sum of l*c * x^i * (D*phi)^j * D^(top-j), divided by l*D^top once.
-    """
-    precision = phi.precision
-    lcm, terms = _terms(poly)
-    # with phi(0) = 0, phi^j = O(x^j): a term c*x^i*y^j with i + j > N cannot
-    # reach x^N, so top, the largest power of phi formed, is at most N
-    weight = 0 if phi.coefficients[0] else 1
-    by_power: dict[int, list] = {}
-    for (i, j), c in terms.items():
-        if i + weight * j <= precision:
-            by_power.setdefault(j, []).append((i, c))
-    top = max(by_power, default=0)
-    den = math.lcm(*[c.denominator for c in phi.coefficients])
-    base = [c.numerator * (den // c.denominator) for c in phi.coefficients]
-    out = [0] * (precision + 1)
-    power = [1] + [0] * precision  # (D*phi)^j
-    for j in range(top + 1):
-        if j:
-            power = [
-                sum(map(mul, base[: n + 1], reversed(power[: n + 1])))
-                for n in range(precision + 1)
-            ]
-            if not any(power):  # so is every higher power
-                break
-        for i, c in by_power.get(j, ()):
-            c *= den ** (top - j)
-            for n, a in enumerate(power[: precision + 1 - i], i):
-                out[n] += c * a
-    scale = lcm * den**top
-    return PowerSeries([Fraction(c, scale) for c in out])
+    return terms
 
 
 def branch_series(f: Polynomial, precision: int) -> PowerSeries:
@@ -176,7 +121,7 @@ def branch_series(f: Polynomial, precision: int) -> PowerSeries:
         raise UnsupportedCase(
             f"precision {precision} exceeds the supported maximum {MAX_PRECISION}"
         )
-    _, terms = _terms(f)
+    terms = _terms(f)
     if (0, 0) in terms:
         raise SeriesError("curve does not pass through the origin")
     if (0, 1) not in terms:
@@ -199,31 +144,64 @@ def branch_series(f: Polynomial, precision: int) -> PowerSeries:
     return PowerSeries([Fraction(c * v, c ** (2 * n)) for n, v in enumerate(psi)])
 
 
-def vanishing_order(g: Polynomial, phi: PowerSeries, precision: int):
-    """Order of vanishing of g(x, phi(x)): an int, or AtLeast(precision + 1).
-
-    This is the intersection multiplicity of g with the branch carried by
-    phi.  The series must carry at least the requested precision.
-    """
-    if phi.precision < precision:
-        raise SeriesError(
-            f"series precision {phi.precision} below requested {precision}"
-        )
-    return polynomial_on_branch(g, phi.truncate(precision)).valuation()
-
-
-def tangent_contact_order(f: Polynomial, precision: int = 13):
-    """Contact order of the x-axis with the branch of f = y + higher order.
-
-    Equals the valuation of the branch series: 2 at an ordinary point
-    (no holomorphic form triple-vanishes there), 3 at a flex that is not a
-    hyperflex, and 4 or more at a hyperflex.
-    """
-    require_x_axis_tangent(f)
-    return branch_series(f, precision).valuation()
-
-
 def require_x_axis_tangent(f: Polynomial) -> None:
     """Raise SeriesError unless df/dx vanishes at the origin."""
-    if (1, 0) in _terms(f)[1]:
+    if (1, 0) in _terms(f):
         raise SeriesError("tangent line at the origin is not the x-axis")
+
+
+def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
+    """I(f, g): the intersection number of f = 0 and g = 0 at the origin.
+
+    Fulton's algorithm (Algebraic Curves, 3.3) on the curves' integer terms.
+    It rests on the axioms I(f, g) = I(g, f) = I(f, c*g + a*f) for a
+    constant c != 0, I(y*h, g) = I(y, g) + I(h, g), I(y, g) = ord_x g(x, 0),
+    and I = 0 when a curve misses the origin.  While both restrictions
+    f(x, 0) and g(x, 0) are nonzero, of degrees r <= s with leading
+    coefficients a and b, g is replaced by a*g - b*x^(s-r)*f divided by its
+    content, which lowers s.  Once a restriction is zero, that curve is y*h:
+    ord_x of the other's restriction is added and h goes on in its place.
+    At a simple point of f, the result is the order of vanishing of g along
+    f's branch.
+
+    A common component through the origin makes the number infinite and
+    raises SeriesError.  A finite number is at most B = deg f * deg g
+    (Bezout), and a number n <= B leaves the n-th power of the maximal
+    ideal at the origin inside (f, g) (Fulton, 2.9), so terms of degree past
+    B less the count so far are dropped from each reduced curve.  Then a
+    count past B, a curve reduced to 0, or y dividing both restrictions
+    means a shared component.  Each step is charged the terms and 64-bit
+    words of both curves' coefficients; past MAX_INTERSECTION_WORK in all,
+    UnsupportedCase is raised.
+    """
+    f, g = _terms(f), _terms(g)
+    bound = max(map(sum, f), default=0) * max(map(sum, g), default=0)
+    total = work = 0
+    while total <= bound and (0, 0) not in f and (0, 0) not in g:
+        work += len(f) + len(g) + sum(map(int.bit_length, [*f.values(), *g.values()])) // 64
+        if work > MAX_INTERSECTION_WORK:
+            raise UnsupportedCase(
+                f"the intersection number takes more work than the supported maximum "
+                f"{MAX_INTERSECTION_WORK}"
+            )
+        p = [i for i, j in f if not j]  # the x-exponents of f(x, 0)
+        q = [i for i, j in g if not j]
+        if not f or not g or not (p or q):
+            break  # a curve is 0, or y divides both: the number is infinite
+        if not q or (p and max(p) > max(q)):
+            f, g, p, q = g, f, q, p
+        if not p:
+            total += min(q)
+            f = {(i, j - 1): a for (i, j), a in f.items()}
+            continue
+        r, s = max(p), max(q)
+        a, b = f[r, 0], g[s, 0]
+        g = {e: a * c for e, c in g.items()}
+        for (i, j), c in f.items():
+            e = (i + s - r, j)
+            g[e] = g.get(e, 0) - b * c
+        content = math.gcd(*g.values())
+        g = {e: c // content for e, c in g.items() if c and sum(e) <= bound - total}
+    if total > bound or ((0, 0) not in f and (0, 0) not in g):
+        raise SeriesError("the curves share a component through the origin")
+    return total

@@ -147,6 +147,10 @@ REJECTED_CASES = {
         ["spin", "--k", "5", "--genus", "1", "--orders", "4,-4", "--pairs", "x,4"],
         "bad pair 'x,4'; expected 'wa,wb'",
     ),
+    "spin_pairs_fewer_than_genus": (
+        ["spin", "--k", "1", "--genus", "2", "--orders", "2", "--pairs", "1,2"],
+        "genus 2 needs 2 symplectic pairs, got 1",
+    ),
     "split_b_without_a": (
         ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0", "--b", "1"],
         "--a and --b must be given together",

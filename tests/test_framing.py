@@ -44,6 +44,12 @@ def test_spin_example():
     assert spin(framing) == 1
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_from_signature_needs_one_pair_per_handle(count):
+    with pytest.raises(SignatureError, match=f"genus 2 needs 2 symplectic pairs, got {count}"):
+        SymplecticFramingValues.from_signature(validate(1, 2, (2,)), [(1, 2)] * count)
+
+
 def test_spin_requires_odd_k():
     framing = SymplecticFramingValues.from_signature(validate(2, 2, (4,)), [(0, 0), (0, 0)])
     with pytest.raises(SignatureError, match="odd k"):

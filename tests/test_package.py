@@ -38,7 +38,7 @@ def test_import_loads_no_submodule():
 
 def test_all_is_sorted_and_complete():
     assert kstrata.__all__ == sorted(set(kstrata.__all__))
-    assert len(kstrata.__all__) == 65
+    assert len(kstrata.__all__) == 63
 
 
 @pytest.mark.parametrize("name", kstrata.__all__)

@@ -10,13 +10,11 @@ from kstrata.polynomials import Polynomial, PolynomialError
 from kstrata.quartic import _load_constructions
 from kstrata.series import (
     MAX_PRECISION,
-    AtLeast,
     PowerSeries,
     SeriesError,
     branch_series,
-    polynomial_on_branch,
-    tangent_contact_order,
-    vanishing_order,
+    intersection_multiplicity,
+    require_x_axis_tangent,
 )
 
 XY = ("x", "y")
@@ -36,6 +34,28 @@ def random_unit_curve(rng, max_degree=4):
             continue
         terms[(i, j)] = Fraction(rng.randint(-3, 3))
     return Polynomial(XY, terms)
+
+
+def on_branch(g, phi):
+    """c_0..c_N of g(x, phi(x)) mod x^(N+1), by plain Polynomial products.
+
+    g is a polynomial in XY; phi(x) is made a polynomial in x, and each
+    product is truncated past x^N.
+    """
+    n = phi.precision
+
+    def truncated(p):
+        return Polynomial(XY, {e: c for e, c in p.terms.items() if e[0] <= n})
+
+    phi_x = Polynomial(XY, {(k, 0): c for k, c in enumerate(phi.coefficients)})
+    powers = [Polynomial.constant(1, XY)]
+    for _ in range(max((j for _, j in g.terms), default=0)):
+        powers.append(truncated(powers[-1] * phi_x))
+    total = Polynomial.zero(XY)
+    for (i, j), c in g.terms.items():
+        if i <= n:
+            total = total + truncated(Polynomial(XY, {(i, 0): c}) * powers[j])
+    return tuple(total.coefficient((k, 0)) for k in range(n + 1))
 
 
 def test_parabola_branch_is_exact():
@@ -65,8 +85,7 @@ def test_branch_residual_identity():
         f = random_unit_curve(rng)
         precision = rng.randint(4, 20)
         phi = branch_series(f, precision)
-        residual = polynomial_on_branch(f, phi)
-        assert all(c == 0 for c in residual.coefficients)
+        assert not any(on_branch(f, phi))
 
 
 def test_branch_implicit_differentiation():
@@ -77,8 +96,8 @@ def test_branch_implicit_differentiation():
         precision = rng.randint(4, 16)
         phi = branch_series(f, precision)
         derivative = [(n + 1) * c for n, c in enumerate(phi.coefficients[1:])]
-        fx = polynomial_on_branch(f.partial_derivative("x"), phi).coefficients
-        fy = polynomial_on_branch(f.partial_derivative("y"), phi).coefficients
+        fx = on_branch(f.partial_derivative("x"), phi)
+        fy = on_branch(f.partial_derivative("y"), phi)
         for n in range(precision):
             assert fx[n] + sum(fy[k] * derivative[n - k] for k in range(n + 1)) == 0
 
@@ -88,8 +107,7 @@ def reference_branch_series(f, precision):
     pivot = f.partial_derivative("y").evaluate({"x": 0, "y": 0})
     coeffs = [Fraction(0)] * (precision + 1)
     for n in range(1, precision + 1):
-        residual = polynomial_on_branch(f, PowerSeries(coeffs[: n + 1]))
-        coeffs[n] = -residual.coefficient(n) / pivot
+        coeffs[n] = -on_branch(f, PowerSeries(coeffs[: n + 1]))[n] / pivot
     return PowerSeries(coeffs)
 
 
@@ -159,7 +177,7 @@ def test_branch_series_at_the_cap_has_zero_residual():
     for f in construction_curves():
         phi = branch_series(f, MAX_PRECISION)
         assert phi.precision == MAX_PRECISION and phi.coefficient(0) == 0
-        assert all(c == 0 for c in polynomial_on_branch(f, phi).coefficients)
+        assert not any(on_branch(f, phi))
 
 
 def test_branch_series_skips_terms_beyond_the_precision():
@@ -169,118 +187,78 @@ def test_branch_series_skips_terms_beyond_the_precision():
     assert phi == branch_series(poly("y - x^2"), 13)
 
 
-def test_polynomial_on_branch_matches_polynomial_arithmetic():
-    # phi as a polynomial in x, the sum of c*x^i*phi^j formed in full, then
-    # truncated; phi(0) != 0 on two trials in three, y-degrees above N
-    rng = random.Random(71)
-    x = Polynomial.variable("x", XY)
-    for trial in range(40):
-        precision = rng.randint(0, 8)
-        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(precision + 1)]
-        if trial % 3 == 0:
-            coeffs[0] = Fraction(0)
-        elif not coeffs[0]:
-            coeffs[0] = Fraction(1, 2)
-        terms = {(rng.randint(0, 2), precision + rng.randint(1, 3)): Fraction(rng.randint(1, 3))}
-        for _ in range(rng.randint(0, 5)):
-            terms[rng.randint(0, precision + 2), rng.randint(0, precision + 3)] = rng.randint(-3, 3)
-        g = Polynomial(XY, terms)
-        phi_x = Polynomial(XY, {(n, 0): c for n, c in enumerate(coeffs)})
-        expected = Polynomial.zero(XY)
-        for (i, j), c in g.terms.items():
-            term = Polynomial.constant(c, XY)
-            for factor in [x] * i + [phi_x] * j:
-                term = term * factor
-            expected = expected + term
-        want = tuple(expected.coefficient((n, 0)) for n in range(precision + 1))
-        assert polynomial_on_branch(g, PowerSeries(coeffs)).coefficients == want
-
-
-def test_polynomial_on_branch_skips_terms_beyond_the_precision():
-    # phi(0) = 0, so y^(10^7) cannot reach x^13: neither its degree nor a
-    # power of the series' denominators to that degree is paid for
-    phi = branch_series(poly("2*y - x^2 + y^3"), 13)
-    g = poly("y^10000000 + x*y")
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        order = vanishing_order(g, phi, 13)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert order == 3
-    assert elapsed < 0.5 and peak < 1_000_000
-
-
 def test_a_variable_at_exponent_zero_changes_nothing():
-    phi = branch_series(poly("y - x^2 - x^3"), 12)
+    g = poly("y - x^2 - 2*x^3")
     for text in ("y - x^2 - x^3", "y - x^4 + x*y - 2*y^3", "y - x^3 + x^2*y"):
         f, f3 = poly(text), Polynomial.from_string(text, XYZ)
         assert branch_series(f3, 12) == branch_series(f, 12)
-        assert tangent_contact_order(f3) == tangent_contact_order(f)
-        assert vanishing_order(f3, phi, 12) == vanishing_order(f, phi, 12)
-        assert polynomial_on_branch(f3, phi) == polynomial_on_branch(f, phi)
+        require_x_axis_tangent(f3)
+        for other in (g, poly("y")):
+            assert intersection_multiplicity(f3, other) == intersection_multiplicity(f, other)
 
 
 def test_a_stray_variable_is_a_polynomial_error():
     f = Polynomial.from_string("y - x^2 + z", XYZ)
-    phi = branch_series(poly("y - x^2"), 6)
     with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
         branch_series(f, 6)
     with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
-        tangent_contact_order(f)
-    with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
-        vanishing_order(f, phi, 6)
+        require_x_axis_tangent(f)
+    for pair in ((f, poly("y")), (poly("y"), f)):
+        with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
+            intersection_multiplicity(*pair)
 
 
 def test_vanishing_order_examples():
-    phi = branch_series(poly("y - x^2"), 3)
-    assert vanishing_order(poly("y"), phi, 3) == 2
-    assert vanishing_order(poly("y - x^2"), phi, 3) == AtLeast(4)
+    # the order of y - x^2 along its own branch is infinite: a shared component
+    assert intersection_multiplicity(poly("y - x^2"), poly("y")) == 2
+    assert intersection_multiplicity(poly("y - x^2"), poly("y - 2*x^2")) == 2
+    assert intersection_multiplicity(poly("y - x^2"), poly("y - x^2 - x^5")) == 5
+    assert intersection_multiplicity(poly("y - x^2"), poly("1 + y")) == 0
+    with pytest.raises(SeriesError, match="share a component"):
+        intersection_multiplicity(poly("y - x^2"), poly("y - x^2"))
 
 
-def test_vanishing_order_precision_check():
-    phi = branch_series(poly("y - x^2"), 3)
-    with pytest.raises(SeriesError, match="precision"):
-        vanishing_order(poly("y"), phi, 9)
+def random_curve(rng, degree, count):
+    return Polynomial(
+        XY,
+        {
+            (rng.randint(0, degree), rng.randint(0, degree)): Fraction(rng.randint(-3, 3))
+            for _ in range(count)
+        },
+    )
+
+
+def intersection_or_none(f, g):
+    """I(f, g), or None for a shared component through the origin."""
+    try:
+        return intersection_multiplicity(f, g)
+    except SeriesError:
+        return None
 
 
 def test_vanishing_order_multiplicative():
     rng = random.Random(61)
     f = poly("y - x^2 - x^3")
-    phi = branch_series(f, 16)
     for _ in range(40):
-        g = Polynomial(
-            XY,
-            {
-                (rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
-                for _ in range(rng.randint(1, 4))
-            },
-        )
-        h = Polynomial(
-            XY,
-            {
-                (rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-3, 3))
-                for _ in range(rng.randint(1, 4))
-            },
-        )
-        og = vanishing_order(g, phi, 16)
-        oh = vanishing_order(h, phi, 16)
-        if isinstance(og, AtLeast) or isinstance(oh, AtLeast):
-            continue
-        if og + oh > 16:
-            continue
-        assert vanishing_order(g * h, phi, 16) == og + oh
+        g = random_curve(rng, 2, rng.randint(1, 4))
+        h = random_curve(rng, 2, rng.randint(1, 4))
+        og, oh = intersection_or_none(f, g), intersection_or_none(f, h)
+        if og is None or oh is None:
+            with pytest.raises(SeriesError):
+                intersection_multiplicity(f, g * h)
+        else:
+            assert intersection_multiplicity(f, g * h) == og + oh
 
 
 def test_tangent_contact_order_toy_hyperflex():
-    assert tangent_contact_order(poly("y - x^4")) == 4
+    f = poly("y - x^4")
+    require_x_axis_tangent(f)
+    assert intersection_multiplicity(f, poly("y")) == 4
 
 
 def test_tangent_contact_order_requires_horizontal_tangent():
     with pytest.raises(SeriesError, match="tangent"):
-        tangent_contact_order(poly("y + x + x^2"))
+        require_x_axis_tangent(poly("y + x + x^2"))
 
 
 def test_series_coefficients_are_exact():
@@ -291,7 +269,138 @@ def test_series_coefficients_are_exact():
         PowerSeries([1, "x"])
 
 
-def test_series_valuation_and_display():
-    assert PowerSeries((0, 0, 5)).valuation() == 2
-    assert PowerSeries((0, 0, 0)).valuation() == AtLeast(3)
-    assert "x^2" in str(PowerSeries((0, 0, 1)))
+# -- intersection numbers against oracles that share no code with them -------
+
+
+def test_intersection_multiplicity_is_the_order_along_the_branch():
+    # at a simple point of f, I(f, g) is the order of g(x, phi(x)), here read
+    # from branch_series composed by Polynomial products; one g in four is a
+    # multiple of f, so the number is infinite and refused
+    rng = random.Random(79)
+    precision, finite = 24, 0
+    for trial in range(120):
+        f = random_unit_curve(rng, 3) + Polynomial(XY, {(0, 1): rng.choice([0, 1, -3])})
+        g = random_curve(rng, 3, rng.randint(1, 5))
+        if trial % 4 == 0:
+            g = g * f
+        elif trial % 4 == 1:
+            g = f * random_curve(rng, 2, 2) + Polynomial(XY, {(rng.randint(3, 9), 0): 1})
+        coefficients = on_branch(g, branch_series(f, precision))
+        order = next((n for n, c in enumerate(coefficients) if c), None)
+        if order is not None:
+            assert intersection_multiplicity(f, g) == order
+            finite += 1
+        elif trial % 4 == 0:
+            with pytest.raises(SeriesError, match="share a component"):
+                intersection_multiplicity(f, g)
+        else:
+            number = intersection_or_none(f, g)
+            assert number is None or number > precision
+    assert finite >= 60
+
+
+def test_intersection_multiplicity_axioms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    settings = hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    # degree at most 3 in x and in y, through the origin or not
+    curves = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4), min_size=1, max_size=5
+    ).map(lambda terms: Polynomial(XY, terms))
+
+    @settings
+    @hypothesis.given(curves, curves)
+    def symmetric(f, g):
+        assert intersection_or_none(f, g) == intersection_or_none(g, f)
+
+    @settings
+    @hypothesis.given(curves, curves, curves)
+    def unchanged_by_adding_a_multiple_of_f(f, g, a):
+        assert intersection_or_none(f, g + a * f) == intersection_or_none(f, g)
+
+    @settings
+    @hypothesis.given(curves, curves, curves)
+    def additive(f, g, h):
+        og, oh = intersection_or_none(f, g), intersection_or_none(f, h)
+        want = None if og is None or oh is None else og + oh
+        assert intersection_or_none(f, g * h) == want
+
+    symmetric()
+    unchanged_by_adding_a_multiple_of_f()
+    additive()
+
+
+def test_intersection_multiplicity_is_the_order_of_the_resultant():
+    # with leading coefficient 1 in y and the origin the only common zero on
+    # x = 0, ord_x Res_y(f, g) at x = 0 is I(f, g) at the origin
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def expr(p):
+        return sum(int(c) * x**i * y**j for (i, j), c in p.terms.items())
+
+    rng = random.Random(83)
+    checked = 0
+    for _ in range(80):
+        f, g = (
+            random_curve(rng, 3, rng.randint(2, 5)) + Polynomial(XY, {(0, rng.randint(4, 5)): 1})
+            for _ in range(2)
+        )
+        f, g = (p - Polynomial.constant(p.coefficient((0, 0)), XY) for p in (f, g))
+        on_axis = sympy.Poly(sympy.gcd(expr(f).subs(x, 0), expr(g).subs(x, 0)), y)
+        res = sympy.Poly(sympy.resultant(expr(f), expr(g), y), x)
+        if len(on_axis.monoms()) > 1 or res.is_zero:
+            continue
+        assert intersection_multiplicity(f, g) == min(i for (i,) in res.monoms())
+        checked += 1
+    assert checked >= 40
+
+
+def test_a_shared_component_is_refused_quickly():
+    f = poly("2*x*y^2 + 2*x^2 - 3*x*y - 2*y")
+    h = poly("-3*x^3*y^3 - x^2*y^3 + x + 3*y")
+    cases = [
+        (poly("y - x^2") * poly("1 + x"), poly("y - x^2")),
+        (poly("y + x*y"), poly("2*y - y^2")),
+        (poly("x^3 - y^2") * poly("1 - y"), poly("x^3 - y^2") * poly("y + x^2")),
+        # y divides neither restriction and no reduction leaves 0 here: the
+        # count passes deg f * deg g, which no finite number does
+        (f, f * poly("3*x^2*y^3 - 2*x^3*y + 2*y + 3*x^2")),
+        (h, h * poly("x^3*y^3 - 3*y + x")),
+    ]
+    for left, right in cases:
+        for pair in ((left, right), (right, left)):
+            start = time.perf_counter()
+            with pytest.raises(SeriesError, match="share a component"):
+                intersection_multiplicity(*pair)
+            assert time.perf_counter() - start < 0.1
+
+
+def test_intersection_multiplicity_with_huge_exponents():
+    # exponents of 10^7 cost nothing: terms are sparse, and the contact of
+    # y - x^N with the x-axis is one step
+    cases = [
+        (poly("y - x^10000000"), poly("y"), 10_000_000),
+        (poly("y - x^10000000"), poly("y - x^2"), 2),
+        (poly("y - x^10000000"), poly("y^2 - x^3"), 3),
+        (poly("2*y - x^2 + y^3"), poly("y^10000000 + x*y"), 3),
+    ]
+    tracemalloc.start()
+    try:
+        for f, g, want in cases:
+            start = time.perf_counter()
+            assert intersection_multiplicity(f, g) == want
+            assert time.perf_counter() - start < 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_intersection_multiplicity_work_is_capped():
+    # top-degree reduction cancels one power of x per step here, so the
+    # transverse line's I = 1 would take 10^7 steps: refused within budget
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase, match="supported maximum"):
+        intersection_multiplicity(poly("y - x^10000000"), poly("y + x - x^2"))
+    assert time.perf_counter() - start < 1
