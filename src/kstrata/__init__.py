@@ -29,10 +29,8 @@ _HOMES = {
         "enumerate_zero_splits",
         "genus0_has_cylinder",
         "genus0_has_simple_cylinder",
-        "is_exceptional_stratum",
         "merge_feasible_same_sign",
         "merge_result",
-        "simple_degeneration_exists",
         "split_result",
         "undo_split",
     ),
@@ -45,14 +43,11 @@ _HOMES = {
         "quadratic_eval",
         "relative_arf",
         "spin",
-        "torus_framing_value",
     ),
     "genus_one": (
         "GenusOneComponent",
         "GenusOneMerge",
         "components",
-        "default_split_witness",
-        "hyperelliptic_genus_one",
         "merge",
         "split_to_sphere",
     ),
@@ -75,11 +70,7 @@ _HOMES = {
         "StratumSignature",
         "format_signature",
         "gcd_orders",
-        "hyperelliptic_signature_pattern",
         "imprimitive_divisors",
-        "is_connected_type",
-        "is_finite_area",
-        "is_invisible_pole",
         "parse_signature",
         "validate",
     ),

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 from .errors import SignatureError
 from . import genus_one
-from .signature import StratumSignature, divisors, gcd_orders, validate
+from .signature import StratumSignature, gcd_orders, imprimitive_divisors, validate
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,8 @@ def full_component_breakdown(sig: StratumSignature) -> tuple[BreakdownRow, ...]:
     """
     _require_no_marked_points(sig)
     rows = []
-    for d in divisors(sig.k):
-        m = sig.k // d
-        if all(o % m == 0 for o in sig.orders):
-            reduced = validate(d, sig.genus, tuple(o // m for o in sig.orders))
-            rows.append(
-                BreakdownRow(d, reduced, primitive_nonhyperelliptic_components(reduced))
-            )
+    for m in sorted(imprimitive_divisors(sig) | {1}, reverse=True):
+        d = sig.k // m
+        reduced = validate(d, sig.genus, tuple(o // m for o in sig.orders))
+        rows.append(BreakdownRow(d, reduced, primitive_nonhyperelliptic_components(reduced)))
     return tuple(rows)

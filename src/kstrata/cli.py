@@ -2,7 +2,8 @@
 
 Each ``_cmd_*`` imports the modules it runs, so a one-shot call loads only
 what its subcommand needs: ``classify`` never loads the polynomial
-arithmetic behind ``quartic-verify``.
+arithmetic behind ``quartic-verify``, and a signature that fails validation
+stops ``classify`` and ``breakdown`` before the classifier is loaded.
 
 ``main`` writes stdout once per call, after the command has finished, so a
 failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
@@ -165,10 +166,10 @@ def _classify_batch(args) -> str:
     the distinct bodies, each rendered once.  A stratum's text is its
     signature spliced into its body's text.
     """
-    from . import classifier
-
     if (args.k, args.genus, args.orders) != (None, None, None):
         raise StratumError("--orders-file takes no --k, --genus or --orders")
+    from . import classifier
+
     by_text, by_sig, by_body = {}, {}, {}
     strata, bodies, order = [], [], []  # strata: (signature, body index)
     with open(args.orders_file, encoding="utf-8") as handle:
@@ -201,16 +202,17 @@ def _classify_batch(args) -> str:
 
 
 def _cmd_classify(args):
+    sig = _signature_from_args(args)
     from . import classifier
 
-    report = classifier.primitive_nonhyperelliptic_components(_signature_from_args(args))
+    report = classifier.primitive_nonhyperelliptic_components(sig)
     return report, _report_lines(report)
 
 
 def _cmd_breakdown(args):
+    sig = _signature_from_args(args)
     from . import classifier
 
-    sig = _signature_from_args(args)
     rows = classifier.full_component_breakdown(sig)
     payload = {
         "signature": sig,

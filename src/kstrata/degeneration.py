@@ -1,4 +1,4 @@
-"""Signature-level splits and merges, cylinder criteria, degeneration tables.
+"""Signature-level splits and merges, and the genus-zero cylinder criteria.
 
 A split breaks a zero of order z on a genus-g surface into singularities
 a + b = z - 2k (both > -k) on a genus g-1 surface; a merge collides two
@@ -25,20 +25,6 @@ MAX_ZERO_SPLITS = 100_000
 # multiplicity; at the cap on a 2-vCPU Xeon guest, about 2 s and 190 MB for
 # one criterion on 40 orders near 2^40 (3.4 to 4.3 s for the CLI's two)
 MAX_CYLINDER_WORK = 3 * 10**6
-
-_NO_SIMPLE_DEGENERATION = frozenset({(2, 2, (5, -1)), (3, 2, (6,))})
-
-_EXCEPTIONAL_STRATA = frozenset(
-    [(1, 3, p) for p in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))]
-    + [
-        (1, 3, tuple(sorted(core + extra, reverse=True)))
-        for core in ((6,), (4, 2), (2, 2, 2))
-        for extra in ((-2,), (-1, -1))
-    ]
-    + [(2, 3, (9, -1)), (2, 3, (6, 3, -1)), (2, 3, (3, 3, 3, -1))]
-    + [(3, 3, (12,)), (3, 3, (8, 4)), (3, 3, (4, 4, 4))]
-    + [(1, 4, (6,)), (1, 4, (4, 2)), (1, 4, (2, 2, 2))]
-)
 
 
 def enumerate_zero_splits(k: int, z: int) -> tuple[tuple[int, int], ...]:
@@ -107,25 +93,6 @@ def merge_feasible_same_sign(sig: StratumSignature, i: int, j: int):
     if (oi > 0 and oj > 0) or (oi < 0 and oj < 0):
         return True
     return None
-
-
-def simple_degeneration_exists(sig: StratumSignature) -> bool:
-    """Whether a primitive nonhyperelliptic component admits a simple split
-    or merge preserving nonhyperellipticity.
-
-    True for every genus >= 2 stratum except (k, g, orders) equal to
-    (2, 2, (5, -1)) or (3, 2, (6)).
-    """
-    if sig.genus < 2:
-        raise SignatureError("simple degenerations are tabulated for genus >= 2")
-    return (sig.k, sig.genus, sig.orders) not in _NO_SIMPLE_DEGENERATION
-
-
-def is_exceptional_stratum(sig: StratumSignature) -> bool:
-    """Whether splits out of this genus >= 3 stratum may become hyperelliptic."""
-    if sig.genus < 3:
-        raise SignatureError("exceptional strata are tabulated for genus >= 3")
-    return (sig.k, sig.genus, sig.orders) in _EXCEPTIONAL_STRATA
 
 
 def _check_genus_zero(k: int, orders) -> tuple[int, ...]:

@@ -119,17 +119,3 @@ def symplectic_product(u, v) -> int:
         raise SignatureError("vectors must share an even length")
     g = len(u) // 2
     return sum(u[i] * v[g + i] + u[g + i] * v[i] for i in range(g)) % 2
-
-
-def torus_framing_value(k: int, a: int, e: int, m: int, n: int) -> int:
-    """Framing value on the square-torus model of the (a, -a) stratum.
-
-    For a curve of flat winding number zero meeting the horizontal core
-    curve m times and the horizontal slit n times, the value is
-    (a/e) * m - a * n.  It does not depend on k; the k enters only through
-    which strata carry this model.
-    """
-    del k
-    if e <= 1 or a == 0 or abs(a) % e != 0:
-        raise SignatureError(f"torsion order {e} must exceed 1 and divide |{a}|")
-    return (a // e) * m - a * n

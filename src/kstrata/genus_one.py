@@ -71,7 +71,11 @@ def _nonempty_rotations(orders, d: int) -> tuple[int, ...]:
 
 
 def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
-    """All nonempty components of a genus-one stratum, rotation descending."""
+    """All nonempty components of a genus-one stratum, rotation descending.
+
+    The rotation-r component is hyperelliptic exactly when the orders are
+    (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
+    """
     _require_genus_one(sig)
     if not any(sig.orders):
         raise SignatureError("all orders are zero: no differential is prescribed")
@@ -86,16 +90,6 @@ def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
         )
         for r in _nonempty_rotations(sig.orders, d)
     )
-
-
-def hyperelliptic_genus_one(k: int, orders, rotation: int) -> bool:
-    """Whether the rotation-r component of a genus-one stratum is hyperelliptic.
-
-    The hyperelliptic components are exactly those with order multiset
-    (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
-    """
-    _check_rotation(rotation, math.gcd(*orders))
-    return _hyperelliptic_rotation(tuple(sorted(orders))) == rotation
 
 
 def _hyperelliptic_rotation(multiset: tuple[int, ...]) -> int:
@@ -157,10 +151,3 @@ def split_to_sphere(
     rest = [o for idx, o in enumerate(sig.orders) if idx != zero_index]
     g = math.gcd(sig.k + a1, sig.k + a2, *(abs(o) for o in rest))
     return g % rotation == 0
-
-
-def default_split_witness(k: int, a: int, rotation: int) -> tuple[int, int]:
-    """The canonical sphere split (r - k, a - r - k), valid whenever r != a."""
-    if rotation == a:
-        raise RotationError("no default witness when the rotation equals the zero order")
-    return (rotation - k, a - rotation - k)

@@ -33,12 +33,14 @@ from .polynomials import Polynomial, PolynomialError, exact
 # that much); the cap bounds what one call can cost
 MAX_PRECISION = 100
 
-# intersection_multiplicity charges each step the terms and 64-bit words of
-# both curves' coefficients.  A reduction cancels one power of x, and the
-# reduced curve may gain a term each time: y - x^400 against y + 7x - 5x^2
-# charges 9.6e5 in 0.1 s on a 2-vCPU Xeon guest, and y - x^(10^7) against
-# y + x - x^2 reaches the cap in 0.35 s; each order check of the quartic
-# constructions charges under 300
+# intersection_multiplicity charges each step its term products and the
+# 64-bit words of both curves' coefficients.  A reduction zeroes one
+# restriction, so y - x^(10^7) against y + x - x^2 (I = 1) charges 10, and
+# each order check of the quartic constructions under 300.  Many reductions
+# of dense curves reach the cap, their coefficients growing as they go: a
+# dense curve f of degree 60 against f + x^100 (I = 100) is refused after
+# 0.2 to 0.3 s on a 2-vCPU Xeon guest; with the cap lifted, the same pair
+# for a dense f of degree 30 with one-digit coefficients took 149 s
 MAX_INTERSECTION_WORK = 10**6
 
 
@@ -154,15 +156,16 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
     """I(f, g): the intersection number of f = 0 and g = 0 at the origin.
 
     Fulton's algorithm (Algebraic Curves, 3.3) on the curves' integer terms.
-    It rests on the axioms I(f, g) = I(g, f) = I(f, c*g + a*f) for a
-    constant c != 0, I(y*h, g) = I(y, g) + I(h, g), I(y, g) = ord_x g(x, 0),
-    and I = 0 when a curve misses the origin.  While both restrictions
-    f(x, 0) and g(x, 0) are nonzero, of degrees r <= s with leading
-    coefficients a and b, g is replaced by a*g - b*x^(s-r)*f divided by its
-    content, which lowers s.  Once a restriction is zero, that curve is y*h:
-    ord_x of the other's restriction is added and h goes on in its place.
-    At a simple point of f, the result is the order of vanishing of g along
-    f's branch.
+    It rests on the axioms I(f, g) = I(g, f) = I(f, g + a*f),
+    I(f, g*h) = I(f, g) + I(f, h), I(y, g) = ord_x g(x, 0), and I = 0 when
+    a curve misses the origin.  While both restrictions are nonzero, write
+    f(x, 0) = x^r*u_f and g(x, 0) = x^s*u_g with r <= s and units
+    u_f(0), u_g(0) != 0; g is replaced by u_f*g - x^(s-r)*u_g*f divided by
+    its content.  I(f, u_f) = 0, so the number is unchanged, and the new g
+    restricts to zero.  Once a restriction is zero, that curve is y*h: ord_x
+    of the other's restriction is added and h goes on in its place, so the
+    count rises at least every second step.  At a simple point of f, the
+    result is the order of vanishing of g along f's branch.
 
     A common component through the origin makes the number infinite and
     raises SeriesError.  A finite number is at most B = deg f * deg g
@@ -170,38 +173,46 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
     ideal at the origin inside (f, g) (Fulton, 2.9), so terms of degree past
     B less the count so far are dropped from each reduced curve.  Then a
     count past B, a curve reduced to 0, or y dividing both restrictions
-    means a shared component.  Each step is charged the terms and 64-bit
-    words of both curves' coefficients; past MAX_INTERSECTION_WORK in all,
+    means a shared component.  A reduction is charged its term products
+    (terms of u_f times terms of g, plus terms of u_g times terms of f), a
+    peeled factor y the terms of its curve, and every step the 64-bit words
+    of both curves' coefficients; past MAX_INTERSECTION_WORK in all,
     UnsupportedCase is raised.
     """
     f, g = _terms(f), _terms(g)
     bound = max(map(sum, f), default=0) * max(map(sum, g), default=0)
     total = work = 0
     while total <= bound and (0, 0) not in f and (0, 0) not in g:
-        work += len(f) + len(g) + sum(map(int.bit_length, [*f.values(), *g.values()])) // 64
+        p = {i: a for (i, j), a in f.items() if not j}  # f(x, 0)
+        q = {i: b for (i, j), b in g.items() if not j}
+        if not f or not g or not (p or q):
+            break  # a curve is 0, or y divides both: the number is infinite
+        if not q or (p and min(p) > min(q)):
+            f, g, p, q = g, f, q, p
+        work += sum(map(int.bit_length, [*f.values(), *g.values()])) // 64
+        work += (len(p) * len(g) + len(q) * len(f)) if p else len(f)
         if work > MAX_INTERSECTION_WORK:
             raise UnsupportedCase(
                 f"the intersection number takes more work than the supported maximum "
                 f"{MAX_INTERSECTION_WORK}"
             )
-        p = [i for i, j in f if not j]  # the x-exponents of f(x, 0)
-        q = [i for i, j in g if not j]
-        if not f or not g or not (p or q):
-            break  # a curve is 0, or y divides both: the number is infinite
-        if not q or (p and max(p) > max(q)):
-            f, g, p, q = g, f, q, p
         if not p:
             total += min(q)
             f = {(i, j - 1): a for (i, j), a in f.items()}
             continue
-        r, s = max(p), max(q)
-        a, b = f[r, 0], g[s, 0]
-        g = {e: a * c for e, c in g.items()}
-        for (i, j), c in f.items():
-            e = (i + s - r, j)
-            g[e] = g.get(e, 0) - b * c
-        content = math.gcd(*g.values())
-        g = {e: c // content for e, c in g.items() if c and sum(e) <= bound - total}
+        # u_f*g - x^(s-r)*u_g*f is p*g - q*f over x^r; terms of degree past
+        # B less the count are dropped
+        r = min(p)
+        top = bound - total + r
+        reduced = {}
+        for terms, unit in ((g, p), (f, {i: -b for i, b in q.items()})):
+            for t, a in unit.items():
+                for (i, j), c in terms.items():
+                    if i + t + j <= top:
+                        e = (i + t - r, j)
+                        reduced[e] = reduced.get(e, 0) + a * c
+        content = math.gcd(*reduced.values())
+        g = {e: c // content for e, c in reduced.items() if c}
     if total > bound or ((0, 0) not in f and (0, 0) not in g):
         raise SeriesError("the curves share a component through the origin")
     return total

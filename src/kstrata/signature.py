@@ -1,4 +1,4 @@
-"""Stratum signatures of k-differentials and arithmetic predicates on them.
+"""Stratum signatures of k-differentials: parsing, validation, divisors.
 
 A k-differential on a genus g surface has zeros and poles whose orders form
 an integer partition of k(2g-2).  The triple (k, genus, order multiset) names
@@ -146,95 +146,10 @@ def imprimitive_divisors(sig: StratumSignature) -> set[int]:
     """All m > 1 dividing k and every order.
 
     For each such m the stratum carries components of m-th powers of
-    (k/m)-differentials; the stratum has primitive components only when
-    this set leaves room (see the classifier's divisor breakdown).
+    (k/m)-differentials, one row of the classifier's divisor breakdown.
     """
     return {
         m
         for m in divisors(sig.k)
         if m > 1 and all(o % m == 0 for o in sig.orders)
     }
-
-
-def is_finite_area(sig: StratumSignature) -> bool:
-    """True iff every order exceeds -k (no pole has infinite-area cone)."""
-    return all(o > -sig.k for o in sig.orders)
-
-
-def is_invisible_pole(k: int, order: int) -> bool:
-    """True iff order = -k + d for some divisor d of k with 1 <= d.
-
-    Such a pole lifts to a regular point or marked point on the holonomy
-    cover, hence "invisible".
-    """
-    if order >= 0:
-        raise SignatureError(f"expected a pole (negative order), got {order}")
-    d = order + k
-    return d >= 1 and k % d == 0
-
-
-def is_connected_type(sig: StratumSignature) -> bool:
-    """Whether an odd-k stratum is of connected type.
-
-    Disconnected type means every order is even, or the zero multiset is
-    (a) or (a, a) with gcd(a, k) = 1 and every remaining entry an invisible
-    pole.  Holonomy covers of primitive differentials in connected-type
-    strata land in connected strata of abelian differentials.
-    """
-    if sig.k % 2 == 0:
-        raise SignatureError("connected type is defined for odd k only")
-    if all(o % 2 == 0 for o in sig.orders):
-        return False
-    zeros = sig.zeros
-    single = len(zeros) == 1
-    double = len(zeros) == 2 and zeros[0] == zeros[1]
-    if (single or double) and math.gcd(zeros[0], sig.k) == 1:
-        rest = [o for o in sig.orders if o <= 0]
-        if all(o < 0 and is_invisible_pole(sig.k, o) for o in rest):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class HyperellipticPattern:
-    """A matched primitive hyperelliptic signature shape for k != 1."""
-
-    shape: str  # "(2m,2l)", "(2m,l,l)" or "(m,m,l,l)"
-    m: int
-    l: int
-
-
-def _coprime_with(k: int, m: int, l: int) -> bool:
-    return math.gcd(math.gcd(abs(m), abs(l)), k) == 1
-
-
-def hyperelliptic_signature_pattern(sig: StratumSignature):
-    """Match the signature against the primitive hyperelliptic shapes.
-
-    For k != 1 the primitive hyperelliptic components have order multisets
-    (2m, 2l), (2m, l, l) or (m, m, l, l) with gcd(m, l, k) = 1.  Returns the
-    matched HyperellipticPattern or None.  The k = 1 shape list is a
-    different classification and is not supported here.
-    """
-    if sig.k == 1:
-        raise UnsupportedCase("the k = 1 hyperelliptic signature list is not supported")
-    orders = sig.orders
-    if any(o == 0 for o in orders):
-        return None
-    n = len(orders)
-    if n == 2:
-        a, b = orders
-        if a % 2 == 0 and b % 2 == 0 and _coprime_with(sig.k, a // 2, b // 2):
-            return HyperellipticPattern("(2m,2l)", a // 2, b // 2)
-    elif n == 3:
-        for i in range(3):
-            rest = [orders[j] for j in range(3) if j != i]
-            if rest[0] == rest[1] and orders[i] % 2 == 0:
-                m, l = orders[i] // 2, rest[0]
-                if _coprime_with(sig.k, m, l):
-                    return HyperellipticPattern("(2m,l,l)", m, l)
-    elif n == 4:
-        a, b, c, d = orders
-        if a == b and c == d and _coprime_with(sig.k, a, c):
-            return HyperellipticPattern("(m,m,l,l)", a, c)
-    return None

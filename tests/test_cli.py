@@ -451,13 +451,14 @@ print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
 CERTIFICATION_STACK = {"kstrata.polynomials", "kstrata.series", "kstrata.quartic", "fractions"}
 
 
-def loaded_by(argv):
+def loaded_by(argv, code=0, err=""):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
     )
-    code, out, modules = json.loads(done.stdout)
-    assert code == 0
+    assert done.stderr == err
+    exit_code, out, modules = json.loads(done.stdout)
+    assert exit_code == code
     return out, set(modules)
 
 
@@ -474,10 +475,19 @@ def test_classify_loads_no_certification_stack(tmp_path):
         assert loaded <= single
 
 
-@pytest.mark.parametrize("name", ["cylinder", "arf"])
+# orders that miss k(2g-2): the signature is refused before the classifier loads
+INVALID_CLASSIFY = ["classify", "--k", "2", "--genus", "2", "--orders", "3"]
+
+
+@pytest.mark.parametrize("name", ["cylinder", "arf", "invalid_classify"])
 def test_combinatorial_commands_load_no_classifier(name):
-    out, loaded = loaded_by(GOLDEN_CASES[name])
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    if name == "invalid_classify":
+        err = "error: orders (3,) sum to 3, expected k(2g-2) = 4\n"
+        out, loaded = loaded_by(INVALID_CLASSIFY, code=2, err=err)
+        assert out == ""
+    else:
+        out, loaded = loaded_by(GOLDEN_CASES[name])
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert not loaded & (CERTIFICATION_STACK | {"kstrata.classifier"})
 
 

@@ -15,15 +15,13 @@ from kstrata.degeneration import (
     enumerate_zero_splits,
     genus0_has_cylinder,
     genus0_has_simple_cylinder,
-    is_exceptional_stratum,
     merge_feasible_same_sign,
     merge_result,
-    simple_degeneration_exists,
     split_result,
     undo_split,
 )
 from kstrata.errors import RotationError, SignatureError, UnsupportedCase
-from kstrata.genus_one import hyperelliptic_genus_one, merge, split_to_sphere
+from kstrata.genus_one import merge, split_to_sphere
 from kstrata.signature import validate
 
 
@@ -89,9 +87,7 @@ def test_index_and_rotation_guards_keep_their_messages():
         split_result(sig, -1, 0, 0)
     with pytest.raises(SignatureError, match=r"^index 3 out of range$"):
         split_to_sphere(sig, 1, 3, 0, 1)
-    for call in (lambda: hyperelliptic_genus_one(1, sig.orders, 2),
-                 lambda: merge(sig, 2, 0, 1),
-                 lambda: split_to_sphere(sig, 2, 0, 0, 1)):
+    for call in (lambda: merge(sig, 2, 0, 1), lambda: split_to_sphere(sig, 2, 0, 0, 1)):
         with pytest.raises(RotationError, match=r"^rotation 2 does not divide gcd 1$"):
             call()
 
@@ -152,14 +148,6 @@ def test_merge_feasible_same_sign_examples():
 def test_merge_feasible_same_sign_marked_point_is_unknown():
     sig = validate(1, 2, (2, 0))
     assert merge_feasible_same_sign(sig, 0, 1) is None
-
-
-def test_simple_degeneration_exists_examples():
-    assert not simple_degeneration_exists(validate(2, 2, (5, -1)))
-    assert not simple_degeneration_exists(validate(3, 2, (6,)))
-    assert simple_degeneration_exists(validate(5, 2, (10,)))
-    with pytest.raises(SignatureError, match="genus"):
-        simple_degeneration_exists(validate(5, 1, (4, -4)))
 
 
 def test_genus0_cylinder_examples():
@@ -417,18 +405,6 @@ def test_simple_cylinder_implies_cylinder():
         orders = tuple(body + [last])
         if genus0_has_simple_cylinder(k, orders):
             assert genus0_has_cylinder(k, orders)
-
-
-def test_is_exceptional_stratum_examples():
-    assert is_exceptional_stratum(validate(1, 3, (2, 2)))
-    assert is_exceptional_stratum(validate(3, 3, (8, 4)))
-    assert is_exceptional_stratum(validate(1, 3, (4, 2, -2)))
-    assert is_exceptional_stratum(validate(2, 3, (6, 3, -1)))
-    assert is_exceptional_stratum(validate(1, 4, (4, 2)))
-    assert not is_exceptional_stratum(validate(2, 3, (6, 2)))
-    assert not is_exceptional_stratum(validate(1, 4, (3, 3)))
-    with pytest.raises(SignatureError, match="genus"):
-        is_exceptional_stratum(validate(3, 2, (6,)))
 
 
 @pytest.mark.parametrize("k", [0, -2])

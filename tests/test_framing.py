@@ -14,7 +14,6 @@ from kstrata.framing import (
     relative_arf,
     spin,
     symplectic_product,
-    torus_framing_value,
 )
 from kstrata.signature import validate
 
@@ -134,27 +133,3 @@ def test_arf_is_basis_independent_for_genus_one():
                 a, b = basis[2 * i], basis[2 * i + 1]
                 total += quadratic_eval(form, a) * quadratic_eval(form, b)
             assert total % 2 == reference
-
-
-def test_torus_framing_value_examples():
-    assert torus_framing_value(5, 3, 3, 1, 0) == 1
-    assert torus_framing_value(7, 4, 2, 0, 1) == -4
-    assert torus_framing_value(2, 6, 2, 0, 0) == 0
-
-
-def test_torus_framing_value_additive():
-    rng = random.Random(17)
-    for _ in range(200):
-        a = rng.choice([2, 3, 4, 6, 8, 12])
-        e = rng.choice([d for d in (2, 3, 4, 6) if a % d == 0])
-        m1, n1, m2, n2 = (rng.randint(-5, 5) for _ in range(4))
-        assert torus_framing_value(5, a, e, m1 + m2, n1 + n2) == torus_framing_value(
-            5, a, e, m1, n1
-        ) + torus_framing_value(5, a, e, m2, n2)
-
-
-def test_torus_framing_value_bad_torsion():
-    with pytest.raises(SignatureError, match="torsion"):
-        torus_framing_value(5, 3, 1, 1, 0)
-    with pytest.raises(SignatureError, match="torsion"):
-        torus_framing_value(5, 3, 2, 1, 0)

@@ -6,8 +6,6 @@ import pytest
 from kstrata.errors import RotationError, SignatureError
 from kstrata.genus_one import (
     components,
-    default_split_witness,
-    hyperelliptic_genus_one,
     merge,
     nonempty_rotations,
     split_to_sphere,
@@ -35,14 +33,20 @@ def test_components_rejects_all_marked_points():
         components(validate(1, 1, (0, 0)))
 
 
+def flags_of(k, orders):
+    return {c.rotation: (c.primitive, c.hyperelliptic) for c in components(validate(k, 1, orders))}
+
+
 def test_component_flags():
-    sig = validate(1, 1, (6, -6))
-    flags = {c.rotation: (c.primitive, c.hyperelliptic) for c in components(sig)}
     # rotation 3 is the (2r,-2r) hyperelliptic component
-    assert flags == {3: (True, True), 2: (True, False), 1: (True, False)}
-    sig = validate(2, 1, (4, -4))
-    flags = {c.rotation: (c.primitive, c.hyperelliptic) for c in components(sig)}
-    assert flags == {2: (False, True), 1: (True, False)}
+    assert flags_of(1, (6, -6)) == {3: (True, True), 2: (True, False), 1: (True, False)}
+    assert flags_of(2, (4, -4)) == {2: (False, True), 1: (True, False)}
+    assert flags_of(5, (4, -4)) == {2: (True, True), 1: (True, False)}
+    assert flags_of(3, (1, 1, -2)) == {1: (True, True)}
+    # one per pattern: (r,r,-r,-r), (2r,-r,-r), (r,r,-2r) at r = 3
+    assert flags_of(2, (3, 3, -3, -3)) == {3: (True, True), 1: (True, False)}
+    assert flags_of(4, (6, -3, -3)) == {3: (True, True), 1: (True, False)}
+    assert flags_of(4, (3, 3, -6)) == {3: (True, True), 1: (True, False)}
 
 
 def test_rotation_times_torsion_is_gcd():
@@ -71,24 +75,6 @@ def test_two_nonzero_singularities_with_trivial_gcd_is_empty():
     # a simple zero against a simple pole forces the two points to collide
     assert components(validate(1, 1, (1, -1))) == ()
     assert components(validate(1, 1, (1, 0, -1))) == ()
-
-
-def test_hyperelliptic_genus_one_examples():
-    assert hyperelliptic_genus_one(5, (4, -4), 2)
-    assert not hyperelliptic_genus_one(5, (4, -4), 1)
-    assert hyperelliptic_genus_one(3, (1, 1, -2), 1)
-
-
-def test_hyperelliptic_genus_one_all_patterns():
-    assert hyperelliptic_genus_one(2, (3, 3, -3, -3), 3)
-    assert hyperelliptic_genus_one(4, (6, -3, -3), 3)
-    assert hyperelliptic_genus_one(4, (3, 3, -6), 3)
-    assert not hyperelliptic_genus_one(2, (3, 3, -3, -3), 1)
-
-
-def test_hyperelliptic_genus_one_invalid_rotation():
-    with pytest.raises(RotationError, match="divide"):
-        hyperelliptic_genus_one(5, (4, -4), 3)
 
 
 def test_merge_collapses_to_two_entry_signature():
@@ -175,7 +161,6 @@ def test_merge_same_sign_is_always_feasible_at_same_rotation():
 def test_split_to_sphere_examples():
     sig = validate(3, 1, (6, -6))
     assert split_to_sphere(sig, 2, 0, -1, 1)
-    assert default_split_witness(3, 6, 2) == (-1, 1)
     assert split_to_sphere(validate(2, 1, (4, -4)), 2, 0, 0, 0)
 
 
@@ -201,10 +186,9 @@ def test_default_witness_always_reaches_sphere():
             idx = next(i for i, o in enumerate(sig.orders) if o > 0)
             a = sig.orders[idx]
             if rotation == a:
-                with pytest.raises(RotationError):
-                    default_split_witness(k, a, rotation)
                 continue
-            a1, a2 = default_split_witness(k, a, rotation)
+            # the sphere split (r - k, a - r - k)
+            a1, a2 = rotation - k, a - rotation - k
             assert a1 + a2 == a - 2 * k and min(a1, a2) > -k
             assert split_to_sphere(sig, rotation, idx, a1, a2)
 
@@ -233,10 +217,7 @@ def test_components_agree_with_per_rotation_calls():
         comps = components(sig)
         assert tuple(c.rotation for c in comps) == nonempty_rotations(sig.orders)
         for c in comps:
-            assert c.hyperelliptic == hyperelliptic_genus_one(k, sig.orders, c.rotation)
-        d = gcd_orders(sig)
-        for r in (d // e for e in divisors(d)):
-            expected = hyperelliptic_reference(sig.orders, r)
-            assert hyperelliptic_genus_one(k, sig.orders, r) == expected
+            expected = hyperelliptic_reference(sig.orders, c.rotation)
+            assert c.hyperelliptic == expected
             seen.add(expected)
     assert seen == {True, False}

@@ -38,7 +38,38 @@ def test_import_loads_no_submodule():
 
 def test_all_is_sorted_and_complete():
     assert kstrata.__all__ == sorted(set(kstrata.__all__))
-    assert len(kstrata.__all__) == 63
+    assert len(kstrata.__all__) == 54
+
+
+def references(path: Path) -> set[str]:
+    """Names a module reads: bare names, imported names and ``module.name``.
+
+    A ``def`` or ``class`` statement binds its name without reading it, so a
+    name defined and never used elsewhere is absent.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in kstrata._HOMES
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name must be read by another part of the package or by the
+    # acceptance suite; its own unit tests do not count
+    package = Path(kstrata.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths.append(Path(__file__).parent / "test_acceptance.py")
+    read = set().union(*map(references, paths))
+    assert sorted(set(kstrata.__all__) - read) == []
 
 
 @pytest.mark.parametrize("name", kstrata.__all__)

@@ -378,9 +378,10 @@ def test_a_shared_component_is_refused_quickly():
 
 def test_intersection_multiplicity_with_huge_exponents():
     # exponents of 10^7 cost nothing: terms are sparse, and the contact of
-    # y - x^N with the x-axis is one step
+    # y - x^N with the x-axis, or with a transverse curve, is one step
     cases = [
         (poly("y - x^10000000"), poly("y"), 10_000_000),
+        (poly("y - x^10000000"), poly("y + x - x^2"), 1),
         (poly("y - x^10000000"), poly("y - x^2"), 2),
         (poly("y - x^10000000"), poly("y^2 - x^3"), 3),
         (poly("2*y - x^2 + y^3"), poly("y^10000000 + x*y"), 3),
@@ -398,9 +399,15 @@ def test_intersection_multiplicity_with_huge_exponents():
 
 
 def test_intersection_multiplicity_work_is_capped():
-    # top-degree reduction cancels one power of x per step here, so the
-    # transverse line's I = 1 would take 10^7 steps: refused within budget
+    # a reduction zeroes a restriction, so a transverse pair takes one,
+    # however high the degree of the other restriction
+    start = time.perf_counter()
+    assert intersection_multiplicity(poly("y - x^1400"), poly("y + x - x^2")) == 1
+    assert time.perf_counter() - start < 0.1
+    # I(f, f + x^100) = I(f, x^100) = 100, gained one at a time by reductions
+    # of a dense curve of degree 60 whose coefficients grow: refused within budget
+    f = Polynomial(XY, {(i, j): 1 for i in range(61) for j in range(61 - i) if i + j})
     start = time.perf_counter()
     with pytest.raises(UnsupportedCase, match="supported maximum"):
-        intersection_multiplicity(poly("y - x^10000000"), poly("y + x - x^2"))
+        intersection_multiplicity(f, f + Polynomial(XY, {(100, 0): 1}))
     assert time.perf_counter() - start < 1

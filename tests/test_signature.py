@@ -10,11 +10,7 @@ from kstrata.signature import (
     divisors,
     format_signature,
     gcd_orders,
-    hyperelliptic_signature_pattern,
     imprimitive_divisors,
-    is_connected_type,
-    is_finite_area,
-    is_invisible_pole,
     parse_signature,
     validate,
 )
@@ -170,76 +166,3 @@ def test_gcd_orders_divides_every_nonzero_order():
         d = gcd_orders(sig)
         if d:
             assert all(o % d == 0 for o in sig.orders if o != 0)
-
-
-def test_is_finite_area_examples():
-    assert is_finite_area(validate(2, 2, (5, -1)))
-    assert not is_finite_area(validate(3, 0, (1, -3, -4)))
-    assert is_finite_area(validate(1, 3, (2, 2)))
-
-
-def test_is_finite_area_monotone_under_raising_an_order():
-    rng = random.Random(11)
-    for _ in range(300):
-        k = rng.randint(1, 6)
-        orders = tuple(rng.randint(-2 * k, 3 * k) for _ in range(rng.randint(1, 5)))
-        sig = StratumSignature(k, 0, orders)
-        idx = rng.randrange(len(orders))
-        raised = list(orders)
-        raised[idx] += rng.randint(1, 4)
-        raised_sig = StratumSignature(k, 0, tuple(raised))
-        if is_finite_area(sig):
-            assert is_finite_area(raised_sig)
-
-
-def test_is_invisible_pole_examples():
-    assert is_invisible_pole(6, -4)
-    assert not is_invisible_pole(6, -1)
-    assert is_invisible_pole(3, -2)
-
-
-def test_is_invisible_pole_rejects_nonpoles():
-    with pytest.raises(SignatureError, match="pole"):
-        is_invisible_pole(6, 0)
-
-
-def test_is_connected_type_examples():
-    assert not is_connected_type(validate(5, 2, (10,)))
-    assert is_connected_type(validate(3, 2, (7, -1)))
-    assert is_connected_type(validate(5, 2, (9, 1)))
-
-
-def test_is_connected_type_invisible_pole_clause():
-    # zero multiset (a, a) coprime to k with one invisible pole
-    assert not is_connected_type(validate(3, 1, (1, 1, -2)))
-    # same shape with a pole that is not invisible stays connected
-    assert is_connected_type(validate(3, 1, (3, 3, -1, -5)))
-
-
-def test_is_connected_type_requires_odd_k():
-    with pytest.raises(SignatureError, match="odd"):
-        is_connected_type(validate(2, 2, (4,)))
-
-
-def test_hyperelliptic_pattern_examples():
-    pattern = hyperelliptic_signature_pattern(validate(2, 4, (6, 6)))
-    assert pattern is not None and (pattern.m, pattern.l) == (3, 3)
-    assert hyperelliptic_signature_pattern(validate(3, 2, (6,))) is None
-    assert hyperelliptic_signature_pattern(validate(5, 2, (9, 1))) is None
-
-
-def test_hyperelliptic_pattern_three_and_four_entry_shapes():
-    p = hyperelliptic_signature_pattern(validate(2, 2, (2, 1, 1)))
-    assert p is not None and p.shape == "(2m,l,l)" and (p.m, p.l) == (1, 1)
-    p = hyperelliptic_signature_pattern(validate(2, 3, (3, 3, 1, 1)))
-    assert p is not None and p.shape == "(m,m,l,l)" and (p.m, p.l) == (3, 1)
-
-
-def test_hyperelliptic_pattern_gcd_condition():
-    # (2m,2l) with gcd(m, l, k) > 1 is imprimitive, not a match
-    assert hyperelliptic_signature_pattern(validate(2, 4, (8, 4))) is None
-
-
-def test_hyperelliptic_pattern_k_one_unsupported():
-    with pytest.raises(UnsupportedCase):
-        hyperelliptic_signature_pattern(validate(1, 2, (2,)))
