@@ -10,13 +10,13 @@ failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
 ``--json`` and the lines for the human form; ``classify --orders-file`` is
 ``_classify_batch``, which parses and classifies every line before it
 renders.  It parses each distinct line text once, classifies each distinct
-stratum once and renders each distinct report body once, its JSON in a few
-encoder runs.
+stratum once and renders each distinct report body once.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -115,14 +115,6 @@ def _lines_text(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-# {"reports": [...]} as json.dumps(..., indent=2) writes it around its reports,
-# and the line that closes one report
-_REPORTS_HEAD, _REPORTS_TAIL, _REPORT_END = '{\n  "reports": [\n', "\n  ]\n}", "\n    }"
-# reports per encoder run: enough to spread its set-up, few enough that its
-# chunk list stays small next to the output
-_REPORTS_PER_RUN = 1000
-
-
 # the signature of a report body while it is encoded: json writes it as
 # "\u0000", and no other string in a report holds a control character
 _BLANK = "\0"
@@ -133,25 +125,16 @@ def _body_key(report):
     return report.count, report.components, report.empty_reason, report.note
 
 
-def _body_json_halves(bodies) -> list[list[str]]:
-    """Each body's text inside ``{"reports": [...]}``, split at its signature.
+def _json_halves(payload, depth) -> list[str]:
+    """``_json_text(payload)`` nested ``depth`` levels deep, split at ``_BLANK``.
 
-    A body is encoded as a report whose signature is ``_BLANK``, in runs of
-    the encoder.  JSON strings hold no raw newline, so a line ``    },``
-    closes a report and nothing else.
+    JSON strings hold no raw newline, so indenting every line after the
+    first by two spaces per level nests the text as the encoder would.
     """
-    halves = []
-    for start in range(0, len(bodies), _REPORTS_PER_RUN):
-        run = [_to_json(report) for report in bodies[start:start + _REPORTS_PER_RUN]]
-        for payload in run:
-            payload["signature"] = _BLANK
-        text = json.dumps({"reports": run}, indent=2, sort_keys=True)
-        text = text[len(_REPORTS_HEAD):-len(_REPORTS_TAIL)] + ",\n"
-        for piece in text.split(_REPORT_END + ",\n")[:-1]:
-            pair = (piece + _REPORT_END).split(_BLANK_JSON)
-            if len(pair) != 2:
-                raise RuntimeError(f"report body {piece!r} holds {_BLANK_JSON} {len(pair) - 1} times")
-            halves.append(pair)
+    text = _json_text(payload).replace("\n", "\n" + "  " * depth)
+    halves = text.split(_BLANK_JSON)
+    if len(halves) != 2:
+        raise RuntimeError(f"report body {text!r} holds {_BLANK_JSON} {len(halves) - 1} times")
     return halves
 
 
@@ -194,11 +177,10 @@ def _classify_batch(args) -> str:
         return "".join(texts[i] for i in order)
     if not strata:
         return _json_text({"reports": []}) + "\n"
-    halves = _body_json_halves(bodies)
-    texts = [
-        f"{halves[b][0]}{json.dumps(format_signature(sig))}{halves[b][1]}" for sig, b in strata
-    ]
-    return _REPORTS_HEAD + ",\n".join(texts[i] for i in order) + _REPORTS_TAIL + "\n"
+    halves = [_json_halves(dataclasses.replace(report, signature=_BLANK), 2) for report in bodies]
+    texts = [json.dumps(format_signature(sig)).join(halves[b]) for sig, b in strata]
+    head, tail = _json_halves({"reports": [_BLANK]}, 0)
+    return head + ",\n    ".join(texts[i] for i in order) + tail + "\n"
 
 
 def _cmd_classify(args):
@@ -383,7 +365,7 @@ def _cmd_cylinder(args):
 def _cmd_quartic_verify(args):
     from . import quartic
 
-    report = quartic.verify_sporadic(args.construction, precision=args.precision)
+    report = quartic.verify_sporadic(args.construction)
     lines = [f"construction {report.construction}:"] + [
         f"  {'PASS' if c.passed else 'FAIL'} {c.name} (expected {c.expected}, got {c.actual})"
         for c in report.checks
@@ -468,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=available_constructions(),
     )
-    p.add_argument("--precision", type=int, default=13)
     p.set_defaults(func=_cmd_quartic_verify)
 
     for sp in sub.choices.values():

@@ -55,10 +55,8 @@ def spin(framing: SymplecticFramingValues) -> int:
         raise SignatureError("spin requires odd k")
     for w in framing.boundary:
         if w % 2 == 0:
-            raise SignatureError(
-                f"boundary value {w} is even: a singularity has odd order"
-            )
-    return arf((a % 2, b % 2) for a, b in framing.pairs)
+            raise SignatureError(f"boundary value {w} is even: a singularity has odd order")
+    return arf(framing.pairs)
 
 
 def relative_arf(sbar: int, pairs) -> int:
@@ -66,7 +64,7 @@ def relative_arf(sbar: int, pairs) -> int:
 
     ``sbar`` is the value of the extended framing on the arc.
     """
-    return (sbar + sum((a + 1) * (b + 1) for a, b in pairs)) % 2
+    return (sbar + arf(pairs)) % 2
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Verifies, in exact rational arithmetic, that the embedded quartic
 constructions behave as claimed: the curve is smooth, the marked branch has
 the stated expansion, the cubic meets it to order 12, and the tangency at
 the marked point has the stated contact order.  The contact orders are
-intersection numbers at the marked point, computed without series; only the
-branch expansion depends on a precision.
+intersection numbers at the marked point, computed without series; the
+branch expansion is computed and compared through x^12.
 
 Smoothness is checked over the disjoint union P^2 = A^2, A^1, {pt} (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
@@ -202,17 +202,14 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     return SmoothnessCertificate("not_certified", None, detail)
 
 
-def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport:
+def verify_sporadic(construction_id: str) -> SporadicReport:
     """Run every certification check for one embedded quartic construction.
 
     The contact orders are the intersection numbers of the affine quartic
     f with the cubic, the quadratic and the x-axis at the origin, a simple
-    point of f, so they are exact.  The precision sets how far the branch
-    series of f is computed; its first 13 coefficients are compared with the
-    data file, so it must be at least 12.
+    point of f, so they are exact.  The branch series of f is computed
+    through x^12, and its 13 coefficients are compared with the data file.
     """
-    if precision < 12:
-        raise ValueError(f"precision {precision} cannot resolve the order-12 checks")
     constructions = _load_constructions()
     if construction_id not in constructions:
         raise UnknownConstructionError(
@@ -237,11 +234,11 @@ def verify_sporadic(construction_id: str, precision: int = 13) -> SporadicReport
 
     # raises unless the origin is a simple point of f, where the intersection
     # numbers below are orders of vanishing along its branch
-    phi = branch_series(f, precision)
+    phi = branch_series(f, 12)
     wanted = [Fraction(0)] * 13
     for key, value in data["branch_coefficients"].items():
         wanted[int(key)] = Fraction(value)
-    check("branch_series", _series_text(wanted), _series_text(phi.coefficients[:13]))
+    check("branch_series", _series_text(wanted), _series_text(phi.coefficients))
     check("cubic_vanishing_order", expected["cubic_order"], intersection_multiplicity(f, g))
     if "quadratic" in data:
         h = Polynomial.from_string(data["quadratic"], ("x", "y"))

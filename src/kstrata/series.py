@@ -33,15 +33,17 @@ from .polynomials import Polynomial, PolynomialError, exact
 # that much); the cap bounds what one call can cost
 MAX_PRECISION = 100
 
-# intersection_multiplicity charges each step its term products and the
-# 64-bit words of both curves' coefficients.  A reduction zeroes one
-# restriction, so y - x^(10^7) against y + x - x^2 (I = 1) charges 10, and
-# each order check of the quartic constructions under 300.  Many reductions
-# of dense curves reach the cap, their coefficients growing as they go: a
-# dense curve f of degree 60 against f + x^100 (I = 100) is refused after
-# 0.2 to 0.3 s on a 2-vCPU Xeon guest; with the cap lifted, the same pair
-# for a dense f of degree 30 with one-digit coefficients took 149 s
-MAX_INTERSECTION_WORK = 10**6
+# intersection_multiplicity charges a reduction its term products times
+# (W + c)^2, W the 64-bit words of the largest coefficient (products and
+# gcds are quadratic in W; c prices a product of small integers), and a
+# peeled factor y the terms of its curve.  With W = 0 throughout, the cap
+# allows 10^6 products; y - x^(10^7) against y + x - x^2 charges under 8*c^2
+# and each quartic order check under 250*c^2.  At the cap, on a 2-vCPU Xeon
+# guest: 0.1 to 0.5 s for a dense f of degree 60 against f + x^100, or of
+# degree 2 or 3 with 3000- to 30000-digit coefficients against f + x^50;
+# uncapped, f + x^100 for a dense f of degree 30 took 149 s
+INTERSECTION_STEP_WORDS = 16  # c above
+MAX_INTERSECTION_WORK = 10**6 * INTERSECTION_STEP_WORDS**2
 
 
 class SeriesError(ValueError):
@@ -173,10 +175,8 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
     ideal at the origin inside (f, g) (Fulton, 2.9), so terms of degree past
     B less the count so far are dropped from each reduced curve.  Then a
     count past B, a curve reduced to 0, or y dividing both restrictions
-    means a shared component.  A reduction is charged its term products
-    (terms of u_f times terms of g, plus terms of u_g times terms of f), a
-    peeled factor y the terms of its curve, and every step the 64-bit words
-    of both curves' coefficients; past MAX_INTERSECTION_WORK in all,
+    means a shared component.  Past MAX_INTERSECTION_WORK, charged as its
+    comment says (the term products are u_f's by g's plus u_g's by f's),
     UnsupportedCase is raised.
     """
     f, g = _terms(f), _terms(g)
@@ -189,8 +189,11 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
             break  # a curve is 0, or y divides both: the number is infinite
         if not q or (p and min(p) > min(q)):
             f, g, p, q = g, f, q, p
-        work += sum(map(int.bit_length, [*f.values(), *g.values()])) // 64
-        work += (len(p) * len(g) + len(q) * len(f)) if p else len(f)
+        if p:
+            words = max(map(int.bit_length, [*f.values(), *g.values()])) // 64
+            work += (len(p) * len(g) + len(q) * len(f)) * (words + INTERSECTION_STEP_WORDS) ** 2
+        else:
+            work += len(f)
         if work > MAX_INTERSECTION_WORK:
             raise UnsupportedCase(
                 f"the intersection number takes more work than the supported maximum "

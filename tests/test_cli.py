@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -102,8 +103,8 @@ BRANCH_PAYLOADS = {
 
 
 # Commands that must stop with a usage error (exit 2): options that would be
-# ignored, malformed pairs, k < 1, a branch precision past the series cap and
-# a split listing past its budget.
+# ignored, malformed pairs, k < 1, an option the command does not have and a
+# split listing past its budget.
 REJECTED_CASES = {
     "classify_orders_file_with_k": (
         ["classify", "--orders-file", "strata.txt", "--k", "3"],
@@ -173,7 +174,7 @@ REJECTED_CASES = {
     "prong_torsion_zero_k": (["prong", "--k", "0", "--a", "2", "--torsion", "2"], "k must be positive"),
     "quartic_precision_cap": (
         ["quartic-verify", "--construction", "OddArf_h0_0", "--precision", "1000000000"],
-        "precision 1000000000 exceeds",
+        "kstrata: error: unrecognized arguments: --precision 1000000000",
     ),
     "split_listing_budget": (
         ["split", "--k", "1", "--genus", "50000001", "--orders", "100000000", "--index", "0"],
@@ -381,12 +382,17 @@ def test_classify_orders_file_human(tmp_path):
 @pytest.mark.parametrize("name", sorted(REJECTED_CASES))
 def test_rejected_commands_exit_2_quickly(name):
     argv, message = REJECTED_CASES[name]
+    # argparse refuses an unknown option itself: it exits after its usage lines
+    by_argparse = message.startswith("kstrata: error: ")
     for args in (argv, [*argv, "--json"]):
         start = time.perf_counter()
-        code, out, err = run_cli(args)
+        code, out, err = run_to_exit(args) if by_argparse else run_cli(args)
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and message in err
+        if by_argparse:
+            assert err.startswith("usage: kstrata ") and err.endswith(f"\n{message}\n")
+        else:
+            assert err.startswith("error: ") and message in err
 
 
 def test_split_applies_on_a_zero_too_large_to_list():
@@ -425,6 +431,20 @@ def test_quartic_verify_help_lists_the_constructions(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     _, out, _ = run_to_exit(["quartic-verify", "--help"])
     assert "--construction {OddArf_h0_0,OddArf_h0_1}" in out
+
+
+def test_readme_shows_the_flags_the_commands_have(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    flag = re.compile(r"--[a-z][a-z-]*")
+    _, out, _ = run_to_exit(["--help"])
+    commands = re.search(r"\{([a-z0-9,-]+)\}", out).group(1).split(",")
+    in_cli = set()
+    for command in commands:
+        in_cli |= set(flag.findall(run_to_exit([command, "--help"])[1]))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    in_readme = set(flag.findall(readme)) - {"--no-build-isolation"}  # pip's
+    assert in_readme - in_cli == set()
+    assert in_cli - in_readme == set()
 
 
 def test_unknown_construction_is_a_usage_error():
@@ -568,17 +588,14 @@ def test_batch_output_equals_the_single_calls(tmp_path):
     }
 
 
-@pytest.mark.parametrize("per_run", [1, 7, None])
-def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path, monkeypatch, per_run):
+def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path):
     from kstrata import classifier
 
-    if per_run is not None:
-        monkeypatch.setattr(cli, "_REPORTS_PER_RUN", per_run)
     signatures = seeded_signatures(random.Random(7), 2500) + genus_one_sweep(1100)
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:500]]
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
-    assert len({cli._body_key(r) for r in reports}) > 1000  # more than one encoder run at the default
+    assert len({cli._body_key(r) for r in reports}) > 1000
     expected = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, expected + "\n", "")
 
@@ -643,9 +660,8 @@ def test_batch_json_peak_memory_stays_near_its_output(tmp_path):
     finally:
         tracemalloc.stop()
     size = len(out.getvalue())
-    # the output string, its copy in the StringIO, one text per distinct
-    # stratum and one encoder run's chunk list; a whole-payload tree and
-    # encoder chunk list is ~13x
+    # the output string, its copy in the StringIO and one text per distinct
+    # stratum; a whole-payload tree and encoder chunk list is ~13x
     assert peak < 8 * size, f"peak {peak} bytes for {size} bytes of output"
 
 
@@ -690,15 +706,14 @@ def genus_one_sweep(count):
     return [(1, 1, (2 * d, 3 * d, -5 * d)) for d in range(1, count + 1)]
 
 
-def test_genus_one_sweep_equals_the_single_calls(tmp_path, monkeypatch):
+def test_genus_one_sweep_equals_the_single_calls(tmp_path):
     from kstrata import classifier
 
-    monkeypatch.setattr(cli, "_REPORTS_PER_RUN", 7)
     signatures = genus_one_sweep(60)
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[::5]] + signatures[:10]
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
-    assert len({cli._body_key(r) for r in reports}) > 7
+    assert len({cli._body_key(r) for r in reports}) == 60  # one body per d
     singles = {}
     for k, genus, orders in set(signatures):
         argv = ["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))]
@@ -708,6 +723,18 @@ def test_genus_one_sweep_equals_the_single_calls(tmp_path, monkeypatch):
     payload = json.dumps({"reports": [singles[s][1] for s in signatures]}, indent=2, sort_keys=True)
     assert payload == json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, payload + "\n", "")
+
+
+def test_body_key_is_every_report_field_but_the_signature():
+    from kstrata import classifier
+
+    report = classifier.primitive_nonhyperelliptic_components(validate(5, 2, (10,)))
+    for field in dataclasses.fields(classifier.ComponentReport):
+        changed = dataclasses.replace(report, **{field.name: object()})
+        if field.name == "signature":
+            assert cli._body_key(changed) == cli._body_key(report)
+        else:
+            assert cli._body_key(changed) != cli._body_key(report), field.name
 
 
 def test_batch_json_refuses_a_body_that_holds_the_blank_signature(tmp_path, monkeypatch):

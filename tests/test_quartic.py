@@ -258,11 +258,6 @@ def test_unknown_construction():
         verify_sporadic("nope")
 
 
-def test_precision_must_cover_the_order_twelve_checks():
-    with pytest.raises(ValueError, match="order-12"):
-        verify_sporadic("OddArf_h0_0", precision=11)
-
-
 def test_perturbed_cubic_breaks_the_contact_order():
     f = Polynomial.from_string(
         "x^4 - x*y^3 + x^3 - y^3 - x^2 - x*y - y^2 + y", ("x", "y")

@@ -411,3 +411,16 @@ def test_intersection_multiplicity_work_is_capped():
     with pytest.raises(UnsupportedCase, match="supported maximum"):
         intersection_multiplicity(f, f + Polynomial(XY, {(100, 0): 1}))
     assert time.perf_counter() - start < 1
+    # few reductions of dense curves with huge coefficients, each quadratic
+    # in the coefficients' words: refused within budget too
+    rng = random.Random(89)
+    for degree, digits in ((3, 3000), (2, 10000), (2, 30000)):
+        f = Polynomial(XY, {
+            (i, j): rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10**digits)
+            for i in range(degree + 1) for j in range(degree + 1 - i) if i + j
+        })
+        g = f + Polynomial(XY, {(50, 0): 1})
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedCase, match="supported maximum"):
+            intersection_multiplicity(f, g)
+        assert time.perf_counter() - start < 0.5
