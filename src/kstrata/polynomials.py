@@ -2,9 +2,9 @@
 
 A polynomial keeps integer numerators over one positive common denominator,
 in lowest terms (content and primitive part; Knuth, TAOCP vol. 2, 4.6.1).
-Sums, products, derivatives, substitution and evaluation run on ints, and
-equality compares ints; coefficients become Fractions only where they
-leave (``terms``, ``coefficient``, ``str``).
+Derivatives, substitution and evaluation run on ints, and equality compares
+ints; coefficients become Fractions only where they leave (``terms``,
+``coefficient``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, and Sylvester resultants computed as one
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import UnsupportedCase
 from .signature import divisors
@@ -84,7 +84,8 @@ class Polynomial:
     int; the polynomial is the sum of ``_num[e] / _den`` times the monomial
     e.  The form is canonical, since the gcd of ``_den`` and every numerator
     is 1, so equal polynomials have equal fields.  ``terms`` and
-    ``coefficient`` give the coefficients as Fractions.
+    ``coefficient`` give the coefficients as Fractions.  Negation is the
+    only ring operator.
     """
 
     __slots__ = ("variables", "_num", "_den")
@@ -132,16 +133,6 @@ class Polynomial:
         return poly
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables) -> "Polynomial":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, value, variables) -> "Polynomial":
-        variables = tuple(variables)
-        value = exact(value)
-        return cls._of(variables, {(0,) * len(variables): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name, variables) -> "Polynomial":
@@ -272,63 +263,10 @@ class Polynomial:
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
-    # -- arithmetic -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            self._match(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other, self.variables)
-        return None
-
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign*other over the lcm of the two denominators."""
-        den = math.lcm(self._den, other._den)
-        mine, theirs = den // self._den, sign * (den // other._den)
-        num = {e: c * mine for e, c in self._num.items()} if mine != 1 else dict(self._num)
-        for exps, coeff in other._num.items():
-            coeff *= theirs
-            num[exps] = num[exps] + coeff if exps in num else coeff
-        return Polynomial._of(self.variables, num, den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, 1)
-
-    __radd__ = __add__
+    # -- negation and equality ------------------------------------------
 
     def __neg__(self):
         return Polynomial._of(self.variables, {e: -c for e, c in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._combine(self, -1)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        num: dict[tuple[int, ...], int] = {}
-        theirs = other._num.items()
-        for e1, c1 in self._num.items():
-            for e2, c2 in theirs:
-                key = tuple(map(add, e1, e2))
-                term = c1 * c2
-                num[key] = num[key] + term if key in num else term
-        return Polynomial._of(self.variables, num, self._den * other._den)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -631,9 +569,10 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
         lead = abs(coeffs[-1])
         # Cauchy's bound: every root has |root| <= reach / lead
         reach = lead + max(abs(c) for c in coeffs[:-1])
-        for den in divisors(lead):
+        denominators, numerators = divisors(lead), divisors(coeffs[0])
+        for den in denominators:
             scaled = [c * den ** (n - i) for i, c in enumerate(coeffs)]
-            for num in divisors(coeffs[0]):
+            for num in numerators:
                 if num * lead > den * reach:
                     break
                 for x in (num, -num):

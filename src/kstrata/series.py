@@ -63,31 +63,12 @@ class PowerSeries:
             raise SeriesError("a series needs at least the constant coefficient")
         self.coefficients = coefficients
 
-    @property
-    def precision(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if n > self.precision:
-            raise SeriesError(f"coefficient {n} beyond precision {self.precision}")
-        return self.coefficients[n]
-
     def truncate(self, precision: int) -> "PowerSeries":
-        if precision > self.precision:
-            raise SeriesError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
+        if precision >= len(self.coefficients):
+            raise SeriesError(f"cannot extend precision {len(self.coefficients) - 1} to {precision}")
         return PowerSeries(self.coefficients[: precision + 1])
 
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
+    def __repr__(self):  # equal series print equal: benchmarks/worker.py keys outputs by repr
         return f"PowerSeries({self.coefficients!r})"
 
 

@@ -3,8 +3,8 @@
 The cases cover dense integer quartics, quartics with rational coefficients,
 quartics with a planted node, reducible quartics (some with a rational
 singular point) and double conics.  Each is
-built here with dict arithmetic of the test's own, so the inputs do not
-depend on the package.  Rewrite the golden file, only on purpose, with
+built with the dict reference in ``polynomial_reference``, so the inputs do
+not depend on the package.  Rewrite the golden file, only on purpose, with
 
     PYTHONPATH=src python tests/test_certificates.py
 """
@@ -20,6 +20,7 @@ import pytest
 
 from kstrata.polynomials import Polynomial
 from kstrata.quartic import smoothness_certificate
+from polynomial_reference import ref_mul as mul
 
 GOLDEN = Path(__file__).parent / "golden" / "certificates.json"
 XYZ = ("x", "y", "z")
@@ -31,15 +32,6 @@ def monomials(degree):
     for combo in combinations_with_replacement(range(3), degree):
         out.append(tuple(combo.count(i) for i in range(3)))
     return out
-
-
-def mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
 
 
 def form(rng, degree, draw):

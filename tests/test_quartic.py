@@ -1,5 +1,6 @@
 import copy
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,6 +16,7 @@ from kstrata.quartic import (
     verify_sporadic,
 )
 from kstrata.series import intersection_multiplicity
+from polynomial_reference import add, mul, power, scale, sub
 
 XYZ = ("x", "y", "z")
 
@@ -87,13 +89,6 @@ def chart_x_certifies(F):
     return quartic._chart_certificate(partials, XYZ, "x").status == "smooth"
 
 
-def power(p, k):
-    out = Polynomial.constant(1, p.variables)
-    for _ in range(k):
-        out = out * p
-    return out
-
-
 QUARTIC_EXPONENTS = [
     tuple(combo.count(i) for i in range(3)) for combo in combinations_with_replacement(range(3), 4)
 ]
@@ -108,17 +103,17 @@ def singular_at(rng, t):
     if t is None:
         u, v, w = homog("x"), homog("y"), homog("z")
     else:
-        u, v, w = homog("x"), homog("z") - homog("y") * t, homog("y")
-    F = Polynomial.zero(XYZ)
+        u, v, w = homog("x"), sub(homog("z"), scale(homog("y"), t)), homog("y")
+    F = Polynomial(XYZ)
     for a, b, c in QUARTIC_EXPONENTS:
         if a + b >= 2 and rng.random() < 0.7:
-            F = F + power(u, a) * power(v, b) * power(w, c) * rng.randint(-3, 3)
+            F = add(F, scale(mul(power(u, a), power(v, b), power(w, c)), rng.randint(-3, 3)))
     return F
 
 
 def test_a_node_on_the_line_at_infinity_keeps_its_point_and_detail():
     u, v, w = homog("x"), homog("z - 2*y"), homog("y")
-    F = w * w * u * v + power(u, 4) + power(v, 4) + power(u, 3) * w
+    F = add(mul(w, w, u, v), power(u, 4), power(v, 4), mul(power(u, 3), w))
     assert chart_x_certifies(F)
     cert = smoothness_certificate(F)
     assert cert == SmoothnessCertificate(
@@ -136,6 +131,17 @@ def test_a_node_at_the_point_at_infinity_keeps_its_point_and_detail(text):
         "singular", (Fraction(0), Fraction(0), Fraction(1)), "common zero found on chart z = 1"
     )
     assert cert == three_chart_rule(F)
+
+
+def test_a_highly_composite_leading_coefficient_is_answered_in_seconds():
+    # the search for a rational singular point meets the leading coefficient
+    # 720720 and a constant near 10^13; it took 73 s when the constant's
+    # divisors were listed once per divisor of 720720
+    F = homog("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x^2*z^2")
+    start = time.perf_counter()
+    cert = smoothness_certificate(F)
+    assert time.perf_counter() - start < 5
+    assert (cert.status, cert.point) == ("singular", (Fraction(0), Fraction(0), Fraction(1)))
 
 
 @pytest.mark.parametrize(
@@ -185,9 +191,9 @@ def seeded_quartics():
     for _ in range(20):
         out.append(singular_at(rng, None))
     for _ in range(10):
-        line = homog("x") * rng.randint(1, 3) + homog("z") * rng.randint(-3, 3)
+        line = Polynomial(XYZ, {(1, 0, 0): rng.randint(1, 3), (0, 0, 1): rng.randint(-3, 3)})
         cubic = Polynomial(XYZ, {(a, b, c - 1): rng.randint(-3, 3) for a, b, c in QUARTIC_EXPONENTS if c})
-        out.append(line * cubic)
+        out.append(mul(line, cubic))
     return [F for F in out if not F.is_zero()]
 
 
@@ -265,7 +271,7 @@ def test_perturbed_cubic_breaks_the_contact_order():
     g = Polynomial.from_string("2*x^3 - y^3 - x^2 - 2*x*y + y", ("x", "y"))
     assert intersection_multiplicity(f, g) == 12
     # x^3 vanishes to order 3 along the branch, below the cubic's 12
-    perturbed = g + Polynomial.from_string("x^3", ("x", "y"))
+    perturbed = add(g, Polynomial.from_string("x^3", ("x", "y")))
     assert intersection_multiplicity(f, perturbed) == 3
 
 
@@ -283,7 +289,7 @@ def _corrupted(field, value):
 AFFINE = "x^4 - x*y^3 + x^3 - y^3 - x^2 - x*y - y^2 + y"
 BRANCH = "1*x^2 + 1*x^6 + 2*x^7 + 4*x^8 + 8*x^9 + 19*x^10 + 44*x^11 + {}*x^12"
 # (1 + x) * AFFINE has the same branch at the origin, but is not the quartic at z = 1
-SCALED = str(Polynomial.from_string(AFFINE, ("x", "y")) * Polynomial.from_string("1 + x", ("x", "y")))
+SCALED = str(mul(*(Polynomial.from_string(f, ("x", "y")) for f in (AFFINE, "1 + x"))))
 CORRUPTIONS = {
     "cubic_vanishing_order": (("expected", "cubic_order"), 11, "11", "12"),
     "tangent_contact_order": (("expected", "contact_order"), 3, "3", "2"),

@@ -16,6 +16,7 @@ from kstrata.series import (
     intersection_multiplicity,
     require_x_axis_tangent,
 )
+from polynomial_reference import add, mul, ref_combine, ref_mul
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -37,25 +38,25 @@ def random_unit_curve(rng, max_degree=4):
 
 
 def on_branch(g, phi):
-    """c_0..c_N of g(x, phi(x)) mod x^(N+1), by plain Polynomial products.
+    """c_0..c_N of g(x, phi(x)) mod x^(N+1), by products of the reference.
 
     g is a polynomial in XY; phi(x) is made a polynomial in x, and each
     product is truncated past x^N.
     """
-    n = phi.precision
+    n = len(phi.coefficients) - 1
 
-    def truncated(p):
-        return Polynomial(XY, {e: c for e, c in p.terms.items() if e[0] <= n})
+    def truncated(terms):
+        return {e: c for e, c in terms.items() if e[0] <= n}
 
-    phi_x = Polynomial(XY, {(k, 0): c for k, c in enumerate(phi.coefficients)})
-    powers = [Polynomial.constant(1, XY)]
+    phi_x = {(k, 0): c for k, c in enumerate(phi.coefficients) if c}
+    powers = [{(0, 0): Fraction(1)}]
     for _ in range(max((j for _, j in g.terms), default=0)):
-        powers.append(truncated(powers[-1] * phi_x))
-    total = Polynomial.zero(XY)
+        powers.append(truncated(ref_mul(powers[-1], phi_x)))
+    total = {}
     for (i, j), c in g.terms.items():
         if i <= n:
-            total = total + truncated(Polynomial(XY, {(i, 0): c}) * powers[j])
-    return tuple(total.coefficient((k, 0)) for k in range(n + 1))
+            total = ref_combine(total, truncated(ref_mul({(i, 0): c}, powers[j])))
+    return tuple(total.get((k, 0), Fraction(0)) for k in range(n + 1))
 
 
 def test_parabola_branch_is_exact():
@@ -64,7 +65,7 @@ def test_parabola_branch_is_exact():
 
 
 def test_branch_precision_is_capped():
-    assert branch_series(poly("y - x^2"), MAX_PRECISION).coefficient(2) == 1
+    assert branch_series(poly("y - x^2"), MAX_PRECISION).coefficients[2] == 1
     with pytest.raises(UnsupportedCase, match="exceeds"):
         branch_series(poly("y - x^2"), MAX_PRECISION + 1)
 
@@ -121,17 +122,17 @@ def test_branch_series_matches_reference_on_constructions():
     for f in construction_curves():
         reference = reference_branch_series(f, 60)
         for precision in [*range(31), 45, 60]:
-            assert branch_series(f, precision) == reference.truncate(precision)
+            assert branch_series(f, precision).coefficients == reference.truncate(precision).coefficients
 
 
 def test_branch_series_matches_reference_with_nonunit_pivots():
     rng = random.Random(67)
     pivots = [Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-1, 4)]
     for trial in range(24):
-        f = random_unit_curve(rng) + Polynomial(XY, {(0, 1): pivots[trial % 4] - 1})
+        f = add(random_unit_curve(rng), Polynomial(XY, {(0, 1): pivots[trial % 4] - 1}))
         reference = reference_branch_series(f, 16)
         for precision in range(17):
-            assert branch_series(f, precision) == reference.truncate(precision)
+            assert branch_series(f, precision).coefficients == reference.truncate(precision).coefficients
 
 
 def test_branch_series_matches_reference_with_rational_terms_and_pivots():
@@ -150,7 +151,7 @@ def test_branch_series_matches_reference_with_rational_terms_and_pivots():
         f = Polynomial(XY, terms)
         reference = reference_branch_series(f, 30)
         for precision in (0, 1, 2, 7, 15, 30):
-            assert branch_series(f, precision) == reference.truncate(precision)
+            assert branch_series(f, precision).coefficients == reference.truncate(precision).coefficients
 
 
 @pytest.mark.parametrize("f", construction_curves())
@@ -168,7 +169,7 @@ def test_branch_series_makes_one_fraction_per_coefficient(f, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     phi = branch_series(f, MAX_PRECISION)
     monkeypatch.undo()
-    assert phi.precision == MAX_PRECISION
+    assert len(phi.coefficients) == MAX_PRECISION + 1
     assert 0 < count <= MAX_PRECISION + 1 + len(f.terms)
 
 
@@ -176,7 +177,7 @@ def test_branch_series_at_the_cap_has_zero_residual():
     # f(x, phi) = O(x^(N+1)) with phi(0) = 0 determines phi uniquely
     for f in construction_curves():
         phi = branch_series(f, MAX_PRECISION)
-        assert phi.precision == MAX_PRECISION and phi.coefficient(0) == 0
+        assert len(phi.coefficients) == MAX_PRECISION + 1 and phi.coefficients[0] == 0
         assert not any(on_branch(f, phi))
 
 
@@ -184,14 +185,14 @@ def test_branch_series_skips_terms_beyond_the_precision():
     start = time.perf_counter()
     phi = branch_series(poly("y - x^2 + y^20000"), 13)
     assert time.perf_counter() - start < 1
-    assert phi == branch_series(poly("y - x^2"), 13)
+    assert phi.coefficients == branch_series(poly("y - x^2"), 13).coefficients
 
 
 def test_a_variable_at_exponent_zero_changes_nothing():
     g = poly("y - x^2 - 2*x^3")
     for text in ("y - x^2 - x^3", "y - x^4 + x*y - 2*y^3", "y - x^3 + x^2*y"):
         f, f3 = poly(text), Polynomial.from_string(text, XYZ)
-        assert branch_series(f3, 12) == branch_series(f, 12)
+        assert branch_series(f3, 12).coefficients == branch_series(f, 12).coefficients
         require_x_axis_tangent(f3)
         for other in (g, poly("y")):
             assert intersection_multiplicity(f3, other) == intersection_multiplicity(f, other)
@@ -245,9 +246,9 @@ def test_vanishing_order_multiplicative():
         og, oh = intersection_or_none(f, g), intersection_or_none(f, h)
         if og is None or oh is None:
             with pytest.raises(SeriesError):
-                intersection_multiplicity(f, g * h)
+                intersection_multiplicity(f, mul(g, h))
         else:
-            assert intersection_multiplicity(f, g * h) == og + oh
+            assert intersection_multiplicity(f, mul(g, h)) == og + oh
 
 
 def test_tangent_contact_order_toy_hyperflex():
@@ -279,12 +280,12 @@ def test_intersection_multiplicity_is_the_order_along_the_branch():
     rng = random.Random(79)
     precision, finite = 24, 0
     for trial in range(120):
-        f = random_unit_curve(rng, 3) + Polynomial(XY, {(0, 1): rng.choice([0, 1, -3])})
+        f = add(random_unit_curve(rng, 3), Polynomial(XY, {(0, 1): rng.choice([0, 1, -3])}))
         g = random_curve(rng, 3, rng.randint(1, 5))
         if trial % 4 == 0:
-            g = g * f
+            g = mul(g, f)
         elif trial % 4 == 1:
-            g = f * random_curve(rng, 2, 2) + Polynomial(XY, {(rng.randint(3, 9), 0): 1})
+            g = add(mul(f, random_curve(rng, 2, 2)), Polynomial(XY, {(rng.randint(3, 9), 0): 1}))
         coefficients = on_branch(g, branch_series(f, precision))
         order = next((n for n, c in enumerate(coefficients) if c), None)
         if order is not None:
@@ -316,14 +317,14 @@ def test_intersection_multiplicity_axioms():
     @settings
     @hypothesis.given(curves, curves, curves)
     def unchanged_by_adding_a_multiple_of_f(f, g, a):
-        assert intersection_or_none(f, g + a * f) == intersection_or_none(f, g)
+        assert intersection_or_none(f, add(g, mul(a, f))) == intersection_or_none(f, g)
 
     @settings
     @hypothesis.given(curves, curves, curves)
     def additive(f, g, h):
         og, oh = intersection_or_none(f, g), intersection_or_none(f, h)
         want = None if og is None or oh is None else og + oh
-        assert intersection_or_none(f, g * h) == want
+        assert intersection_or_none(f, mul(g, h)) == want
 
     symmetric()
     unchanged_by_adding_a_multiple_of_f()
@@ -343,10 +344,10 @@ def test_intersection_multiplicity_is_the_order_of_the_resultant():
     checked = 0
     for _ in range(80):
         f, g = (
-            random_curve(rng, 3, rng.randint(2, 5)) + Polynomial(XY, {(0, rng.randint(4, 5)): 1})
+            add(random_curve(rng, 3, rng.randint(2, 5)), Polynomial(XY, {(0, rng.randint(4, 5)): 1}))
             for _ in range(2)
         )
-        f, g = (p - Polynomial.constant(p.coefficient((0, 0)), XY) for p in (f, g))
+        f, g = (Polynomial(XY, {e: c for e, c in p.terms.items() if any(e)}) for p in (f, g))
         on_axis = sympy.Poly(sympy.gcd(expr(f).subs(x, 0), expr(g).subs(x, 0)), y)
         res = sympy.Poly(sympy.resultant(expr(f), expr(g), y), x)
         if len(on_axis.monoms()) > 1 or res.is_zero:
@@ -360,13 +361,13 @@ def test_a_shared_component_is_refused_quickly():
     f = poly("2*x*y^2 + 2*x^2 - 3*x*y - 2*y")
     h = poly("-3*x^3*y^3 - x^2*y^3 + x + 3*y")
     cases = [
-        (poly("y - x^2") * poly("1 + x"), poly("y - x^2")),
+        (mul(poly("y - x^2"), poly("1 + x")), poly("y - x^2")),
         (poly("y + x*y"), poly("2*y - y^2")),
-        (poly("x^3 - y^2") * poly("1 - y"), poly("x^3 - y^2") * poly("y + x^2")),
+        (mul(poly("x^3 - y^2"), poly("1 - y")), mul(poly("x^3 - y^2"), poly("y + x^2"))),
         # y divides neither restriction and no reduction leaves 0 here: the
         # count passes deg f * deg g, which no finite number does
-        (f, f * poly("3*x^2*y^3 - 2*x^3*y + 2*y + 3*x^2")),
-        (h, h * poly("x^3*y^3 - 3*y + x")),
+        (f, mul(f, poly("3*x^2*y^3 - 2*x^3*y + 2*y + 3*x^2"))),
+        (h, mul(h, poly("x^3*y^3 - 3*y + x"))),
     ]
     for left, right in cases:
         for pair in ((left, right), (right, left)):
@@ -407,9 +408,10 @@ def test_intersection_multiplicity_work_is_capped():
     # I(f, f + x^100) = I(f, x^100) = 100, gained one at a time by reductions
     # of a dense curve of degree 60 whose coefficients grow: refused within budget
     f = Polynomial(XY, {(i, j): 1 for i in range(61) for j in range(61 - i) if i + j})
+    g = add(f, Polynomial(XY, {(100, 0): 1}))
     start = time.perf_counter()
     with pytest.raises(UnsupportedCase, match="supported maximum"):
-        intersection_multiplicity(f, f + Polynomial(XY, {(100, 0): 1}))
+        intersection_multiplicity(f, g)
     assert time.perf_counter() - start < 1
     # few reductions of dense curves with huge coefficients, each quadratic
     # in the coefficients' words: refused within budget too
@@ -419,7 +421,7 @@ def test_intersection_multiplicity_work_is_capped():
             (i, j): rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10**digits)
             for i in range(degree + 1) for j in range(degree + 1 - i) if i + j
         })
-        g = f + Polynomial(XY, {(50, 0): 1})
+        g = add(f, Polynomial(XY, {(50, 0): 1}))
         start = time.perf_counter()
         with pytest.raises(UnsupportedCase, match="supported maximum"):
             intersection_multiplicity(f, g)
