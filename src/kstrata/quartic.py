@@ -7,12 +7,12 @@ the marked point has the stated contact order.  The contact orders are
 intersection numbers at the marked point, computed without series; the
 branch expansion is computed and compared through x^12.
 
-Smoothness is checked over the disjoint union P^2 = A^2, A^1, {pt} (Cox,
+Smoothness is checked over the disjoint union P^2 = {pt}, A^2, A^1 (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
-x, y, z: the affine chart x = 1 by resultants, then the line x = 0, y = 1
-by one univariate gcd and the point (0 : 0 : 1) by evaluation.  Only when
-one of these is not clean are the charts y = 1 and z = 1 checked in full,
-to exhibit a singular point or say why none was found.
+x, y, z: the point (0 : 0 : 1) by evaluation, then the affine chart x = 1
+by resultants, then the line x = 0, y = 1 by one univariate gcd.  Each
+piece either proves itself clean, exhibits a rational singular point, or
+is left open.
 """
 
 from __future__ import annotations
@@ -40,11 +40,15 @@ class SmoothnessCertificate:
     """Semi-decision for smoothness of a projective plane curve.
 
     For v0, v1, v2 the curve's variables, ``smooth`` (detail ``"all charts
-    certified"``) means the chart v0 = 1 was certified by a constant gcd of
-    resultants of the partials, and the line v0 = 0 and the point
-    (0 : 0 : 1) that it misses are clean: the partials have no common zero
-    in P^2.  ``singular`` exhibits an exact rational common zero of the
-    partials.  Anything else is ``not_certified``.
+    certified"``) means the partials have no common zero in P^2: some
+    partial is nonzero at (0 : 0 : 1), the chart v0 = 1 was certified by a
+    constant gcd of resultants of the partials, and their gcd on the line
+    v0 = 0, v1 = 1 is a nonzero constant.  ``singular`` exhibits an exact
+    rational common zero of the partials, with the detail ``"common zero
+    found on chart v = 1"`` for the chart that contains it: v2 for
+    (0 : 0 : 1), v0 for the chart, v1 for the line.  ``not_certified``
+    means no rational common zero was found, and its detail names the
+    chart v0 = 1, the line v0 = 0 or both, whichever was not proved clean.
     """
 
     status: str  # "smooth" | "singular" | "not_certified"
@@ -70,39 +74,27 @@ class SporadicReport:
         return all(c.passed for c in self.checks)
 
 
-def _chart_survey(partials, chart):
-    """Dehomogenized partials on one chart, deduplicated, plus a unit flag."""
-    specialized = [p.substitute(chart, 1) for p in partials]
-    nonzero = list(dict.fromkeys(g for g in specialized if not g.is_zero()))
-    has_unit = any(g.is_constant() for g in nonzero)
-    return nonzero, has_unit
-
-
 def _certify_chart(gs, elim, other):
     """Try to certify that the chart has no common zero, eliminating one way.
 
-    Returns (certified, gcd_poly): the gcd of the eliminants in the other
-    variable, or None when an eliminant degenerates.
+    The resultants of the partial of highest degree in ``elim`` with each
+    other one that involves ``elim``, plus those free of it, all vanish at
+    the projection of every common zero; one that vanishes identically says
+    nothing and is left out.  Returns (certified, gcd_poly): the gcd of the
+    rest in the other variable, or None when nothing is left.
     """
     degrees = [g.degree_in(elim) for g in gs]
-    if max(degrees) > 0:
-        base = gs[degrees.index(max(degrees))]
-        eliminants = [g for g, d in zip(gs, degrees) if d <= 0]
-        for g, d in zip(gs, degrees):
-            if g is base or d <= 0:
-                continue
+    base = gs[degrees.index(max(degrees))]
+    eliminants = [g for g, d in zip(gs, degrees) if d == 0]
+    for g, d in zip(gs, degrees):
+        if g is not base and d > 0:
             r = resultant(base, g, elim)
-            if r.is_zero():
-                return False, None
-            eliminants.append(r)
-        if not eliminants:
-            return False, None
-    else:
-        eliminants = list(gs)
+            if not r.is_zero():
+                eliminants.append(r)
+    if not eliminants:
+        return False, None
     g = gcd_many(eliminants, other)
-    if not g.is_zero() and g.is_constant():
-        return True, g
-    return False, g
+    return not g.is_zero() and g.is_constant(), g
 
 
 def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other):
@@ -126,80 +118,52 @@ def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other
     return None
 
 
-def _chart_certificate(partials, variables, chart) -> SmoothnessCertificate:
-    """The verdict on the affine chart ``chart = 1`` alone.
-
-    ``smooth`` when the chart is certified, ``singular`` with an exact
-    rational common zero of the partials on it, else ``not_certified``
-    with the reason.
-    """
-    others = [v for v in variables if v != chart]
-    gs, has_unit = _chart_survey(partials, chart)
-    if has_unit:
-        return SmoothnessCertificate("smooth")
-    if not gs:
-        return SmoothnessCertificate("not_certified", None, "all partials vanish identically")
-    for elim, other in (others, others[::-1]):
-        ok, gcd_poly = _certify_chart(gs, elim, other)
-        if ok:
-            return SmoothnessCertificate("smooth")
-        point = _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other)
-        if point is not None:
-            return SmoothnessCertificate(
-                "singular", point, f"common zero found on chart {chart} = 1"
-            )
-    return SmoothnessCertificate("not_certified", None, "no elimination order gave a constant gcd")
-
-
-def _clean_at_infinity(partials, variables) -> bool:
-    """True if the partials have no common zero on the line v0 = 0.
-
-    That line is the affine line v0 = 0, v1 = 1, where the partials are
-    univariate in v2, plus the point (0 : 0 : 1).  The line is clean when the
-    gcd of the partials there is a nonzero constant; the point is clean when
-    some partial is nonzero at it.
-    """
-    v0, v1, v2 = variables
-    g = gcd_many([p.substitute(v0, 0).substitute(v1, 1) for p in partials], v2)
-    if g.is_zero() or not g.is_constant():
-        return False
-    point = {v0: 0, v1: 0, v2: 1}
-    return any(p.evaluate(point) for p in partials)
-
-
 def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     """Certify smoothness of the projective curve F = 0 when possible.
 
-    P^2 is covered as A^2, the line at infinity minus a point, and that
-    point, for ``v0, v1, v2 = F.variables``: first the chart v0 = 1, where
-    the partial derivatives are dehomogenized and one variable is eliminated
-    by resultants, a constant gcd proving the chart free of singular points;
-    then, if that chart is certified, the line v0 = 0, v1 = 1 by one
-    univariate gcd and the point (0 : 0 : 1) by evaluation.  If those are
-    clean too, the curve is smooth.  Otherwise the charts v1 = 1 and
-    v2 = 1 are checked in full as the first one was; they cannot certify
-    what the line or the point left open, but may exhibit a rational common
-    zero, which proves singularity.  Everything else is reported as not
-    certified, with the reason for each chart that failed.
+    P^2 is covered as a point, A^2 and a line, for ``v0, v1, v2 =
+    F.variables``.  First the point (0 : 0 : 1), by evaluating the partial
+    derivatives there.  Then the chart v0 = 1: the partials are
+    dehomogenized and one variable is eliminated by resultants, each way
+    round, a constant gcd proving the chart free of singular points and a
+    rational root of it leading to a rational common zero if there is one.
+    Last the line v0 = 0, v1 = 1, where the partials are univariate in v2:
+    their gcd is exact, and a rational root of it is a singular point.  The
+    curve is smooth when the chart is certified and that gcd is a nonzero
+    constant; otherwise the verdict is not certified, naming the piece left
+    open.
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
     if not F.is_homogeneous() or F.degree() < 1:
         raise PolynomialError("expected a homogeneous polynomial of positive degree")
+    v0, v1, v2 = F.variables
     partials = [F.partial_derivative(v) for v in F.variables]
-    uncertified = []
-    for chart in F.variables:
-        verdict = _chart_certificate(partials, F.variables, chart)
-        if verdict.status == "singular":
-            return verdict
-        if verdict.status == "not_certified":
-            uncertified.append((chart, verdict.detail))
-        elif chart == F.variables[0] and _clean_at_infinity(partials, F.variables):
+    if not any(p.evaluate({v0: 0, v1: 0, v2: 1}) for p in partials):
+        point = (Fraction(0), Fraction(0), Fraction(1))
+        return SmoothnessCertificate("singular", point, f"common zero found on chart {v2} = 1")
+
+    # a nonzero form stays nonzero on a chart, so some partial is left
+    gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
+    for elim, other in ((v1, v2), (v2, v1)):
+        certified, gcd_poly = _certify_chart(gs, elim, other)
+        if certified:
             break
-    if not uncertified:
+        point = _search_singular_point(partials, F.variables, v0, gs, gcd_poly, elim, other)
+        if point is not None:
+            return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
+
+    # nonzero: partials vanishing on the whole line would vanish at (0 : 0 : 1)
+    line = gcd_many([p.substitute(v0, 0).substitute(v1, 1) for p in partials], v2)
+    roots = rational_roots(line, v2)
+    if roots:
+        point = (Fraction(0), Fraction(1), roots[0])
+        return SmoothnessCertificate("singular", point, f"common zero found on chart {v1} = 1")
+    if certified and line.is_constant():
         return SmoothnessCertificate("smooth", None, "all charts certified")
-    detail = "; ".join(f"{chart}: {why}" for chart, why in uncertified)
-    return SmoothnessCertificate("not_certified", None, detail)
+    pieces = ((f"chart {v0} = 1", certified), (f"line {v0} = 0", line.is_constant()))
+    detail = " or ".join(piece for piece, clean in pieces if not clean)
+    return SmoothnessCertificate("not_certified", None, f"no rational common zero on {detail}")
 
 
 def verify_sporadic(construction_id: str) -> SporadicReport:

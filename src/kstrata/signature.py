@@ -148,8 +148,4 @@ def imprimitive_divisors(sig: StratumSignature) -> set[int]:
     For each such m the stratum carries components of m-th powers of
     (k/m)-differentials, one row of the classifier's divisor breakdown.
     """
-    return {
-        m
-        for m in divisors(sig.k)
-        if m > 1 and all(o % m == 0 for o in sig.orders)
-    }
+    return {m for m in divisors(math.gcd(sig.k, *sig.orders)) if m > 1}

@@ -408,6 +408,22 @@ def test_split_applies_on_a_zero_too_large_to_list():
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "k, orders",
+    [
+        # k near the divisor cap: listing its divisors took 0.5 s
+        (9999999999971, "19999999999941,1"),
+        # k past the cap: this was refused, though the answer is one row
+        (99999999999973, "199999999999945,1"),
+    ],
+)
+def test_breakdown_lists_the_divisors_of_gcd_k_and_orders(k, orders):
+    start = time.perf_counter()
+    report = run_json(["breakdown", "--k", str(k), "--genus", "2", "--orders", orders])
+    assert time.perf_counter() - start < 0.25
+    assert [row["divisor"] for row in report["rows"]] == [k]
+
+
 def run_to_exit(argv):
     """(exit code, stdout, stderr) of a call that argparse ends with SystemExit."""
     out, err = io.StringIO(), io.StringIO()

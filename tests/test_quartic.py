@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kstrata import quartic
-from kstrata.polynomials import Polynomial, PolynomialError, resultant
+from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, resultant
 from kstrata.quartic import (
     SmoothnessCertificate,
     UnknownConstructionError,
@@ -54,19 +54,29 @@ def test_nodal_quartic_singular_point_is_found():
 
 
 def three_chart_rule(F):
-    """The reference rule: all three charts checked in full, with the same helpers."""
+    """The reference rule: all three charts checked in full, a chart failing when a resultant vanishes."""
+
+    def certify_chart(gs, elim, other):
+        degrees = [g.degree_in(elim) for g in gs]
+        base = gs[degrees.index(max(degrees))]
+        eliminants = [g for g, d in zip(gs, degrees) if d == 0]
+        for g, d in zip(gs, degrees):
+            if g is not base and d > 0:
+                eliminants.append(resultant(base, g, elim))
+        if not eliminants or any(r.is_zero() for r in eliminants):
+            return False, None
+        g = gcd_many(eliminants, other)
+        return not g.is_zero() and g.is_constant(), g
+
     partials = [F.partial_derivative(v) for v in F.variables]
     uncertified = []
     for chart in F.variables:
         others = [v for v in F.variables if v != chart]
-        gs, has_unit = quartic._chart_survey(partials, chart)
-        if has_unit:
-            continue
-        if not gs:
-            uncertified.append((chart, "all partials vanish identically"))
+        gs = list(dict.fromkeys(g for g in (p.substitute(chart, 1) for p in partials) if not g.is_zero()))
+        if any(g.is_constant() for g in gs):
             continue
         for elim, other in (others, others[::-1]):
-            ok, gcd_poly = quartic._certify_chart(gs, elim, other)
+            ok, gcd_poly = certify_chart(gs, elim, other)
             if ok:
                 break
             point = quartic._search_singular_point(
@@ -85,8 +95,12 @@ def three_chart_rule(F):
 
 
 def chart_x_certifies(F):
-    partials = [F.partial_derivative(v) for v in XYZ]
-    return quartic._chart_certificate(partials, XYZ, "x").status == "smooth"
+    gs = [g for g in (F.partial_derivative(v).substitute("x", 1) for v in XYZ) if not g.is_zero()]
+    return any(quartic._certify_chart(gs, elim, other)[0] for elim, other in (("y", "z"), ("z", "y")))
+
+
+def is_singular_point(F, point):
+    return all(F.partial_derivative(v).evaluate(dict(zip(XYZ, point))) == 0 for v in XYZ)
 
 
 QUARTIC_EXPONENTS = [
@@ -157,8 +171,24 @@ def test_an_irrational_singular_point_at_infinity_is_never_smooth(text):
     F = homog(text)
     assert chart_x_certifies(F)
     cert = smoothness_certificate(F)
-    assert cert.status == "not_certified"
-    assert cert == three_chart_rule(F)
+    assert cert == SmoothnessCertificate(
+        "not_certified", None, "no rational common zero on line x = 0"
+    )
+    assert three_chart_rule(F).status == "not_certified"
+
+
+def test_a_vanishing_resultant_no_longer_fails_chart_x():
+    # on chart x = 1 two partials share the factor y, so one resultant is 0;
+    # the three-chart rule found this point only on chart y, as (-2/3 : 1 : 0)
+    F = homog("3*x*y^2*z + 2*y^3*z + y^2*z^2 - 3*y*z^3")
+    point = (Fraction(1), Fraction(-3, 2), Fraction(0))
+    assert smoothness_certificate(F) == SmoothnessCertificate(
+        "singular", point, "common zero found on chart x = 1"
+    )
+    assert is_singular_point(F, point)
+    assert three_chart_rule(F) == SmoothnessCertificate(
+        "singular", (Fraction(-2, 3), Fraction(1), Fraction(0)), "common zero found on chart y = 1"
+    )
 
 
 def sympy_smooth(sympy, F):
@@ -203,17 +233,19 @@ def test_the_line_and_point_agree_with_three_full_charts():
     for F in seeded_quartics():
         new, old = smoothness_certificate(F), three_chart_rule(F)
         statuses.add(new.status)
-        if new != old:
-            # the one change allowed: a spurious failure on chart y or z
-            assert (old.status, new) == (
-                "not_certified",
-                SmoothnessCertificate("smooth", None, "all charts certified"),
-            ), F
+        if new == old:
+            continue
+        # no smooth or singular verdict is lost, and every new point is singular
+        assert old.status == "not_certified" or old.status == new.status == "singular", F
+        if new.status == "smooth":
             assert sympy_smooth(sympy, F), F
+        elif new.status == "singular":
+            assert is_singular_point(F, new.point), F
     assert statuses == {"smooth", "singular", "not_certified"}
 
 
-def test_a_smooth_dense_quartic_costs_two_resultants(monkeypatch):
+@pytest.fixture
+def resultant_calls(monkeypatch):
     calls = []
 
     def counting(p, q, name):
@@ -221,11 +253,24 @@ def test_a_smooth_dense_quartic_costs_two_resultants(monkeypatch):
         return resultant(p, q, name)
 
     monkeypatch.setattr(quartic, "resultant", counting)
+    return calls
+
+
+def test_a_smooth_dense_quartic_costs_two_resultants(resultant_calls):
     F = homog(
         "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
     )
     assert smoothness_certificate(F).status == "smooth"
-    assert len(calls) == 2  # chart x = 1 only; three full charts took 6
+    assert len(resultant_calls) == 2  # chart x = 1 only; three full charts took 6
+
+
+def test_no_seeded_quartic_costs_more_than_four_resultants(resultant_calls):
+    most = 0
+    for F in seeded_quartics():
+        resultant_calls.clear()
+        smoothness_certificate(F)
+        most = max(most, len(resultant_calls))
+    assert most <= 4  # two elimination orders, two pairs each
 
 
 def test_smoothness_requires_homogeneous_three_variables():

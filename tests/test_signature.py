@@ -148,6 +148,7 @@ def test_imprimitive_divisors_downward_closed():
         orders.append(total - sum(orders))
         sig = StratumSignature(k, genus, tuple(sorted(orders, reverse=True)))
         found = imprimitive_divisors(sig)
+        assert found == {m for m in range(2, k + 1) if k % m == 0 and all(o % m == 0 for o in orders)}
         for m in found:
             assert k % m == 0 and all(o % m == 0 for o in sig.orders)
             for smaller in divisors(m):
