@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import available_constructions, load_constructions as _load_constructions
+from .errors import UnsupportedCase
 from .polynomials import (
     Polynomial,
     PolynomialError,
@@ -80,26 +81,22 @@ def _certify_chart(gs, elim, other):
     The resultants of the partial of highest degree in ``elim`` with each
     other one that involves ``elim``, plus those free of it, all vanish at
     the projection of every common zero; one that vanishes identically says
-    nothing and is left out.  Returns (certified, gcd_poly): the gcd of the
-    rest in the other variable, or None when nothing is left.
+    nothing and is left out.  Returns (certified, gcd_poly, whole): the gcd
+    of the rest in the other variable (None if none is left) and whether
+    none was left out.
     """
     degrees = [g.degree_in(elim) for g in gs]
     base = gs[degrees.index(max(degrees))]
+    resultants = [resultant(base, g, elim) for g, d in zip(gs, degrees) if g is not base and d > 0]
     eliminants = [g for g, d in zip(gs, degrees) if d == 0]
-    for g, d in zip(gs, degrees):
-        if g is not base and d > 0:
-            r = resultant(base, g, elim)
-            if not r.is_zero():
-                eliminants.append(r)
-    if not eliminants:
-        return False, None
-    g = gcd_many(eliminants, other)
-    return not g.is_zero() and g.is_constant(), g
+    eliminants += [r for r in resultants if not r.is_zero()]
+    g = gcd_many(eliminants, other) if eliminants else None
+    return g is not None and g.is_constant(), g, not any(r.is_zero() for r in resultants)
 
 
 def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other):
     """Look for an exact rational common zero in one chart."""
-    if gcd_poly is None or gcd_poly.is_zero():
+    if gcd_poly is None:
         return None
     for t in rational_roots(gcd_poly, other):
         slices = [g.substitute(other, t) for g in gs]
@@ -125,13 +122,12 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     F.variables``.  First the point (0 : 0 : 1), by evaluating the partial
     derivatives there.  Then the chart v0 = 1: the partials are
     dehomogenized and one variable is eliminated by resultants, each way
-    round, a constant gcd proving the chart free of singular points and a
-    rational root of it leading to a rational common zero if there is one.
-    Last the line v0 = 0, v1 = 1, where the partials are univariate in v2:
-    their gcd is exact, and a rational root of it is a singular point.  The
-    curve is smooth when the chart is certified and that gcd is a nonzero
-    constant; otherwise the verdict is not certified, naming the piece left
-    open.
+    round; a constant gcd proves the chart free of singular points, and a
+    rational root of it may lead to a rational common zero.  Last the line
+    v0 = 0, v1 = 1, where the partials' gcd in v2 is exact and a rational
+    root of it is a singular point.  The curve is smooth when the chart is
+    certified and that gcd is a nonzero constant; otherwise it is not
+    certified, naming the piece left open.
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
@@ -146,10 +142,15 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     # a nonzero form stays nonzero on a chart, so some partial is left
     gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
     for elim, other in ((v1, v2), (v2, v1)):
-        certified, gcd_poly = _certify_chart(gs, elim, other)
+        certified, gcd_poly, whole = _certify_chart(gs, elim, other)
         if certified:
             break
-        point = _search_singular_point(partials, F.variables, v0, gs, gcd_poly, elim, other)
+        try:
+            point = _search_singular_point(partials, F.variables, v0, gs, gcd_poly, elim, other)
+        except UnsupportedCase:
+            if whole:  # short of a resultant, the gcd is searched only as a bonus
+                raise
+            point = None
         if point is not None:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 

@@ -148,9 +148,9 @@ def test_a_node_at_the_point_at_infinity_keeps_its_point_and_detail(text):
 
 
 def test_a_highly_composite_leading_coefficient_is_answered_in_seconds():
-    # the search for a rational singular point meets the leading coefficient
-    # 720720 and a constant near 10^13; it took 73 s when the constant's
-    # divisors were listed once per divisor of 720720
+    # all partials vanish at (0 : 0 : 1), so the evaluation there answers
+    # before any root search; searched on chart x, the gcd left once F_x and
+    # F_y share the factor z has a constant near 2*10^26, past MAX_DIVISOR_INPUT
     F = homog("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x^2*z^2")
     start = time.perf_counter()
     cert = smoothness_certificate(F)
@@ -189,6 +189,25 @@ def test_a_vanishing_resultant_no_longer_fails_chart_x():
     assert three_chart_rule(F) == SmoothnessCertificate(
         "singular", (Fraction(-2, 3), Fraction(1), Fraction(0)), "common zero found on chart y = 1"
     )
+
+
+@pytest.mark.parametrize(
+    "text, status, point",
+    [
+        # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x, eliminating
+        # z, F_x and F_y share the factor z, and the gcd left has a constant
+        # near 8*10^26; the three-chart rule never searched that gcd
+        ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified", None),
+        # eliminating y, F_x and F_z share the factor y, and the gcd left has
+        # a constant near 10^28; eliminating z finds (1 : 0 : 0)
+        ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular", (1, 0, 0)),
+    ],
+)
+def test_a_search_short_of_a_resultant_finds_nothing_when_too_large(text, status, point):
+    F = homog(text)
+    cert = smoothness_certificate(F)
+    assert (cert.status, cert.point) == (status, point)
+    assert three_chart_rule(F).status == status
 
 
 def sympy_smooth(sympy, F):
