@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .errors import UnsupportedCase
 from .signature import divisors
@@ -74,7 +74,26 @@ def exact(value, error=PolynomialError) -> Fraction:
         raise error(f"not a rational number: {value!r}") from exc
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(/)|(\+)|(-))")
+# the grammar of Polynomial.from_string, matched one term at a time: a failed
+# match anchored at the end would try every split of a run of digits
+_FACTOR = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_]\w*)(?:\s*\^\s*(\d+))?"
+_FACTOR_RE = re.compile(_FACTOR)
+_TERM_RE = re.compile(rf"\s*((?:[+-]\s*)*)((?:{_FACTOR})(?:\s*(?:\*\s*)?(?:{_FACTOR}))*)?\s*")
+
+
+def _fault(text: str, pos: int, last: re.Match | None) -> PolynomialError:
+    """The error for text where no term starts at pos, just after factor last (or None)."""
+    rest = text[pos:].strip()
+    if not rest:
+        return PolynomialError(f"dangling sign in {text!r}")
+    if rest[0] == "*":
+        return PolynomialError(f"misplaced '*' in {text!r}")
+    if rest[0] not in "^/":
+        return PolynomialError(f"cannot tokenize {rest[:12]!r}")
+    # '^' may follow a name without exponent (group 3), '/' a number without denominator (group 1)
+    if last and last.lastindex == {"^": 3, "/": 1}[rest[0]]:
+        return PolynomialError(f"bad {'exponent' if rest[0] == '^' else 'fraction'} in {text!r}")
+    return PolynomialError(f"unexpected token {rest[0]!r} in {text!r}")
 
 
 class Polynomial:
@@ -93,9 +112,15 @@ class Polynomial:
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
         width = len(self.variables)
+        if len(set(self.variables)) != width:
+            # every lookup by name would find the first of two equal names
+            raise PolynomialError(f"repeated variable name in {self.variables}")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(int, exps))
+            try:
+                exps = tuple(map(index, exps))
+            except TypeError:
+                raise PolynomialError(f"exponents must be a tuple of ints, got {exps!r}") from None
             if not isinstance(coeff, Fraction):
                 coeff = exact(coeff)
             if len(exps) != width:
@@ -135,84 +160,37 @@ class Polynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def variable(cls, name, variables) -> "Polynomial":
-        variables = tuple(variables)
-        if name not in variables:
-            raise PolynomialError(f"unknown variable {name!r}")
-        return cls._of(variables, {tuple(int(v == name) for v in variables): 1})
-
-    @classmethod
     def from_string(cls, text: str, variables) -> "Polynomial":
-        """Parse a sum of terms like ``3*x^2*y`` or ``-1/2 x y^3``.
-
-        Coefficients are integers or fractions; a missing coefficient means
-        1 and juxtaposition works as multiplication, as does a ``*`` between
-        two factors.
+        """Parse a sum of terms like ``3*x^2*y`` or ``-1/2 x y^3``: each term is
+        optional signs, then factors joined by whitespace or one ``*``, a factor
+        being a number with an optional ``/ number`` or a variable name with an
+        optional ``^ number``; every term after the first starts with a sign.
         """
         variables = tuple(variables)
-        tokens = _tokenize(text)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        i = 0
-        if not tokens:
+        if not text.strip():
             raise PolynomialError("empty polynomial text")
-        while i < len(tokens):
-            sign = 1
-            while i < len(tokens) and tokens[i] in (("op", "+"), ("op", "-")):
-                if tokens[i][1] == "-":
-                    sign = -sign
-                i += 1
-            if i >= len(tokens):
-                raise PolynomialError(f"dangling sign in {text!r}")
-            coeff = Fraction(sign)
-            exps = [0] * len(variables)
-            saw_factor = False
-            while i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
-                kind, value = tokens[i]
-                if kind == "op" and value == "*":
-                    # only between two factors: x**2, x* and * x are errors
-                    i += 1
-                    if not saw_factor or i >= len(tokens) or tokens[i][0] == "op":
-                        raise PolynomialError(f"misplaced '*' in {text!r}")
-                    continue
-                if kind == "num":
-                    i += 1
-                    numerator = value
-                    if i < len(tokens) and tokens[i] == ("op", "/"):
-                        i += 1
-                        if i >= len(tokens) or tokens[i][0] != "num":
-                            raise PolynomialError(f"bad fraction in {text!r}")
-                        if not tokens[i][1]:
-                            raise PolynomialError(f"zero denominator in {text!r}")
-                        coeff *= Fraction(numerator, tokens[i][1])
-                        i += 1
+        terms, pos, last = {}, 0, None
+        while pos < len(text):
+            m = _TERM_RE.match(text, pos)
+            if m[2] is None:  # no factor after the signs, or where a term stopped
+                raise _fault(text, m.end(), None if m[1] else last)
+            coeff, exps = (-1) ** m[1].count("-"), [0] * len(variables)
+            for last in _FACTOR_RE.finditer(text, m.start(2), m.end(2)):
+                number, den, name, power = last.groups()
+                if name is not None and name not in variables:
+                    raise PolynomialError(f"unknown variable {name!r}")
+                try:
+                    if name is None:
+                        coeff *= Fraction(int(number), int(den)) if den else int(number)
                     else:
-                        coeff *= numerator
-                    saw_factor = True
-                    continue
-                if kind == "name":
-                    if value not in variables:
-                        raise PolynomialError(f"unknown variable {value!r}")
-                    idx = variables.index(value)
-                    i += 1
-                    exponent = 1
-                    if i < len(tokens) and tokens[i] == ("op", "^"):
-                        i += 1
-                        if i >= len(tokens) or tokens[i][0] != "num":
-                            raise PolynomialError(f"bad exponent in {text!r}")
-                        exponent = tokens[i][1]
-                        i += 1
-                    exps[idx] += exponent
-                    saw_factor = True
-                    continue
-                raise PolynomialError(f"unexpected token {value!r} in {text!r}")
-            if not saw_factor:
-                raise PolynomialError(f"empty term in {text!r}")
+                        exps[variables.index(name)] += int(power or 1)
+                except ZeroDivisionError:
+                    raise PolynomialError(f"zero denominator in {text!r}") from None
+                except ValueError:  # more digits than the interpreter's limit
+                    raise PolynomialError(f"number too long in {text!r}") from None
             key = tuple(exps)
-            total = terms.get(key, Fraction(0)) + coeff
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + coeff
+            pos = m.end()
         return cls(variables, terms)
 
     # -- structure ------------------------------------------------------
@@ -351,26 +329,6 @@ class Polynomial:
             parts.append(("- " if coeff < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise PolynomialError(f"cannot tokenize {remainder[:12]!r}")
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("num", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(0).strip()))
-    return tokens
 
 
 def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:

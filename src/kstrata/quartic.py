@@ -212,7 +212,7 @@ def verify_sporadic(construction_id: str) -> SporadicReport:
 
     require_x_axis_tangent(f)
     # the contact order of the x-axis with the branch
-    y = Polynomial.variable("y", ("x", "y"))
+    y = Polynomial.from_string("y", ("x", "y"))
     check("tangent_contact_order", expected["contact_order"], intersection_multiplicity(f, y))
     return SporadicReport(construction_id, tuple(checks))
 

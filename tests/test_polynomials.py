@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +15,7 @@ from kstrata.polynomials import (
     rational_roots,
     resultant,
 )
-from polynomial_reference import add, mul, power, scale, sub
+from polynomial_reference import add, mul, power, ref_combine, ref_mul, scale, sub
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -80,6 +81,118 @@ def test_a_star_stands_only_between_factors():
             if key in record:
                 p = poly(record[key], XYZ)
                 assert poly(str(p), XYZ) == p
+
+
+def test_parsing_agrees_with_the_reference_in_every_style():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.tuples(st.integers(0, 99), st.none() | st.integers(1, 9))
+    power = st.tuples(st.sampled_from(XY), st.none() | st.integers(0, 4))
+    factors = st.lists(number | power, min_size=1, max_size=4)
+    # (signs, factors, whether a copy with one more '-' follows and cancels it)
+    term = st.tuples(st.lists(st.sampled_from("+-"), max_size=3), factors, st.booleans())
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(term, min_size=1, max_size=5), st.data())
+    def any_style(terms, data):
+        def space():
+            return data.draw(st.sampled_from(["", " ", "  ", "\t"]))
+
+        pieces, expected = [], {}
+        for signs, factors, cancel in terms:
+            for copy in [signs, signs + ["-"]] if cancel else [signs]:
+                if pieces and not copy:
+                    copy = ["+"]
+                text = "".join(sign + space() for sign in copy)
+                value = {(0, 0): Fraction((-1) ** copy.count("-"))}
+                for i, (head, tail) in enumerate(factors):
+                    if i:
+                        # juxtaposition needs whitespace, except before a name
+                        # after a number: "2x", "1/2x"
+                        glued = isinstance(head, str) and isinstance(factors[i - 1][0], int)
+                        joins = ["*", " * ", "* ", " ", "\n"] + [""] * glued
+                        text += data.draw(st.sampled_from(joins))
+                    if isinstance(head, int):
+                        text += str(head) + ("" if tail is None else f"{space()}/{space()}{tail}")
+                        monomial = {(0, 0): Fraction(head, tail or 1)}
+                    else:
+                        text += head + ("" if tail is None else f"{space()}^{space()}{tail}")
+                        degree = 1 if tail is None else tail
+                        monomial = {tuple(degree * (v == head) for v in XY): 1}
+                    value = ref_mul(value, monomial)
+                pieces.append(text)
+                expected = ref_combine(expected, value)
+        text = "".join(piece + space() for piece in pieces)
+        assert Polynomial.from_string(text, XY).terms == expected
+
+    any_style()
+
+
+# one input per error the parser raises, each with a single fault
+REJECTED = [
+    ("", "empty polynomial text"),
+    (" \t ", "empty polynomial text"),
+    ("x + ", "dangling sign"),
+    ("x - -", "dangling sign"),
+    ("x + $", "cannot tokenize '$'"),
+    ("x.5", "cannot tokenize '.5'"),
+    ("x + w", "unknown variable 'w'"),
+    ("1/0*x", "zero denominator"),
+    ("x**2", "misplaced '*'"),
+    ("x*", "misplaced '*'"),
+    ("- *y", "misplaced '*'"),
+    ("x^", "bad exponent"),
+    ("x^y", "bad exponent"),
+    ("1/", "bad fraction"),
+    ("1/x", "bad fraction"),
+    ("x^2^3", "unexpected token '^'"),
+    ("2^3", "unexpected token '^'"),
+    ("x - ^2", "unexpected token '^'"),
+    ("x/2", "unexpected token '/'"),
+    ("1/2/3", "unexpected token '/'"),
+    ("1 + /2", "unexpected token '/'"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTED)
+def test_parsing_refuses_each_fault_by_name(text, message):
+    with pytest.raises(PolynomialError, match=re.escape(message)):
+        poly(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "x^" + "9" * 5000], ids=["coefficient", "exponent"])
+def test_a_literal_past_the_digit_limit_is_a_polynomial_error(text):
+    with pytest.raises(PolynomialError, match="number too long"):
+        poly(text)
+
+
+@pytest.mark.parametrize("text", ["1" * 40 + "$", "x " * 20000 + "^", "x" + " " * 20000 + "$"])
+def test_parsing_refuses_without_backtracking(text):
+    # one anchored pattern would try every split of the digits, doubling
+    # its time with each added digit
+    start = time.perf_counter()
+    with pytest.raises(PolynomialError):
+        poly(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_repeated_variable_names_are_refused():
+    # every lookup by name found the first slot: the Fermat quartic in
+    # (x, x, z) was certified singular at (0 : 1 : 0)
+    with pytest.raises(PolynomialError, match="repeated variable name"):
+        Polynomial(("x", "x", "z"), {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    with pytest.raises(PolynomialError, match="repeated variable name"):
+        Polynomial.from_string("x^4 + z^4", ("x", "x", "z"))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1.5,): 1}, {(1.5,): 1, (1,): 1}, {("a",): 1}, {("2",): 1}, {2: 1}],
+    ids=["float", "float-beside-int", "letter", "digit-string", "not-a-tuple"],
+)
+def test_exponents_must_be_ints(terms):
+    with pytest.raises(PolynomialError, match="exponents must be a tuple of ints"):
+        Polynomial(("x",), terms)
 
 
 def test_str_round_trip():
@@ -205,7 +318,7 @@ PLANTED_PAIRS = [
 @pytest.mark.parametrize("a, b", PLANTED_PAIRS)
 def test_resultant_of_planted_linear_pairs(a, b):
     a, b = poly(a, XYZWU), poly(b, XYZWU)
-    y = Polynomial.variable("y", XYZWU)
+    y = Polynomial.from_string("y", XYZWU)
     assert resultant(sub(y, a), sub(y, b), "y") == sub(a, b)
     assert resultant(sub(y, b), sub(y, a), "y") == sub(b, a)
     assert resultant(sub(scale(y, 2), a), sub(scale(y, 3), b), "y") == sub(scale(a, 3), scale(b, 2))
@@ -463,7 +576,7 @@ def test_resultant_matches_sympy_when_identically_zero():
         for _ in range(10):
             shared = random_rational_poly(rng, variables, 2, 3)
             if shared.degree_in("y") <= 0:
-                shared = add(shared, Polynomial.variable("y", variables))
+                shared = add(shared, Polynomial.from_string("y", variables))
             p = mul(shared, random_rational_poly(rng, variables, 2, 3))
             q = mul(shared, random_rational_poly(rng, variables, 2, 3))
             if p.degree_in("y") <= 0 or q.degree_in("y") <= 0:
@@ -551,7 +664,7 @@ def test_rational_roots_match_sympy():
     rng = random.Random(97)
     for trial in range(60):
         name = rng.choice(XY)
-        t = Polynomial.variable(name, XY)
+        t = Polynomial.from_string(name, XY)
         p = Polynomial(XY, {(0, 0): Fraction(rng.choice([-3, 2, 5, 12]), rng.randint(1, 7))})
         for _ in range(rng.randint(1, 3)):
             lead = Fraction(rng.randint(1, 4), rng.randint(1, 3))
