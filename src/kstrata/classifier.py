@@ -6,9 +6,16 @@ low-k exceptional strata overrides the generic rule; genus one is handled
 by rotation numbers and genus zero strata are connected.  The divisor
 breakdown reduces imprimitive components to lower-order differentials.
 
-Results are frozen dataclasses.  Each descriptor class names its kind in a
-``tag`` class attribute, which the command line writes as the ``"type"``
-of the descriptor's JSON object.
+The rules are one function, ``report_body``, of the canonical triple
+(k, genus, descending orders).  It returns a report body ``(count,
+components, empty_reason, note)``, and each fixed outcome is one shared
+tuple.  ``primitive_nonhyperelliptic_components`` wraps a body in a
+``ComponentReport`` for a single call; the command line's batch mode keys
+its work on triples and bodies and builds no report for each line.
+
+Reports and descriptors are frozen dataclasses.  Each descriptor class
+names its kind in a ``tag`` class attribute, which the command line writes
+as the ``"type"`` of the descriptor's JSON object.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import ClassVar
 
 from .errors import SignatureError
 from . import genus_one
-from .signature import StratumSignature, gcd_orders, imprimitive_divisors, validate
+from .signature import StratumSignature, imprimitive_divisors, validate
 
 
 @dataclass(frozen=True)
@@ -83,28 +90,43 @@ class BreakdownRow:
     report: ComponentReport
 
 
-_CUBIC_LABELS = (CubicSporadic(0, 0), CubicSporadic(1, 0), CubicSporadic(1, 1))
-_ONE = (Generic(),)
-_TWO = (Generic(), Generic())
+# (count, components, empty_reason, note): a report less its signature
+Body = tuple[int, tuple[Descriptor, ...], str | None, str | None]
+
+
+def _labels(components: tuple[Descriptor, ...]) -> Body:
+    return len(components), components, None, None
+
+
+# each fixed outcome is one shared body
+_GENERIC = _labels((Generic(),))
+_ARF = _labels((ArfLabeled(0), ArfLabeled(1)))
+_RELATIVE_ARF = _labels((RelativeArfLabeled(0), RelativeArfLabeled(1)))
+_GENUS_ZERO = (1, (Generic(),), None, "hyperellipticity not evaluated in genus zero")
+_IMPRIMITIVE = (0, (), "Imprimitive", None)
+_NONE = (0, (), "NoPrimitiveNonhyperelliptic", None)
+_EMPTY_STRATUM = (0, (), "EmptyStratum", None)
+_TWO = _labels((Generic(), Generic()))
+_CUBIC = _labels((CubicSporadic(0, 0), CubicSporadic(1, 0), CubicSporadic(1, 1)))
 
 # Exceptional strata of the genus >= 2 classification, keyed by
 # (k, genus, descending orders).  Rows absent from this table follow the
 # generic parity rule.
-_EXCEPTIONS: dict[tuple[int, int, tuple[int, ...]], tuple[Descriptor, ...]] = {
-    (1, 2, (2,)): (),
-    (1, 2, (1, 1)): (),
-    (2, 2, (4,)): (),
-    (2, 2, (3, 1)): (),
-    (2, 2, (2, 2)): (),
-    (2, 2, (2, 1, 1)): (),
-    (2, 2, (1, 1, 1, 1)): (),
-    (1, 3, (4,)): _ONE,
-    (1, 3, (2, 2)): _ONE,
-    (1, 2, (4, -2)): _ONE,
-    (1, 2, (2, 2, -2)): _ONE,
-    (3, 2, (6,)): _ONE,
-    (3, 2, (4, 2)): _ONE,
-    (3, 2, (2, 2, 2)): _ONE,
+_EXCEPTIONS: dict[tuple[int, int, tuple[int, ...]], Body] = {
+    (1, 2, (2,)): _NONE,
+    (1, 2, (1, 1)): _NONE,
+    (2, 2, (4,)): _NONE,
+    (2, 2, (3, 1)): _NONE,
+    (2, 2, (2, 2)): _NONE,
+    (2, 2, (2, 1, 1)): _NONE,
+    (2, 2, (1, 1, 1, 1)): _NONE,
+    (1, 3, (4,)): _GENERIC,
+    (1, 3, (2, 2)): _GENERIC,
+    (1, 2, (4, -2)): _GENERIC,
+    (1, 2, (2, 2, -2)): _GENERIC,
+    (3, 2, (6,)): _GENERIC,
+    (3, 2, (4, 2)): _GENERIC,
+    (3, 2, (2, 2, 2)): _GENERIC,
     (2, 3, (9, -1)): _TWO,
     (2, 3, (6, 3, -1)): _TWO,
     (2, 3, (3, 3, 3, -1)): _TWO,
@@ -113,73 +135,59 @@ _EXCEPTIONS: dict[tuple[int, int, tuple[int, ...]], tuple[Descriptor, ...]] = {
     (2, 4, (6, 6)): _TWO,
     (2, 4, (6, 3, 3)): _TWO,
     (2, 4, (3, 3, 3, 3)): _TWO,
-    (3, 3, (12,)): _CUBIC_LABELS,
-    (3, 3, (8, 4)): _CUBIC_LABELS,
-    (3, 3, (4, 4, 4)): _CUBIC_LABELS,
+    (3, 3, (12,)): _CUBIC,
+    (3, 3, (8, 4)): _CUBIC,
+    (3, 3, (4, 4, 4)): _CUBIC,
 }
 
 
-def _two_simple_poles_even_zeros(sig: StratumSignature) -> bool:
-    """Abelian strata with poles exactly (-1, -1) and even positive zeros.
-
-    These carry two components for genus >= 3, distinguished by the
-    relative Arf invariant of the arc between the simple poles.
-    """
-    return (
-        sig.k == 1
-        and sig.genus >= 3
-        and sig.poles == (-1, -1)
-        and all(o % 2 == 0 for o in sig.zeros)
-    )
-
-
-def _require_no_marked_points(sig: StratumSignature) -> None:
-    if any(o == 0 for o in sig.orders):
+def _require_no_marked_points(orders: tuple[int, ...]) -> None:
+    if 0 in orders:
         raise SignatureError("classification rejects marked points (zero orders)")
 
 
 def primitive_nonhyperelliptic_components(sig: StratumSignature) -> ComponentReport:
     """Count and label the primitive nonhyperelliptic components of a stratum."""
-    _require_no_marked_points(sig)
+    return ComponentReport(sig, *report_body(sig.k, sig.genus, sig.orders))
 
-    if sig.genus == 0:
-        if math.gcd(gcd_orders(sig), sig.k) == 1:
-            return ComponentReport(
-                sig, 1, (Generic(),),
-                note="hyperellipticity not evaluated in genus zero",
-            )
-        return ComponentReport(sig, 0, (), empty_reason="Imprimitive")
 
-    if sig.genus == 1:
-        kept = tuple(
-            GenusOne(c.rotation, c.primitive, c.hyperelliptic)
-            for c in genus_one.components(sig)
-            if c.primitive and not c.hyperelliptic
-        )
-        if not kept:
-            return ComponentReport(
-                sig, 0, (), empty_reason="NoPrimitiveNonhyperelliptic"
-            )
-        return ComponentReport(sig, len(kept), kept)
+def report_body(k: int, genus: int, orders: tuple[int, ...]) -> Body:
+    """The report of the canonical stratum (k, genus, descending orders), less its signature.
 
-    if sig.k == 1 and sig.poles == (-1,):
-        return ComponentReport(sig, 0, (), empty_reason="EmptyStratum")
+    Raises SignatureError on a marked point, and in genus one on no orders.
+    """
+    _require_no_marked_points(orders)
 
-    row = _EXCEPTIONS.get((sig.k, sig.genus, sig.orders))
+    if genus == 0:
+        return _GENUS_ZERO if math.gcd(k, *orders) == 1 else _IMPRIMITIVE
+
+    if genus == 1:
+        kept = tuple(GenusOne(r, True, False) for r in genus_one.kept_rotations(k, orders))
+        return _labels(kept) if kept else _NONE
+
+    # the poles are the negative tail of the descending orders
+    if k == 1 and orders[-1] == -1 and (len(orders) == 1 or orders[-2] > 0):
+        return _EMPTY_STRATUM
+
+    row = _EXCEPTIONS.get((k, genus, orders))
     if row is not None:
-        if not row:
-            return ComponentReport(
-                sig, 0, (), empty_reason="NoPrimitiveNonhyperelliptic"
-            )
-        return ComponentReport(sig, len(row), row)
+        return row
 
-    if _two_simple_poles_even_zeros(sig):
-        labels = (RelativeArfLabeled(0), RelativeArfLabeled(1))
-        return ComponentReport(sig, 2, labels)
+    # Abelian strata with poles exactly (-1, -1) and even zeros carry two
+    # components for genus >= 3, told apart by the relative Arf invariant of
+    # the arc between the simple poles
+    if (
+        k == 1
+        and genus >= 3
+        and orders[-2:] == (-1, -1)
+        and (len(orders) == 2 or orders[-3] > 0)
+        and all(o % 2 == 0 for o in orders[:-2])
+    ):
+        return _RELATIVE_ARF
 
-    if sig.k % 2 == 1 and all(o % 2 == 0 for o in sig.orders):
-        return ComponentReport(sig, 2, (ArfLabeled(0), ArfLabeled(1)))
-    return ComponentReport(sig, 1, (Generic(),))
+    if k % 2 == 1 and all(o % 2 == 0 for o in orders):
+        return _ARF
+    return _GENERIC
 
 
 def full_component_breakdown(sig: StratumSignature) -> tuple[BreakdownRow, ...]:
@@ -190,7 +198,7 @@ def full_component_breakdown(sig: StratumSignature) -> tuple[BreakdownRow, ...]:
     primitive nonhyperelliptic ones are counted (hyperelliptic counts are
     out of scope).
     """
-    _require_no_marked_points(sig)
+    _require_no_marked_points(sig.orders)
     rows = []
     for m in sorted(imprimitive_divisors(sig) | {1}, reverse=True):
         d = sig.k // m

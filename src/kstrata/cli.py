@@ -10,20 +10,21 @@ failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
 ``--json`` and the lines for the human form; ``classify --orders-file`` is
 ``_classify_batch``, which parses and classifies every line before it
 renders.  It parses each distinct line text once, classifies each distinct
-stratum once and renders each distinct report body once.
+stratum once and renders each distinct report body once, working on
+canonical triples (k, genus, orders) and report bodies throughout:
+signature and report objects are built only for single calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
 
 from .constructions import available_constructions
 from .errors import StratumError
-from .signature import StratumSignature, check_index, format_signature, parse_signature, validate
+from .signature import StratumSignature, check_index, format_signature, parse_triple, triple_text, validate
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -121,10 +122,6 @@ _BLANK = "\0"
 _BLANK_JSON = json.dumps(_BLANK)
 
 
-def _body_key(report):
-    return report.count, report.components, report.empty_reason, report.note
-
-
 def _json_halves(payload, depth) -> list[str]:
     """``_json_text(payload)`` nested ``depth`` levels deep, split at ``_BLANK``.
 
@@ -141,20 +138,22 @@ def _json_halves(payload, depth) -> list[str]:
 def _classify_batch(args) -> str:
     """The whole output of ``classify --orders-file``, in one string.
 
-    Three memos, which live for this call only, do each distinct piece of
-    work once.  ``by_text`` maps a stripped line text to its stratum, so a
-    repeated text costs one lookup; ``by_sig`` maps a canonical signature to
-    its place among the distinct strata, each classified once; ``by_body``
-    maps a report body, the report less its signature, to its place among
+    Strata are canonical triples (k, genus, orders) and reports are bodies,
+    the report less its signature, from ``classifier.report_body``; no
+    signature or report object is built for a line.  Three memos, which live
+    for this call only, do each distinct piece of work once.  ``by_text``
+    maps a stripped line text to its stratum, so a repeated text costs one
+    lookup; ``by_triple`` maps a triple to its place among the distinct
+    strata, each classified once; ``by_body`` maps a body to its place among
     the distinct bodies, each rendered once.  A stratum's text is its
-    signature spliced into its body's text.
+    signature text, made once from its triple, spliced into its body's text.
     """
     if (args.k, args.genus, args.orders) != (None, None, None):
         raise StratumError("--orders-file takes no --k, --genus or --orders")
     from . import classifier
 
-    by_text, by_sig, by_body = {}, {}, {}
-    strata, bodies, order = [], [], []  # strata: (signature, body index)
+    by_text, by_triple, by_body = {}, {}, {}
+    strata, bodies, order = [], [], []  # strata: (triple, body index)
     with open(args.orders_file, encoding="utf-8") as handle:
         for raw in handle:
             raw = raw.strip()
@@ -162,23 +161,25 @@ def _classify_batch(args) -> str:
                 continue
             i = by_text.get(raw)
             if i is None:
-                sig = parse_signature(raw)
-                i = by_text[raw] = by_sig.setdefault(sig, len(strata))
+                triple = parse_triple(raw)
+                i = by_text[raw] = by_triple.setdefault(triple, len(strata))
                 if i == len(strata):
-                    report = classifier.primitive_nonhyperelliptic_components(sig)
-                    b = by_body.setdefault(_body_key(report), len(bodies))
+                    body = classifier.report_body(*triple)
+                    b = by_body.setdefault(body, len(bodies))
                     if b == len(bodies):
-                        bodies.append(report)
-                    strata.append((sig, b))
+                        bodies.append(body)
+                    strata.append((triple, b))
             order.append(i)
+    reports = [classifier.ComponentReport(_BLANK, *body) for body in bodies]
     if not args.json:
-        tails = [_lines_text(_body_lines(report)) for report in bodies]
-        texts = [f"{format_signature(sig)}\n{tails[b]}" for sig, b in strata]
+        tails = [_lines_text(_body_lines(report)) for report in reports]
+        texts = [f"{triple_text(*triple)}\n{tails[b]}" for triple, b in strata]
         return "".join(texts[i] for i in order)
     if not strata:
         return _json_text({"reports": []}) + "\n"
-    halves = [_json_halves(dataclasses.replace(report, signature=_BLANK), 2) for report in bodies]
-    texts = [json.dumps(format_signature(sig)).join(halves[b]) for sig, b in strata]
+    # a signature text holds no character that JSON escapes
+    halves = [_json_halves(report, 2) for report in reports]
+    texts = [f'"{triple_text(*triple)}"'.join(halves[b]) for triple, b in strata]
     head, tail = _json_halves({"reports": [_BLANK]}, 0)
     return head + ",\n    ".join(texts[i] for i in order) + tail + "\n"
 

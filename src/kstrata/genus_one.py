@@ -77,19 +77,38 @@ def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
     (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
     """
     _require_genus_one(sig)
-    if not any(sig.orders):
-        raise SignatureError("all orders are zero: no differential is prescribed")
     d = gcd_orders(sig)
-    hyperelliptic = _hyperelliptic_rotation(tuple(sorted(sig.orders)))
+    rotations, hyperelliptic = _rotations(sig.orders)
     return tuple(
         GenusOneComponent(
             rotation=r,
             torsion_order=d // r,
-            primitive=math.gcd(sig.k, r) == 1,
+            primitive=_primitive(sig.k, r),
             hyperelliptic=r == hyperelliptic,
         )
-        for r in _nonempty_rotations(sig.orders, d)
+        for r in rotations
     )
+
+
+def kept_rotations(k: int, orders) -> tuple[int, ...]:
+    """Rotations of the primitive nonhyperelliptic components, descending.
+
+    Raises SignatureError when every order is zero.
+    """
+    rotations, hyperelliptic = _rotations(orders)
+    return tuple(r for r in rotations if r != hyperelliptic and _primitive(k, r))
+
+
+def _rotations(orders) -> tuple[tuple[int, ...], int]:
+    """The nonempty rotations, descending, and the hyperelliptic one (0 if none)."""
+    if not any(orders):
+        raise SignatureError("all orders are zero: no differential is prescribed")
+    rotations = _nonempty_rotations(orders, math.gcd(*orders))
+    return rotations, _hyperelliptic_rotation(tuple(sorted(orders)))
+
+
+def _primitive(k: int, rotation: int) -> bool:
+    return math.gcd(k, rotation) == 1
 
 
 def _hyperelliptic_rotation(multiset: tuple[int, ...]) -> int:

@@ -2,9 +2,8 @@
 
 A polynomial keeps integer numerators over one positive common denominator,
 in lowest terms (content and primitive part; Knuth, TAOCP vol. 2, 4.6.1).
-Derivatives, substitution and evaluation run on ints, and equality compares
-ints; coefficients become Fractions only where they leave (``terms``,
-``coefficient``, ``str``).
+Derivatives, substitution and evaluation run on ints; coefficients become
+Fractions only where they leave (``terms``, ``coefficient``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, and Sylvester resultants computed as one
@@ -104,7 +103,8 @@ class Polynomial:
     e.  The form is canonical, since the gcd of ``_den`` and every numerator
     is 1, so equal polynomials have equal fields.  ``terms`` and
     ``coefficient`` give the coefficients as Fractions.  Negation is the
-    only ring operator.
+    only ring operator, and ``==`` is identity: two polynomials are equal
+    when their ``(variables, terms)`` are.
     """
 
     __slots__ = ("variables", "_num", "_den")
@@ -241,22 +241,10 @@ class Polynomial:
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
-    # -- negation and equality ------------------------------------------
+    # -- negation -------------------------------------------------------
 
     def __neg__(self):
         return Polynomial._of(self.variables, {e: -c for e, c in self._num.items()}, self._den)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self._den == other._den
-            and self._num == other._num
-        )
-
-    def __hash__(self):
-        return hash((self.variables, self._den, frozenset(self._num.items())))
 
     # -- calculus and specialization -------------------------------------
 

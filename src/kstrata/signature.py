@@ -52,11 +52,11 @@ def validate(k, genus, orders) -> StratumSignature:
     Raises SignatureError when k <= 0, genus < 0, or the orders do not sum
     to k(2*genus - 2).
     """
-    return _canonical(int(k), int(genus), tuple(int(o) for o in orders))
+    return StratumSignature(*_canonical(int(k), int(genus), tuple(int(o) for o in orders)))
 
 
-def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> StratumSignature:
-    """``validate`` on values that are already ints."""
+def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """``validate`` on values that are already ints, as a canonical triple."""
     check_k(k)
     if genus < 0:
         raise SignatureError(f"genus must be non-negative, got {genus}")
@@ -66,17 +66,26 @@ def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> StratumSignature:
         raise SignatureError(
             f"orders {orders} sum to {total}, expected k(2g-2) = {expected}"
         )
-    return StratumSignature(k, genus, tuple(sorted(orders, reverse=True)))
+    return k, genus, tuple(sorted(orders, reverse=True))
 
 
 def format_signature(sig: StratumSignature) -> str:
     """Canonical text form ``k:<k> g:<g> orders:(o1,o2,...)``, descending."""
-    body = ",".join(str(o) for o in sig.orders)
-    return f"k:{sig.k} g:{sig.genus} orders:({body})"
+    return triple_text(sig.k, sig.genus, sig.orders)
+
+
+def triple_text(k: int, genus: int, orders: tuple[int, ...]) -> str:
+    """``format_signature`` of the canonical triple (k, genus, orders)."""
+    return f"k:{k} g:{genus} orders:({','.join(map(str, orders))})"
 
 
 def parse_signature(text: str) -> StratumSignature:
     """Parse the text form of a signature; tolerant of whitespace."""
+    return StratumSignature(*parse_triple(text))
+
+
+def parse_triple(text: str) -> tuple[int, int, tuple[int, ...]]:
+    """``parse_signature`` as the canonical triple (k, genus, orders)."""
     m = _SIGNATURE_RE.match(text)
     if m is None:
         raise SignatureError(f"unparseable signature: {text!r}")

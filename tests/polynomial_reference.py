@@ -13,6 +13,14 @@ from operator import add as add_exponents
 from kstrata.polynomials import Polynomial
 
 
+def poly_key(p):
+    """What two equal polynomials share: their variables and their terms.
+
+    ``Polynomial`` compares by identity, so tests compare and dedupe these.
+    """
+    return p.variables, frozenset(p.terms.items())
+
+
 def ref_combine(a, b, sign=1):
     out = dict(a)
     for e, c in b.items():

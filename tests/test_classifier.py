@@ -56,6 +56,26 @@ def test_relative_arf_rows():
     assert count_of(1, 3, (3, 3, -1, -1)) == 1
 
 
+@pytest.mark.parametrize(
+    "orders, count",
+    [
+        ((8, -1, -1), 2),  # poles exactly (-1, -1): relative Arf
+        ((8, -2, -1, -1), 1),  # an even pole beside the two simple ones
+        ((6, 2, -2, -1, -1), 1),
+        ((10, -1, -1, -1, -1), 1),  # four simple poles, even zeros
+        ((7, -1, -1, -1), 1),  # three simple poles
+        ((6, -2), 2),  # no simple pole: Arf
+        ((5, -1), 0),  # one simple pole: empty
+    ],
+)
+def test_relative_arf_needs_poles_exactly_two_simple_ones(orders, count):
+    genus = (sum(orders) + 2) // 2
+    report = primitive_nonhyperelliptic_components(validate(1, genus, orders))
+    assert report.count == count
+    if count == 1:
+        assert report.components == (Generic(),)
+
+
 def test_quadratic_two_component_rows():
     assert count_of(2, 4, (9, 3)) == 2
     assert count_of(2, 3, (9, -1)) == 2

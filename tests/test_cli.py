@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import io
+import itertools
 import json
 import os
 import random
@@ -541,6 +542,8 @@ BATCH_SPECIALS = [
     (3, 2, (6,)),  # generic
     (5, 2, (10,)),  # arf
     (1, 3, (6, -1, -1)),  # relative_arf
+    (1, 3, (8, -2, -1, -1)),  # generic: an even pole beside the two simple ones
+    (1, 4, (10, -1, -1, -1, -1)),  # generic: four simple poles
     (3, 3, (12,)),  # cubic_sporadic
     (3, 1, (6, -6)),  # genus_one
     (1, 0, (1, -3)),  # genus-zero note
@@ -614,7 +617,7 @@ def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path, lines):
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
     if lines is None:
-        assert len({cli._body_key(r) for r in reports}) > 1000
+        assert len({classifier.report_body(*dataclasses.astuple(validate(*s))) for s in signatures}) > 1000
     expected = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, expected + "\n", "")
 
@@ -651,21 +654,21 @@ def test_batch_classifies_each_distinct_stratum_once_per_call(tmp_path, monkeypa
     from kstrata import classifier
 
     seen = collections.Counter()
-    classify = classifier.primitive_nonhyperelliptic_components
+    classify = classifier.report_body
 
-    def counting(sig):
-        seen[sig] += 1
-        return classify(sig)
+    def counting(k, genus, orders):
+        seen[k, genus, orders] += 1
+        return classify(k, genus, orders)
 
-    monkeypatch.setattr(classifier, "primitive_nonhyperelliptic_components", counting)
+    monkeypatch.setattr(classifier, "report_body", counting)
     signatures = seeded_signatures(random.Random(3), 300)
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:100]]
     batch = write_batch(tmp_path / "strata.txt", signatures)
-    distinct = {validate(*s) for s in signatures}
+    distinct = {dataclasses.astuple(validate(*s)) for s in signatures}
     assert len(distinct) < len(signatures)
     for calls in (1, 2):
         assert run_cli(["classify", "--orders-file", str(batch), "--json"])[0] == 0
-        assert seen == {sig: calls for sig in distinct}
+        assert seen == {triple: calls for triple in distinct}
 
 
 def test_batch_json_peak_memory_stays_near_its_output(tmp_path):
@@ -699,13 +702,13 @@ def test_batch_rejects_an_integer_past_the_digit_limit(tmp_path):
 
 def test_batch_parses_each_distinct_line_text_once_per_call(tmp_path, monkeypatch):
     seen = collections.Counter()
-    parse = cli.parse_signature
+    parse = cli.parse_triple
 
     def counting(text):
         seen[text] += 1
         return parse(text)
 
-    monkeypatch.setattr(cli, "parse_signature", counting)
+    monkeypatch.setattr(cli, "parse_triple", counting)
     signatures = seeded_signatures(random.Random(4), 300)
     lines = [signature_line(*s) for s in signatures]
     # the same texts padded, and the same strata written another way
@@ -732,7 +735,7 @@ def test_genus_one_sweep_equals_the_single_calls(tmp_path):
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[::5]] + signatures[:10]
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
-    assert len({cli._body_key(r) for r in reports}) == 60  # one body per d
+    assert len({classifier.report_body(*dataclasses.astuple(validate(*s))) for s in signatures}) == 60  # one body per d
     singles = {}
     for k, genus, orders in set(signatures):
         argv = ["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))]
@@ -745,26 +748,120 @@ def test_genus_one_sweep_equals_the_single_calls(tmp_path):
 
 
 def test_body_key_is_every_report_field_but_the_signature():
+    # the batch keys and renders report bodies, so a body must hold every
+    # field of a report but the signature, in the order of the fields
     from kstrata import classifier
 
-    report = classifier.primitive_nonhyperelliptic_components(validate(5, 2, (10,)))
-    for field in dataclasses.fields(classifier.ComponentReport):
-        changed = dataclasses.replace(report, **{field.name: object()})
-        if field.name == "signature":
-            assert cli._body_key(changed) == cli._body_key(report)
-        else:
-            assert cli._body_key(changed) != cli._body_key(report), field.name
+    names = [field.name for field in dataclasses.fields(classifier.ComponentReport)]
+    assert names == ["signature", "count", "components", "empty_reason", "note"]
+    for triple in BATCH_SPECIALS:
+        sig = validate(*triple)
+        report = classifier.primitive_nonhyperelliptic_components(sig)
+        body = classifier.report_body(*dataclasses.astuple(sig))
+        assert tuple(getattr(report, name) for name in names[1:]) == body
+        assert report == classifier.ComponentReport(sig, *body)
 
 
 def test_batch_json_refuses_a_body_that_holds_the_blank_signature(tmp_path, monkeypatch):
     from kstrata import classifier
 
-    classify = classifier.primitive_nonhyperelliptic_components
+    classify = classifier.report_body
     monkeypatch.setattr(
-        classifier, "primitive_nonhyperelliptic_components",
-        lambda sig: dataclasses.replace(classify(sig), note=cli._BLANK),
+        classifier, "report_body", lambda *triple: (*classify(*triple)[:3], cli._BLANK),
     )
     batch = write_batch(tmp_path / "strata.txt", BATCH_SPECIALS)
     code, out, err = run_cli(["classify", "--orders-file", str(batch), "--json"])
     assert (code, out) == (1, "")
     assert err.startswith("internal error: RuntimeError(") and "2 times" in err
+
+
+def test_genus_one_with_no_orders_is_refused_everywhere(tmp_path):
+    # every order of (k:1 g:1 orders:()) is zero, vacuously; not an empty stratum
+    error = "error: all orders are zero: no differential is prescribed\n"
+    batch = tmp_path / "strata.txt"
+    batch.write_text("k:5 g:2 orders:(10)\nk:1 g:1 orders:()\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert run_cli(["classify", "--k", "1", "--genus", "1", "--orders", "", *mode]) == (2, "", error)
+        assert run_cli(["genus1", "--k", "1", "--orders", "", *mode]) == (2, "", error)
+        assert run_cli(["classify", "--orders-file", str(batch), *mode]) == (2, "", error)
+
+
+@pytest.fixture(scope="module")
+def small_strata():
+    """Every canonical stratum with k <= 6, genus <= 4 and 1-4 nonzero orders |o| <= 6k."""
+    out = []
+    for k in range(1, 7):
+        values = [v for v in range(6 * k, -6 * k - 1, -1) if v]
+        for genus in range(5):
+            target = k * (2 * genus - 2)
+            for n in range(4):
+                # n descending entries, then the last one is what the sum leaves
+                for head in itertools.combinations_with_replacement(values, n):
+                    last = target - sum(head)
+                    if last and -6 * k <= last <= (head[-1] if head else 6 * k):
+                        out.append((k, genus, (*head, last)))
+    assert len(out) == 109139
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_batch(small_strata, tmp_path_factory):
+    """The small strata as a batch file, orders shuffled, with their reports."""
+    from kstrata import classifier
+
+    rng = random.Random(24)
+    shuffled = [(k, genus, rng.sample(orders, len(orders))) for k, genus, orders in small_strata]
+    batch = write_batch(tmp_path_factory.mktemp("small") / "strata.txt", shuffled)
+    reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in small_strata]
+    return shuffled, batch, reports
+
+
+def classify_argv(k, genus, orders):
+    return ["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))]
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+def test_batch_equals_the_single_calls_on_every_small_stratum(small_batch, mode):
+    shuffled, batch, reports = small_batch
+    flag = ["--json"] if mode == "json" else []
+    if mode == "json":
+        def single(report):
+            return cli._json_text(report) + "\n"
+
+        # the batch writes a signature's JSON string as its text in quotes
+        texts = [str(r.signature) for r in reports]
+        assert [json.dumps(text) for text in texts] == [f'"{text}"' for text in texts]
+        payload = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
+        expected = payload + "\n"  # the single calls' texts, nested in one list
+    else:
+        def single(report):
+            return cli._lines_text(cli._report_lines(report))
+
+        expected = "".join(map(single, reports))
+    # a single call renders its report so, as real calls on a sample show
+    for i in random.Random(mode).sample(range(len(reports)), 100):
+        assert run_cli([*classify_argv(*shuffled[i]), *flag]) == (0, single(reports[i]), "")
+    assert run_cli(["classify", "--orders-file", str(batch), *flag]) == (0, expected, "")
+
+
+BAD_LINES = [
+    (2, 1, (2, 0, -2)),  # a marked point
+    (3, 2, (5,)),  # the orders miss k(2g-2)
+    (0, 1, ()),
+    (-2, 1, (2, -2)),
+    (1, -1, (-4,)),
+    (1, 1, ()),  # genus one with no orders
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_stops_at_its_first_bad_line_as_the_single_call_does(tmp_path, small_strata, seed):
+    rng = random.Random(seed)
+    lines = rng.sample(small_strata, 300) + rng.sample(BAD_LINES, rng.randint(1, len(BAD_LINES)))
+    rng.shuffle(lines)
+    first = next(line for line in lines if line in BAD_LINES)
+    batch = write_batch(tmp_path / "strata.txt", lines)
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli([*classify_argv(*first), *flag])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert run_cli(["classify", "--orders-file", str(batch), *flag]) == (2, "", err)

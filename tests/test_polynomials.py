@@ -15,7 +15,7 @@ from kstrata.polynomials import (
     rational_roots,
     resultant,
 )
-from polynomial_reference import add, mul, power, ref_combine, ref_mul, scale, sub
+from polynomial_reference import add, mul, poly_key, power, ref_combine, ref_mul, scale, sub
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -39,7 +39,7 @@ def test_parsing_styles_agree():
     explicit = poly("2*x^3 - 1*y^3 + -1*x^2")
     implicit = poly("2x^3 - y^3 - x^2")
     spaced = poly(" 2 x ^ 3 - y^3 - x x ")
-    assert explicit == implicit == spaced
+    assert poly_key(explicit) == poly_key(implicit) == poly_key(spaced)
 
 
 def test_parsing_fractions_and_constants():
@@ -75,12 +75,12 @@ def test_a_star_stands_only_between_factors():
     for text in ("x**2", "x*", "* x", "2*x - *y", "x*+y", "1/2**x"):
         with pytest.raises(PolynomialError, match="misplaced"):
             poly(text)
-    assert poly("2*x*y") == poly("2 x y") == poly("2*x y")
+    assert poly_key(poly("2*x*y")) == poly_key(poly("2 x y")) == poly_key(poly("2*x y"))
     for record in load_constructions().values():
         for key in ("quartic", "affine", "cubic", "quadratic"):
             if key in record:
                 p = poly(record[key], XYZ)
-                assert poly(str(p), XYZ) == p
+                assert poly_key(poly(str(p), XYZ)) == poly_key(p)
 
 
 def test_parsing_agrees_with_the_reference_in_every_style():
@@ -199,18 +199,18 @@ def test_str_round_trip():
     rng = random.Random(41)
     for _ in range(100):
         p = random_poly(rng)
-        assert Polynomial.from_string(str(p), XY) == p or p.is_zero()
+        assert poly_key(Polynomial.from_string(str(p), XY)) == poly_key(p) or p.is_zero()
 
 
 def test_partial_derivative_examples():
-    assert poly("x^4").partial_derivative("x") == poly("4*x^3")
-    assert poly("x^2 - y").partial_derivative("y") == poly("0 - 1")
+    assert poly_key(poly("x^4").partial_derivative("x")) == poly_key(poly("4*x^3"))
+    assert poly_key(poly("x^2 - y").partial_derivative("y")) == poly_key(poly("0 - 1"))
     assert poly("x^4 - x*y^3", XYZ).partial_derivative("z").is_zero()
 
 
 def test_substitute_and_evaluate():
     p = poly("x^2*y - 3*y + 1")
-    assert p.substitute("y", 2) == poly("2*x^2 - 5")
+    assert poly_key(p.substitute("y", 2)) == poly_key(poly("2*x^2 - 5"))
     assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == Fraction(2 - Fraction(3, 2) + 1)
 
 
@@ -218,8 +218,8 @@ def test_exact_inputs_are_kept_and_floats_refused():
     third = Fraction(1, 3)
     p = Polynomial(XY, {(1, 0): third, (0, 1): 2, (0, 0): "-1/10"})
     assert p.terms[1, 0] == third and type(p.terms[1, 0]) is Fraction
-    assert p == poly("1/3*x + 2*y - 1/10")
-    assert Polynomial(XY, {(0, 0): "0.1"}) == poly("1/10")
+    assert poly_key(p) == poly_key(poly("1/3*x + 2*y - 1/10"))
+    assert poly_key(Polynomial(XY, {(0, 0): "0.1"})) == poly_key(poly("1/10"))
     assert p.substitute("x", "3/2").evaluate({"y": 0}) == Fraction(2, 5)
     for call in (
         lambda: Polynomial(XY, {(1, 0): 0.1}),
@@ -247,8 +247,8 @@ def test_homogeneous_check():
 
 
 def test_resultant_examples():
-    assert resultant(poly("y - x"), poly("y + x"), "y") == poly("2*x")
-    assert resultant(poly("y^2"), poly("y - x"), "y") == poly("x^2")
+    assert poly_key(resultant(poly("y - x"), poly("y + x"), "y")) == poly_key(poly("2*x"))
+    assert poly_key(resultant(poly("y^2"), poly("y - x"), "y")) == poly_key(poly("x^2"))
     p = poly("x^2 - 2")
     assert resultant(p, p, "x").is_zero()
 
@@ -269,7 +269,7 @@ def test_resultant_antisymmetry():
         left = resultant(p, q, "y")
         right = resultant(q, p, "y")
         sign = -1 if (m * n) % 2 else 1
-        assert left == scale(right, sign)
+        assert poly_key(left) == poly_key(scale(right, sign))
         trials += 1
 
 
@@ -319,9 +319,9 @@ PLANTED_PAIRS = [
 def test_resultant_of_planted_linear_pairs(a, b):
     a, b = poly(a, XYZWU), poly(b, XYZWU)
     y = Polynomial.from_string("y", XYZWU)
-    assert resultant(sub(y, a), sub(y, b), "y") == sub(a, b)
-    assert resultant(sub(y, b), sub(y, a), "y") == sub(b, a)
-    assert resultant(sub(scale(y, 2), a), sub(scale(y, 3), b), "y") == sub(scale(a, 3), scale(b, 2))
+    assert poly_key(resultant(sub(y, a), sub(y, b), "y")) == poly_key(sub(a, b))
+    assert poly_key(resultant(sub(y, b), sub(y, a), "y")) == poly_key(sub(b, a))
+    assert poly_key(resultant(sub(scale(y, 2), a), sub(scale(y, 3), b), "y")) == poly_key(sub(scale(a, 3), scale(b, 2)))
 
 
 @pytest.mark.parametrize(
@@ -373,15 +373,15 @@ def test_resultant_budget_admits_a_sparse_pair_of_high_order():
     # g - f = y + 1, Res(f, g) = (-1)^160 * f(-1) = 2
     f = Polynomial.from_string("y^160 + 1", ("y",))
     g = Polynomial.from_string("y^160 + y + 2", ("y",))
-    assert resultant(f, g, "y") == Polynomial(("y",), {(0,): 2})
+    assert poly_key(resultant(f, g, "y")) == poly_key(Polynomial(("y",), {(0,): 2}))
 
 
 def test_gcd_many_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
     g = gcd_many((p, q), "x")
-    assert g == poly("x - 1")
-    assert gcd_many((p, poly("x^2 + 1")), "x") == poly("1")
+    assert poly_key(g) == poly_key(poly("x - 1"))
+    assert poly_key(gcd_many((p, poly("x^2 + 1")), "x")) == poly_key(poly("1"))
 
 
 def test_rational_roots():
@@ -492,7 +492,7 @@ def _assert_matches_sympy(pairs, name="y", count=None):
     for p, q in pairs:
         if p.degree_in(name) <= 0 or q.degree_in(name) <= 0:
             continue
-        assert resultant(p, q, name) == _sympy_resultant(p, q, name), (p, q)
+        assert poly_key(resultant(p, q, name)) == poly_key(_sympy_resultant(p, q, name)), (p, q)
         checked += 1
     if count is not None:
         assert checked == count
@@ -556,7 +556,7 @@ def test_resultant_matches_sympy_with_three_and_four_free_variables(variables, c
         start = time.perf_counter()
         r = resultant(p, q, "y")
         assert time.perf_counter() - start < 1
-        assert r == _sympy_resultant(p, q, "y"), (p, q)
+        assert poly_key(r) == poly_key(_sympy_resultant(p, q, "y")), (p, q)
         checked += 1
 
 
@@ -567,7 +567,7 @@ def test_resultant_matches_sympy_on_dense_pairs(degree):
         p, q = dense_poly(rng, degree), dense_poly(rng, degree)
         r = resultant(p, q, "y")
         assert r.degree() == degree * degree  # Bezout's bound is reached
-        assert r == _sympy_resultant(p, q, "y")
+        assert poly_key(r) == poly_key(_sympy_resultant(p, q, "y"))
 
 
 def test_resultant_matches_sympy_when_identically_zero():
@@ -636,7 +636,7 @@ def test_gcd_matches_sympy_with_planted_factors():
         assert gcd_many(polys, name).degree_in(name) >= shared.degree_in(name)
     for polys, name in cases:
         g = gcd_many(polys, name)
-        assert g == _sympy_gcd(polys, name), polys
+        assert poly_key(g) == poly_key(_sympy_gcd(polys, name)), polys
 
 
 def test_univariate_work_rejects_a_second_variable():
@@ -682,10 +682,10 @@ def test_rational_roots_match_sympy():
 def test_gcd_of_zero_and_single_inputs():
     p = poly("2*x^2 - 2")
     zero = Polynomial(XY)
-    assert gcd_many([p], "x") == poly("x^2 - 1")
-    assert gcd_many([zero, p], "x") == poly("x^2 - 1") == gcd_many([p, zero], "x")
-    assert gcd_many([zero], "x") == zero == gcd_many([zero, zero], "x")
-    assert gcd_many([poly("3"), p], "x") == poly("1")
+    assert poly_key(gcd_many([p], "x")) == poly_key(poly("x^2 - 1"))
+    assert poly_key(gcd_many([zero, p], "x")) == poly_key(poly("x^2 - 1")) == poly_key(gcd_many([p, zero], "x"))
+    assert poly_key(gcd_many([zero], "x")) == poly_key(zero) == poly_key(gcd_many([zero, zero], "x"))
+    assert poly_key(gcd_many([poly("3"), p], "x")) == poly_key(poly("1"))
     with pytest.raises(PolynomialError, match="nothing"):
         gcd_many([], "x")
 
@@ -696,7 +696,7 @@ def test_gcd_budget_answers_a_sparse_pair_of_high_degree_at_once():
     q = Polynomial.from_string("x^100000 - x", ("x",))
     start = time.perf_counter()
     try:
-        assert gcd_many([p, q], "x") == Polynomial.from_string("x - 1", ("x",))
+        assert poly_key(gcd_many([p, q], "x")) == poly_key(Polynomial.from_string("x - 1", ("x",)))
     except UnsupportedCase:
         pass
     assert time.perf_counter() - start < 1
@@ -715,7 +715,7 @@ def test_gcd_budget_sees_degree_and_coefficient_size():
     assert time.perf_counter() - start < 1
     shared = Polynomial.from_string("x^2 - 2", ("x",))
     g = gcd_many([mul(dense(40, 100), shared), mul(dense(40, 100), shared)], "x")
-    assert g == shared
+    assert poly_key(g) == poly_key(shared)
 
 
 @pytest.mark.parametrize("degree", [2_000_000, 10**8])
@@ -731,7 +731,7 @@ def test_gcd_budget_refuses_a_high_degree_before_densifying(degree):
     with pytest.raises(UnsupportedCase, match=rf"degrees \[{degree - 1}, {degree}\] exceeds"):
         rational_roots(p, "x")
     # one polynomial is only made monic, from its sparse terms
-    assert gcd_many([Polynomial(("x",)), scale(p, 3)], "x") == p
+    assert poly_key(gcd_many([Polynomial(("x",)), scale(p, 3)], "x")) == poly_key(p)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert time.perf_counter() - start < 1

@@ -16,7 +16,7 @@ from kstrata.quartic import (
     verify_sporadic,
 )
 from kstrata.series import intersection_multiplicity
-from polynomial_reference import add, mul, power, scale, sub
+from polynomial_reference import add, mul, poly_key, power, scale, sub
 
 XYZ = ("x", "y", "z")
 
@@ -72,7 +72,8 @@ def three_chart_rule(F):
     uncertified = []
     for chart in F.variables:
         others = [v for v in F.variables if v != chart]
-        gs = list(dict.fromkeys(g for g in (p.substitute(chart, 1) for p in partials) if not g.is_zero()))
+        restricted = (p.substitute(chart, 1) for p in partials)
+        gs = list({poly_key(g): g for g in restricted if not g.is_zero()}.values())
         if any(g.is_constant() for g in gs):
             continue
         for elim, other in (others, others[::-1]):
