@@ -71,7 +71,6 @@ _HOMES = {
         "format_signature",
         "gcd_orders",
         "imprimitive_divisors",
-        "parse_signature",
         "validate",
     ),
 }

@@ -13,43 +13,40 @@ tuple.  ``primitive_nonhyperelliptic_components`` wraps a body in a
 ``ComponentReport`` for a single call; the command line's batch mode keys
 its work on triples and bodies and builds no report for each line.
 
-Reports and descriptors are frozen dataclasses.  Each descriptor class
-names its kind in a ``tag`` class attribute, which the command line writes
-as the ``"type"`` of the descriptor's JSON object.
+Reports and descriptors are frozen records (``record.Record``), equal
+when their class and fields are.  Each descriptor class names its kind in a
+``tag`` class attribute, which the command line writes as the ``"type"`` of
+the descriptor's JSON object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import SignatureError
+from .record import Record
 from . import genus_one
 from .signature import StratumSignature, imprimitive_divisors, validate
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(Record):
     """A single component carrying no further invariant label."""
 
     tag: ClassVar[str] = "generic"
 
 
-@dataclass(frozen=True)
-class ArfLabeled:
+class ArfLabeled(Record):
     tag: ClassVar[str] = "arf"
     parity: int
 
 
-@dataclass(frozen=True)
-class RelativeArfLabeled:
+class RelativeArfLabeled(Record):
     tag: ClassVar[str] = "relative_arf"
     parity: int
 
 
-@dataclass(frozen=True)
-class CubicSporadic:
+class CubicSporadic(Record):
     """Genus-3 cubic component labelled by Arf parity and a section-count bit.
 
     The bit records whether a holomorphic 1-form triple-vanishes at the
@@ -61,8 +58,7 @@ class CubicSporadic:
     h0_flag: int
 
 
-@dataclass(frozen=True)
-class GenusOne:
+class GenusOne(Record):
     tag: ClassVar[str] = "genus_one"
     rotation: int
     primitive: bool
@@ -72,8 +68,7 @@ class GenusOne:
 Descriptor = Generic | ArfLabeled | RelativeArfLabeled | CubicSporadic | GenusOne
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Record):
     signature: StratumSignature
     count: int
     components: tuple[Descriptor, ...]
@@ -81,8 +76,7 @@ class ComponentReport:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
+class BreakdownRow(Record):
     """One reduction in the divisor breakdown: d-th differentials, d | k."""
 
     divisor: int

@@ -1,9 +1,13 @@
 """Command-line front end with human-readable and JSON output.
 
 Each ``_cmd_*`` imports the modules it runs, so a one-shot call loads only
-what its subcommand needs: ``classify`` never loads the polynomial
-arithmetic behind ``quartic-verify``, and a signature that fails validation
-stops ``classify`` and ``breakdown`` before the classifier is loaded.
+what its subcommand needs: ``classify`` loads ``signature``, ``classifier``
+and ``genus_one`` and never the polynomial arithmetic behind
+``quartic-verify``, and a signature that fails validation stops
+``classify`` and ``breakdown`` before the classifier is loaded.  Outside
+``quartic-verify``, whose results are dataclasses, no call imports
+``dataclasses`` or ``inspect``: the other commands' results are
+``record.Record`` types.
 
 ``main`` writes stdout once per call, after the command has finished, so a
 failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
@@ -59,9 +63,12 @@ _SCALARS = (int, float, str)
 def _to_json(value):
     """The JSON form of a command result; the CLI's one serializer.
 
-    Signatures become their text form and dataclasses their fields, with
+    Signatures become their text form and result objects (records and
+    ``quartic``'s dataclasses) the fields in their ``vars()``, with
     ``"type"`` set from a descriptor's ``tag``; a field left at its default
-    of None is omitted.  Tuples and lists become lists, dicts recurse.
+    of None, the class attribute of the same name, is omitted.  Tuples and
+    lists become lists, dicts recurse; a value with no ``__dict__`` is
+    written as it is.
     """
     if isinstance(value, (tuple, list)):
         return [_to_json(item) for item in value]
@@ -69,13 +76,16 @@ def _to_json(value):
         return {key: _to_json(item) for key, item in value.items()}
     if isinstance(value, StratumSignature):
         return format_signature(value)
-    fields = getattr(value, "__dataclass_fields__", None)
+    fields = getattr(value, "__dict__", None)
     if fields is None:
         return value
+    cls = type(value)
     out = {
         key: item if isinstance(item, _SCALARS) else _to_json(item)
-        for key, item in vars(value).items()
-        if item is not None or fields[key].default is not None
+        for key, item in fields.items()
+        # None is left out where it is the field's default: the class
+        # attribute of the same name, which a field with no default lacks
+        if item is not None or getattr(cls, key, 0) is not None
     }
     tag = getattr(value, "tag", None)
     if tag is not None:

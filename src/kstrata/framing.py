@@ -9,9 +9,8 @@ intersection form, whose Arf invariant is the spin of the differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SignatureError
+from .record import Record
 from .signature import StratumSignature
 
 
@@ -20,8 +19,7 @@ def boundary_framing_value(k: int, order: int) -> int:
     return order + k
 
 
-@dataclass(frozen=True)
-class SymplecticFramingValues:
+class SymplecticFramingValues(Record):
     """Framing values on a symplectic basis and on the boundary loops."""
 
     k: int
@@ -67,8 +65,7 @@ def relative_arf(sbar: int, pairs) -> int:
     return (sbar + arf(pairs)) % 2
 
 
-@dataclass(frozen=True)
-class Mod2QuadraticForm:
+class Mod2QuadraticForm(Record):
     """Quadratic refinement of the mod-2 intersection form on (Z/2)^(2g).
 
     The form is determined by its values on a symplectic basis through

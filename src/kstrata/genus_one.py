@@ -9,9 +9,9 @@ order exactly e.  A component is primitive iff gcd(k, r) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import RotationError, SignatureError
+from .record import Record
 from .signature import (
     StratumSignature,
     check_index,
@@ -22,16 +22,14 @@ from .signature import (
 )
 
 
-@dataclass(frozen=True)
-class GenusOneComponent:
+class GenusOneComponent(Record):
     rotation: int
     torsion_order: int
     primitive: bool
     hyperelliptic: bool
 
 
-@dataclass(frozen=True)
-class GenusOneMerge:
+class GenusOneMerge(Record):
     """Outcome of colliding two singularities on a genus-one signature."""
 
     feasible: bool

@@ -10,9 +10,9 @@ strata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import RotationError, SignatureError
+from .record import Record
 from . import genus_one
 from .signature import check_k, validate
 
@@ -55,8 +55,7 @@ def enumerate_local_classes(k: int, a: int, b: int) -> int:
     return orbits
 
 
-@dataclass(frozen=True)
-class ProngHomImage:
+class ProngHomImage(Record):
     """Image data of the prong matching homomorphism on a torus stratum."""
 
     delta: int

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import SignatureError, UnsupportedCase
+from .record import Record
 
 # divisors is O(sqrt(n)): 0.5 s at the cap on a 2-vCPU Xeon guest
 MAX_DIVISOR_INPUT = 10**13
@@ -21,42 +21,39 @@ _SIGNATURE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(Record):
     """A stratum of k-differentials: (k, genus, singularity orders).
 
     ``orders`` is stored in descending order and treated as a multiset.
     Positive entries are zeros, negative entries poles, and zero entries
-    marked points (accepted only where an operation says so).
+    marked points (accepted only where an operation says so).  The
+    constructor checks the order-sum identity and sorts the orders, so a
+    signature is canonical however it is built.
     """
 
     k: int
     genus: int
     orders: tuple[int, ...]
 
-    @property
-    def zeros(self) -> tuple[int, ...]:
-        return tuple(o for o in self.orders if o > 0)
-
-    @property
-    def poles(self) -> tuple[int, ...]:
-        return tuple(o for o in self.orders if o < 0)
+    def __init__(self, k: int, genus: int, orders: tuple[int, ...]) -> None:
+        fields = vars(self)
+        fields["k"], fields["genus"], fields["orders"] = _canonical(k, genus, tuple(orders))
 
     def __str__(self) -> str:
         return format_signature(self)
 
 
 def validate(k, genus, orders) -> StratumSignature:
-    """Build the canonical signature, checking the order-sum identity.
+    """The canonical signature: the constructor, on k, genus and orders made ints.
 
     Raises SignatureError when k <= 0, genus < 0, or the orders do not sum
     to k(2*genus - 2).
     """
-    return StratumSignature(*_canonical(int(k), int(genus), tuple(int(o) for o in orders)))
+    return StratumSignature(int(k), int(genus), tuple(int(o) for o in orders))
 
 
 def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """``validate`` on values that are already ints, as a canonical triple."""
+    """The checked triple (k, genus, descending orders) of ints; see ``validate``."""
     check_k(k)
     if genus < 0:
         raise SignatureError(f"genus must be non-negative, got {genus}")
@@ -79,13 +76,12 @@ def triple_text(k: int, genus: int, orders: tuple[int, ...]) -> str:
     return f"k:{k} g:{genus} orders:({','.join(map(str, orders))})"
 
 
-def parse_signature(text: str) -> StratumSignature:
-    """Parse the text form of a signature; tolerant of whitespace."""
-    return StratumSignature(*parse_triple(text))
-
-
 def parse_triple(text: str) -> tuple[int, int, tuple[int, ...]]:
-    """``parse_signature`` as the canonical triple (k, genus, orders)."""
+    """The canonical triple (k, genus, orders) of a signature's text form.
+
+    Tolerant of whitespace; raises SignatureError as ``validate`` does, and
+    on text that is not a signature.
+    """
     m = _SIGNATURE_RE.match(text)
     if m is None:
         raise SignatureError(f"unparseable signature: {text!r}")

@@ -10,7 +10,7 @@ from kstrata.classifier import (
     primitive_nonhyperelliptic_components,
 )
 from kstrata.errors import SignatureError
-from kstrata.signature import validate
+from kstrata.signature import StratumSignature, validate
 
 
 def count_of(k, genus, orders):
@@ -46,6 +46,14 @@ def test_cubic_sporadic_rows():
         CubicSporadic(1, 0),
         CubicSporadic(1, 1),
     )
+
+
+def test_a_signature_built_directly_is_classified_as_a_validated_one():
+    direct = primitive_nonhyperelliptic_components(StratumSignature(1, 3, (-1, -1, 6)))
+    assert direct == primitive_nonhyperelliptic_components(validate(1, 3, (6, -1, -1)))
+    assert direct.components == (RelativeArfLabeled(0), RelativeArfLabeled(1))
+    with pytest.raises(SignatureError, match="sum to 5"):
+        primitive_nonhyperelliptic_components(StratumSignature(1, 2, (5,)))
 
 
 def test_relative_arf_rows():

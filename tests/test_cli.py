@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import io
 import itertools
 import json
@@ -535,6 +534,47 @@ def test_quartic_verify_loads_the_certification_stack():
     assert CERTIFICATION_STACK - {"fractions"} <= loaded
 
 
+# Runs one command in a new interpreter, as IMPORT_PROBE does, and prints the
+# exit code, the output and which of dataclasses and inspect are loaded then;
+# a usage error's exit code comes from SystemExit
+RECORD_PROBE = """
+import contextlib, io, json, sys
+from kstrata import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(GOLDEN_CASES) - {"quartic_verify"}) + ["usage_error", "orders_file", "orders_file_json"]
+)
+def test_commands_other_than_quartic_verify_load_no_dataclasses(tmp_path, name):
+    # their results are records, and dataclasses would load inspect, ast and dis
+    if name.startswith("orders_file"):
+        batch = write_batch(tmp_path / "strata.txt", BATCH_SPECIALS)
+        argv = ["classify", "--orders-file", str(batch)] + (["--json"] if name.endswith("json") else [])
+    else:
+        argv = GOLDEN_CASES.get(name, ["classify", "--k", "3"])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == (2 if name == "usage_error" else 0)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", RECORD_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stderr == err.getvalue()
+    assert json.loads(done.stdout) == [code, out.getvalue(), []]
+
+
 # -- classify --orders-file ---------------------------------------------------
 
 # One stratum per descriptor kind, empty reason and note the classifier has.
@@ -564,6 +604,12 @@ def seeded_signatures(rng, count):
         if 0 not in orders and abs(orders[-1]) <= 6 * k:
             out.append((k, genus, tuple(orders)))
     return out
+
+
+def canonical(signature):
+    """The canonical triple (k, genus, orders) of a signature given as a triple."""
+    sig = validate(*signature)
+    return sig.k, sig.genus, sig.orders
 
 
 def signature_line(k, genus, orders):
@@ -617,7 +663,7 @@ def test_batch_json_equals_one_encoder_run_over_every_line(tmp_path, lines):
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
     if lines is None:
-        assert len({classifier.report_body(*dataclasses.astuple(validate(*s))) for s in signatures}) > 1000
+        assert len({classifier.report_body(*canonical(s)) for s in signatures}) > 1000
     expected = json.dumps({"reports": [cli._to_json(r) for r in reports]}, indent=2, sort_keys=True)
     assert run_cli(["classify", "--orders-file", str(batch), "--json"]) == (0, expected + "\n", "")
 
@@ -664,7 +710,7 @@ def test_batch_classifies_each_distinct_stratum_once_per_call(tmp_path, monkeypa
     signatures = seeded_signatures(random.Random(3), 300)
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[:100]]
     batch = write_batch(tmp_path / "strata.txt", signatures)
-    distinct = {dataclasses.astuple(validate(*s)) for s in signatures}
+    distinct = {canonical(s) for s in signatures}
     assert len(distinct) < len(signatures)
     for calls in (1, 2):
         assert run_cli(["classify", "--orders-file", str(batch), "--json"])[0] == 0
@@ -735,7 +781,7 @@ def test_genus_one_sweep_equals_the_single_calls(tmp_path):
     signatures += [(k, g, orders[::-1]) for k, g, orders in signatures[::5]] + signatures[:10]
     batch = write_batch(tmp_path / "strata.txt", signatures)
     reports = [classifier.primitive_nonhyperelliptic_components(validate(*s)) for s in signatures]
-    assert len({classifier.report_body(*dataclasses.astuple(validate(*s))) for s in signatures}) == 60  # one body per d
+    assert len({classifier.report_body(*canonical(s)) for s in signatures}) == 60  # one body per d
     singles = {}
     for k, genus, orders in set(signatures):
         argv = ["classify", "--k", str(k), "--genus", str(genus), "--orders", ",".join(map(str, orders))]
@@ -752,12 +798,12 @@ def test_body_key_is_every_report_field_but_the_signature():
     # field of a report but the signature, in the order of the fields
     from kstrata import classifier
 
-    names = [field.name for field in dataclasses.fields(classifier.ComponentReport)]
-    assert names == ["signature", "count", "components", "empty_reason", "note"]
     for triple in BATCH_SPECIALS:
         sig = validate(*triple)
         report = classifier.primitive_nonhyperelliptic_components(sig)
-        body = classifier.report_body(*dataclasses.astuple(sig))
+        names = list(vars(report))
+        assert names == ["signature", "count", "components", "empty_reason", "note"]
+        body = classifier.report_body(sig.k, sig.genus, sig.orders)
         assert tuple(getattr(report, name) for name in names[1:]) == body
         assert report == classifier.ComponentReport(sig, *body)
 

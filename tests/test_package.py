@@ -27,14 +27,8 @@ PACKAGE = sorted(Path(kstrata.__file__).parent.glob("*.py"))
 CALLERS = [p for p in PACKAGE if p.name != "__init__.py"]
 CALLERS.append(Path(__file__).parent / "test_acceptance.py")
 # public names and members that no caller reads, each with the reason it stays
-# (the classifier and the batch work on canonical triples, so only library
-# callers read a signature's text form or its zeros and poles)
-UNREAD_NAMES = {"parse_signature": "reads the text form the CLI writes; wraps parse_triple"}
-UNREAD_MEMBERS = {
-    "PowerSeries.truncate": "called by benchmarks/test_benchmarks.py",
-    "StratumSignature.poles": "a signature's negative orders, for library callers",
-    "StratumSignature.zeros": "a signature's positive orders, for library callers",
-}
+UNREAD_NAMES: dict[str, str] = {}
+UNREAD_MEMBERS = {"PowerSeries.truncate": "called by benchmarks/test_benchmarks.py"}
 RING_OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"}
 
 
@@ -54,7 +48,7 @@ def test_import_loads_no_submodule():
 
 def test_all_is_sorted_and_complete():
     assert kstrata.__all__ == sorted(set(kstrata.__all__))
-    assert len(kstrata.__all__) == 54
+    assert len(kstrata.__all__) == 53
 
 
 def references(path: Path) -> set[str]:

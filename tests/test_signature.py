@@ -11,7 +11,7 @@ from kstrata.signature import (
     format_signature,
     gcd_orders,
     imprimitive_divisors,
-    parse_signature,
+    parse_triple,
     validate,
 )
 
@@ -42,24 +42,37 @@ def test_canonical_form_is_descending_and_idempotent():
     assert again == sig
 
 
+def test_the_constructor_checks_and_sorts_as_validate_does():
+    # a signature built directly is canonical too, so the classifier, which
+    # reads the orders as descending, sees the same stratum either way
+    assert StratumSignature(1, 3, (-1, -1, 6)) == validate(1, 3, (6, -1, -1))
+    assert StratumSignature(2, 2, [1, 2, -1, 1, 1]).orders == (2, 1, 1, 1, -1)
+    with pytest.raises(SignatureError, match=r"orders \(5,\) sum to 5, expected k\(2g-2\) = 2"):
+        StratumSignature(1, 2, (5,))
+    with pytest.raises(SignatureError, match="positive"):
+        StratumSignature(0, 2, ())
+    with pytest.raises(SignatureError, match="non-negative"):
+        StratumSignature(1, -1, (-4,))
+
+
 def test_text_form_round_trip():
     sig = validate(3, 2, (2, 4, -1, 1))
     text = format_signature(sig)
     assert text == "k:3 g:2 orders:(4,2,1,-1)"
-    assert parse_signature(text) == sig
-    assert parse_signature("  k:3   g:2  orders:( 4 , 2, 1, -1 ) ") == sig
+    assert parse_triple(text) == (3, 2, (4, 2, 1, -1)) == (sig.k, sig.genus, sig.orders)
+    assert parse_triple("  k:3   g:2  orders:( 4 , 2, 1, -1 ) ") == (3, 2, (4, 2, 1, -1))
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(SignatureError, match="unparseable"):
-        parse_signature("k=3 g=2 (6)")
+        parse_triple("k=3 g=2 (6)")
 
 
 @pytest.mark.parametrize("body", ["(2,)", "(,2)", "(1,,1)", "(1 1)", "(--2)", "(-)", "(2-)"])
 def test_parse_rejects_malformed_orders_lists(body):
     text = f"k:1 g:2 orders:{body}"
     with pytest.raises(SignatureError) as exc:
-        parse_signature(text)
+        parse_triple(text)
     assert str(exc.value) == f"unparseable signature: {text!r}"
 
 
@@ -72,7 +85,7 @@ def test_parse_rejects_integers_past_the_digit_limit(template):
         pytest.skip("this interpreter converts integers of any length")
     text = template.format(n="9" * (limit + 1))
     with pytest.raises(SignatureError) as exc:
-        parse_signature(text)
+        parse_triple(text)
     assert str(exc.value) == f"unparseable signature: {text!r}"
 
 
@@ -100,10 +113,10 @@ def test_parse_agrees_with_validate_on_any_rendering():
             expected = validate(k, genus, orders)
         except SignatureError as exc:
             with pytest.raises(SignatureError) as parsed:
-                parse_signature(text)
+                parse_triple(text)
             assert str(parsed.value) == str(exc)
         else:
-            assert parse_signature(text) == expected
+            assert parse_triple(text) == (expected.k, expected.genus, expected.orders)
 
     agree()
 
