@@ -15,14 +15,13 @@ its work on triples and bodies and builds no report for each line.
 
 Reports and descriptors are frozen records (``record.Record``), equal
 when their class and fields are.  Each descriptor class names its kind in a
-``tag`` class attribute, which the command line writes as the ``"type"`` of
-the descriptor's JSON object.
+plain ``tag`` class attribute (not annotated, so not a field), which the
+command line writes as the ``"type"`` of the descriptor's JSON object.
 """
 
 from __future__ import annotations
 
 import math
-from typing import ClassVar
 
 from .errors import SignatureError
 from .record import Record
@@ -33,16 +32,16 @@ from .signature import StratumSignature, imprimitive_divisors, validate
 class Generic(Record):
     """A single component carrying no further invariant label."""
 
-    tag: ClassVar[str] = "generic"
+    tag = "generic"
 
 
 class ArfLabeled(Record):
-    tag: ClassVar[str] = "arf"
+    tag = "arf"
     parity: int
 
 
 class RelativeArfLabeled(Record):
-    tag: ClassVar[str] = "relative_arf"
+    tag = "relative_arf"
     parity: int
 
 
@@ -53,13 +52,13 @@ class CubicSporadic(Record):
     support of the divisor (possible only for odd Arf parity).
     """
 
-    tag: ClassVar[str] = "cubic_sporadic"
+    tag = "cubic_sporadic"
     arf_parity: int
     h0_flag: int
 
 
 class GenusOne(Record):
-    tag: ClassVar[str] = "genus_one"
+    tag = "genus_one"
     rotation: int
     primitive: bool
     hyperelliptic: bool

@@ -2,11 +2,14 @@
 
 A split breaks a zero of order z on a genus-g surface into singularities
 a + b = z - 2k (both > -k) on a genus g-1 surface; a merge collides two
-singularities on the same surface.  Genus-zero cylinder existence reduces
-to counting the sub-multisets of the orders that sum to -k, which is done
-by meeting in the middle: two half-size tables of partial sums and one
-join, with a work budget (MAX_CYLINDER_WORK) checked before either table
-is built.
+singularities on the same surface.  The split and merge rules live here
+alone: ``genus_one.split_to_sphere`` and ``genus_one.merge`` call
+``split_result`` and ``merge_result`` and add only the rotation condition.
+
+Genus-zero cylinder existence reduces to counting the sub-multisets of the
+orders that sum to -k, which is done by meeting in the middle: two
+half-size tables of partial sums and one join, with a work budget
+(MAX_CYLINDER_WORK) checked before either table is built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from collections import Counter
 
 from .errors import SignatureError, UnsupportedCase
-from .signature import StratumSignature, check_index, check_k, check_pair, validate
+from .signature import StratumSignature, check_index, check_k, check_pair, integer, validate
 
 # enumerate_zero_splits lists at most this many pairs (a zero of order about
 # 2 * 10^5); the CLI prints each one
@@ -34,6 +37,8 @@ def enumerate_zero_splits(k: int, z: int) -> tuple[tuple[int, int], ...]:
     are (z - 2k) // 2 + k of them; past MAX_ZERO_SPLITS the listing raises
     UnsupportedCase.
     """
+    k, z = integer(k, "k"), integer(z, "a zero order")
+    check_k(k)
     if z < 2:
         raise SignatureError(f"can only split a zero of order >= 2, got {z}")
     total = z - 2 * k
@@ -54,6 +59,7 @@ def split_result(sig: StratumSignature, zero_index: int, a: int, b: int) -> Stra
     z = sig.orders[zero_index]
     if z < 2:
         raise SignatureError(f"entry {z} is not a splittable zero")
+    a, b = integer(a, "a split entry"), integer(b, "a split entry")
     if a + b != z - 2 * sig.k or min(a, b) <= -sig.k:
         raise SignatureError(f"({a}, {b}) is not a valid split of {z}")
     rest = [o for idx, o in enumerate(sig.orders) if idx != zero_index]
@@ -93,16 +99,6 @@ def merge_feasible_same_sign(sig: StratumSignature, i: int, j: int):
     if (oi > 0 and oj > 0) or (oi < 0 and oj < 0):
         return True
     return None
-
-
-def _check_genus_zero(k: int, orders) -> tuple[int, ...]:
-    check_k(k)
-    orders = tuple([int(o) for o in orders])
-    if sum(orders) != -2 * k:
-        raise SignatureError(
-            f"orders {orders} sum to {sum(orders)}, expected -2k = {-2 * k}"
-        )
-    return orders
 
 
 def _count_sums(orders, target: int, cap: int) -> int:
@@ -195,9 +191,10 @@ def genus0_has_cylinder(k: int, orders) -> bool:
     The orders sum to -2k with k >= 1, so a sub-multiset summing to -k is
     never empty (sum 0) nor everything (sum -2k): the test is a plain
     subset sum, decided by one meet-in-the-middle count capped at 1.
-    Raises UnsupportedCase past MAX_CYLINDER_WORK.
+    Raises SignatureError unless (k, 0, orders) is a stratum, and
+    UnsupportedCase past MAX_CYLINDER_WORK.
     """
-    orders = _check_genus_zero(k, orders)
+    orders = validate(k, 0, orders).orders
     return _count_sums(orders, -k, 1) > 0
 
 
@@ -214,6 +211,6 @@ def genus0_has_simple_cylinder(k: int, orders) -> bool:
     from the same meet-in-the-middle pass as genus0_has_cylinder, capped at
     one more than the forbidden sides, and the same budget applies.
     """
-    orders = _check_genus_zero(k, orders)
+    orders = validate(k, 0, orders).orders
     forbidden = 2 if k % 2 == 0 and orders.count(-k // 2) >= 2 else 0
     return _count_sums(orders, -k, forbidden + 1) > forbidden

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import SignatureError
 from .record import Record
-from .signature import StratumSignature
+from .signature import StratumSignature, integer
 
 
 def boundary_framing_value(k: int, order: int) -> int:
@@ -28,8 +28,10 @@ class SymplecticFramingValues(Record):
 
     @classmethod
     def from_signature(cls, sig: StratumSignature, pairs) -> "SymplecticFramingValues":
-        """Values on a symplectic basis, one (a_i, b_i) pair per handle."""
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        """Values on a symplectic basis, one (a_i, b_i) pair of integers per handle."""
+        pairs = tuple(
+            (integer(a, "a framing value"), integer(b, "a framing value")) for a, b in pairs
+        )
         if len(pairs) != sig.genus:
             raise SignatureError(
                 f"genus {sig.genus} needs {sig.genus} symplectic pairs, got {len(pairs)}"
@@ -78,7 +80,8 @@ class Mod2QuadraticForm(Record):
     def __post_init__(self):
         if len(self.a_values) != len(self.b_values):
             raise SignatureError("need as many a-values as b-values")
-        if not all(v in (0, 1) for v in self.a_values + self.b_values):
+        values = self.a_values + self.b_values
+        if not all(integer(v, "a basis value") in (0, 1) for v in values):
             raise SignatureError("basis values must be bits")
 
     @property
@@ -89,10 +92,11 @@ class Mod2QuadraticForm(Record):
 def quadratic_eval(form: Mod2QuadraticForm, vector) -> int:
     """Evaluate the refinement at a vector of 2g bits (a-part then b-part).
 
-    Expanding in the basis, q(sum x_i a_i + y_i b_i) picks up the basis
-    values plus one cross term x_i * y_i per handle.
+    Each entry is an integer, read mod 2.  Expanding in the basis,
+    q(sum x_i a_i + y_i b_i) picks up the basis values plus one cross term
+    x_i * y_i per handle.
     """
-    vector = tuple(int(v) % 2 for v in vector)
+    vector = tuple(integer(v, "a bit") % 2 for v in vector)
     g = form.genus
     if len(vector) != 2 * g:
         raise SignatureError(f"expected {2 * g} bits, got {len(vector)}")

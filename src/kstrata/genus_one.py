@@ -12,14 +12,7 @@ import math
 
 from .errors import RotationError, SignatureError
 from .record import Record
-from .signature import (
-    StratumSignature,
-    check_index,
-    check_pair,
-    divisors,
-    gcd_orders,
-    validate,
-)
+from .signature import StratumSignature, divisors, gcd_orders, integer
 
 
 class GenusOneComponent(Record):
@@ -44,7 +37,7 @@ def _require_genus_one(sig: StratumSignature) -> None:
 
 
 def _check_rotation(rotation: int, d: int) -> None:
-    if rotation < 1 or d == 0 or d % rotation != 0:
+    if integer(rotation, "a rotation") < 1 or d == 0 or d % rotation != 0:
         raise RotationError(f"rotation {rotation} does not divide gcd {d}")
 
 
@@ -56,10 +49,7 @@ def nonempty_rotations(orders) -> tuple[int, ...]:
     locus where those two points coincide, so it is empty and excluded;
     marked points neither count toward the two nor change d.
     """
-    return _nonempty_rotations(orders, math.gcd(*orders))
-
-
-def _nonempty_rotations(orders, d: int) -> tuple[int, ...]:
+    d = math.gcd(*orders)
     if d == 0:
         return ()
     rotations = [d // e for e in divisors(d)]
@@ -101,8 +91,7 @@ def _rotations(orders) -> tuple[tuple[int, ...], int]:
     """The nonempty rotations, descending, and the hyperelliptic one (0 if none)."""
     if not any(orders):
         raise SignatureError("all orders are zero: no differential is prescribed")
-    rotations = _nonempty_rotations(orders, math.gcd(*orders))
-    return rotations, _hyperelliptic_rotation(tuple(sorted(orders)))
+    return nonempty_rotations(orders), _hyperelliptic_rotation(tuple(sorted(orders)))
 
 
 def _primitive(k: int, rotation: int) -> bool:
@@ -125,26 +114,23 @@ def _hyperelliptic_rotation(multiset: tuple[int, ...]) -> int:
 def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge:
     """Collide singularities i and j inside the rotation-r component.
 
-    When feasible, returns the merged signature together with every
-    rotation r' with r | r' | gcd of the merged orders whose component is
-    nonempty.  The move is infeasible exactly when that set is empty, or
-    when the merged orders are all zero (the two singularities of (a, -a)).
+    ``degeneration.merge_result`` checks the pair and builds the merged
+    signature; this adds the rotation condition.  When feasible, returns it
+    with every rotation r' with r | r' | gcd of the merged orders whose
+    component is nonempty.  The move is infeasible exactly when that set is
+    empty, or when the merged orders are all zero (the two singularities of
+    (a, -a)).
     """
+    from .degeneration import merge_result  # loaded by moves only, not by classify or prong
+
     _require_genus_one(sig)
-    check_pair(sig, i, j)
+    result = merge_result(sig, i, j)
     _check_rotation(rotation, gcd_orders(sig))
-    merged = [o for idx, o in enumerate(sig.orders) if idx not in (i, j)]
-    merged.append(sig.orders[i] + sig.orders[j])
-    if not any(merged):
-        return GenusOneMerge(
-            False, None, (), "merging the only two singularities of (a,-a)"
-        )
-    result = validate(sig.k, 1, merged)
+    if not any(result.orders):
+        return GenusOneMerge(False, None, (), "merging the only two singularities of (a,-a)")
     rotations = tuple(r for r in nonempty_rotations(result.orders) if r % rotation == 0)
     if not rotations:
-        return GenusOneMerge(
-            False, result, (), "every admissible boundary component is empty"
-        )
+        return GenusOneMerge(False, result, (), "every admissible boundary component is empty")
     return GenusOneMerge(True, result, rotations)
 
 
@@ -153,18 +139,15 @@ def split_to_sphere(
 ) -> bool:
     """Whether splitting the chosen zero into (a1, a2) reaches genus zero.
 
-    The split exists iff rotation divides gcd(k + a1, k + a2, other orders).
+    ``degeneration.split_result`` checks the split, before the rotation;
+    this adds the rotation condition: rotation divides gcd(k + a1, k + a2,
+    other orders).  As (k + a1) + (k + a2) is the split zero, that gcd is
+    gcd(k + a1, d) for d the gcd of all the orders.
     """
+    from .degeneration import split_result  # loaded by moves only, not by classify or prong
+
     _require_genus_one(sig)
-    check_index(sig, zero_index)
-    a = sig.orders[zero_index]
-    if a <= 0:
-        raise SignatureError(f"entry {a} is not a zero")
-    _check_rotation(rotation, gcd_orders(sig))
-    if a1 + a2 != a - 2 * sig.k or a1 <= -sig.k or a2 <= -sig.k:
-        raise SignatureError(
-            f"({a1}, {a2}) is not a partition of {a} - 2k with entries > -k"
-        )
-    rest = [o for idx, o in enumerate(sig.orders) if idx != zero_index]
-    g = math.gcd(sig.k + a1, sig.k + a2, *(abs(o) for o in rest))
-    return g % rotation == 0
+    split_result(sig, zero_index, a1, a2)
+    d = gcd_orders(sig)
+    _check_rotation(rotation, d)
+    return math.gcd(sig.k + a1, d) % rotation == 0

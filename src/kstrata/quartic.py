@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import available_constructions, load_constructions as _load_constructions
+from .constructions import load_constructions as _load_constructions
 from .errors import UnsupportedCase
 from .polynomials import (
     Polynomial,

@@ -3,13 +3,13 @@
 ``Record`` does what ``@dataclass(frozen=True)`` did for these types
 without importing ``dataclasses``, which loads ``inspect``, ``ast`` and
 ``dis`` and was the largest import of a one-shot command.  A subclass
-names its fields as annotations, in order; a field's default is the class
-attribute of the same name, and a ``ClassVar`` annotation is a class
-attribute, not a field.  When the subclass is created, ``Record`` compiles
-its ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__`` over those
-fields, each one unless the class body defines it.  The methods are
-written out field by field, as dataclasses writes them, because the batch
-classifier hashes report bodies on its hot path.
+names its fields as annotations, in order: every annotated name is a
+field, and a class attribute without an annotation is not one.  A field's
+default is the class attribute of the same name.  When the subclass is
+created, ``Record`` compiles its ``__init__``, ``__repr__``, ``__eq__`` and
+``__hash__`` over those fields, each one unless the class body defines it.
+The methods are written out field by field, as dataclasses writes them,
+because the batch classifier hashes report bodies on its hot path.
 
 As with dataclasses: ``__init__`` calls ``__post_init__`` when the class
 has one, ``repr`` is ``Name(field=value, ...)``, two records are equal when
@@ -17,8 +17,6 @@ they have the same class and equal fields, and assigning or deleting an
 attribute raises ``AttributeError``.  Fields live in the instance
 ``__dict__``, so ``vars(record)`` maps field names to values in order.
 """
-
-_CLASSVAR = ("ClassVar", "typing.ClassVar")
 
 
 class Record:
@@ -28,11 +26,7 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        own = vars(cls).get("__annotations__", {})
-        fields = cls._fields + tuple(
-            # annotations are strings under ``from __future__ import annotations``
-            name for name, kind in own.items() if not str(kind).startswith(_CLASSVAR)
-        )
+        fields = cls._fields + tuple(vars(cls).get("__annotations__", {}))
         has_default = [hasattr(cls, name) for name in fields]
         if has_default != sorted(has_default):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")

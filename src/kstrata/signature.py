@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import index
 
 from .errors import SignatureError, UnsupportedCase
 from .record import Record
@@ -27,8 +28,9 @@ class StratumSignature(Record):
     ``orders`` is stored in descending order and treated as a multiset.
     Positive entries are zeros, negative entries poles, and zero entries
     marked points (accepted only where an operation says so).  The
-    constructor checks the order-sum identity and sorts the orders, so a
-    signature is canonical however it is built.
+    constructor takes every value through ``integer``, checks the order-sum
+    identity and sorts the orders, so a signature is canonical however it
+    is built.
     """
 
     k: int
@@ -37,19 +39,29 @@ class StratumSignature(Record):
 
     def __init__(self, k: int, genus: int, orders: tuple[int, ...]) -> None:
         fields = vars(self)
-        fields["k"], fields["genus"], fields["orders"] = _canonical(k, genus, tuple(orders))
+        k, genus = integer(k, "k"), integer(genus, "genus")
+        orders = tuple([integer(o, "an order") for o in orders])
+        fields["k"], fields["genus"], fields["orders"] = _canonical(k, genus, orders)
 
     def __str__(self) -> str:
         return format_signature(self)
 
 
 def validate(k, genus, orders) -> StratumSignature:
-    """The canonical signature: the constructor, on k, genus and orders made ints.
+    """The canonical signature of (k, genus, orders): the constructor itself.
 
-    Raises SignatureError when k <= 0, genus < 0, or the orders do not sum
-    to k(2*genus - 2).
+    Raises SignatureError when a value is not an integer, k <= 0, genus < 0,
+    or the orders do not sum to k(2*genus - 2).
     """
-    return StratumSignature(int(k), int(genus), tuple(int(o) for o in orders))
+    return StratumSignature(k, genus, orders)
+
+
+def integer(value, what: str) -> int:
+    """``value`` by ``operator.index``: a float, fraction or string raises SignatureError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SignatureError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
@@ -104,24 +116,25 @@ def check_k(k: int) -> None:
 
 
 def check_index(sig: StratumSignature, i: int) -> None:
-    """Raise SignatureError unless i indexes an entry of ``sig.orders``."""
-    if not 0 <= i < len(sig.orders):
+    """Raise SignatureError unless the integer i indexes an entry of ``sig.orders``."""
+    if not 0 <= integer(i, "an index") < len(sig.orders):
         raise SignatureError(f"index {i} out of range")
 
 
 def check_pair(sig: StratumSignature, i: int, j: int) -> None:
-    """Raise SignatureError unless i and j index two distinct entries."""
+    """Raise SignatureError unless the integers i and j index two distinct entries."""
     n = len(sig.orders)
+    i, j = integer(i, "an index"), integer(j, "an index")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise SignatureError(f"bad indices ({i}, {j}) for {n} entries")
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of |n|, ascending.
+    """Positive divisors of the integer |n|, ascending.
 
     Raises UnsupportedCase when |n| exceeds MAX_DIVISOR_INPUT.
     """
-    n = abs(n)
+    n = abs(integer(n, "n"))
     if n == 0:
         return ()
     if n > MAX_DIVISOR_INPUT:

@@ -502,13 +502,20 @@ def test_classify_loads_no_certification_stack(tmp_path):
     out, single = loaded_by(GOLDEN_CASES["classify"])
     assert out == (GOLDEN / "classify.json").read_text(encoding="utf-8")
     assert "kstrata.classifier" in single
-    assert not single & CERTIFICATION_STACK
+    # the genus-one moves load degeneration; classification never does
+    assert not single & (CERTIFICATION_STACK | {"kstrata.degeneration"})
     batch = write_batch(tmp_path / "strata.txt", BATCH_SPECIALS)
     for mode in ([], ["--json"]):
         argv = ["classify", "--orders-file", str(batch), *mode]
         out, loaded = loaded_by(argv)
         assert out == run_cli(argv)[1]
         assert loaded <= single
+
+
+def test_prong_loads_no_degeneration():
+    out, loaded = loaded_by(GOLDEN_CASES["prong"])
+    assert out == (GOLDEN / "prong.json").read_text(encoding="utf-8")
+    assert "kstrata.genus_one" in loaded and "kstrata.degeneration" not in loaded
 
 
 # orders that miss k(2g-2): the signature is refused before the classifier loads

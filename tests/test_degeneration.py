@@ -163,7 +163,7 @@ def test_genus0_simple_cylinder_examples():
 
 
 def test_genus0_sum_check():
-    with pytest.raises(SignatureError, match="-2k"):
+    with pytest.raises(SignatureError, match=r"expected k\(2g-2\) = -4"):
         genus0_has_cylinder(2, (1, -1))
 
 
@@ -412,3 +412,9 @@ def test_genus0_cylinders_reject_nonpositive_k(k):
     for call in (genus0_has_cylinder, genus0_has_simple_cylinder):
         with pytest.raises(SignatureError, match=f"k must be positive, got {k}"):
             call(k, (-k, -k))
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_zero_splits_reject_nonpositive_k(k):
+    with pytest.raises(SignatureError, match=f"k must be positive, got {k}"):
+        enumerate_zero_splits(k, 4)

@@ -166,12 +166,12 @@ def test_split_to_sphere_examples():
 
 def test_split_to_sphere_validation():
     sig = validate(3, 1, (6, -6))
-    with pytest.raises(SignatureError, match="not a zero"):
+    with pytest.raises(SignatureError, match="not a splittable zero"):
         split_to_sphere(sig, 2, 1, -1, 1)
     assert not split_to_sphere(sig, 2, 0, -2, 2)  # gcd(1, 5, 6) = 1 misses r = 2
-    with pytest.raises(SignatureError, match="partition"):
+    with pytest.raises(SignatureError, match="not a valid split"):
         split_to_sphere(sig, 2, 0, -1, 2)
-    with pytest.raises(SignatureError, match="partition"):
+    with pytest.raises(SignatureError, match="not a valid split"):
         split_to_sphere(sig, 2, 0, -4, 4)
 
 

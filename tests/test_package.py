@@ -160,6 +160,33 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == []
 
 
+def unread_imports(source: str) -> list[str]:
+    """``line: name`` of each name an import binds and the module never reads.
+
+    ``from __future__`` imports are directives, not names, and are skipped.
+    """
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{node.lineno}: {name}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    # the package has no linter; this is its unused-import check
+    found = [f"{path.name}:{line}" for path in PACKAGE for line in unread_imports(path.read_text())]
+    assert found == []
+    assert unread_imports("from __future__ import annotations\nimport os.path\nfrom a import b as c\n") == [
+        "2: os",
+        "3: c",
+    ]
+
+
 def test_no_module_reads_private_polynomial_fields():
     # outside polynomials, only series reads the integer numerators, through
     # Polynomial.cleared(), so the storage can change in one module

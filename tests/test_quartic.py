@@ -7,11 +7,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from kstrata import quartic
+from kstrata.constructions import available_constructions
 from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, resultant
 from kstrata.quartic import (
     SmoothnessCertificate,
     UnknownConstructionError,
-    available_constructions,
     smoothness_certificate,
     verify_sporadic,
 )

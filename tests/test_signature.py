@@ -1,9 +1,19 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
+from kstrata.degeneration import (
+    enumerate_zero_splits,
+    genus0_has_cylinder,
+    genus0_has_simple_cylinder,
+    merge_result,
+    split_result,
+)
 from kstrata.errors import SignatureError, UnsupportedCase
+from kstrata.framing import Mod2QuadraticForm, SymplecticFramingValues, quadratic_eval
+from kstrata.genus_one import merge, split_to_sphere
 from kstrata.signature import (
     MAX_DIVISOR_INPUT,
     StratumSignature,
@@ -180,3 +190,40 @@ def test_gcd_orders_divides_every_nonzero_order():
         d = gcd_orders(sig)
         if d:
             assert all(o % d == 0 for o in sig.orders if o != 0)
+
+
+# Each entry point that reads an integer, with one integer argument made by
+# ``make`` from an int; every call is valid when ``make`` is ``int``.
+ENTRY_POINTS = {
+    "signature.k": lambda make: StratumSignature(make(2), 0, (-4,)),
+    "signature.genus": lambda make: StratumSignature(1, make(2), (2,)),
+    "signature.order": lambda make: StratumSignature(1, 2, (make(2),)),
+    "validate": lambda make: validate(1, 2, (make(3), -1)),
+    "divisors": lambda make: divisors(make(12)),
+    "cylinder.k": lambda make: genus0_has_cylinder(make(2), (-1, -3)),
+    "cylinder.order": lambda make: genus0_has_cylinder(2, (make(-1), -3)),
+    "simple_cylinder.k": lambda make: genus0_has_simple_cylinder(make(2), (-1, -1, -1, -1)),
+    "simple_cylinder.order": lambda make: genus0_has_simple_cylinder(2, (make(-1), -1, -1, -1)),
+    "zero_splits.k": lambda make: enumerate_zero_splits(make(1), 4),
+    "zero_splits.z": lambda make: enumerate_zero_splits(1, make(4)),
+    "split_result.entry": lambda make: split_result(validate(1, 1, (4, -4)), 0, make(1), 1),
+    "merge_result.index": lambda make: merge_result(validate(1, 1, (4, -4)), make(0), 1),
+    "merge.rotation": lambda make: merge(validate(1, 1, (2, 2, -4)), make(2), 0, 1),
+    "merge.index": lambda make: merge(validate(1, 1, (2, 2, -4)), 2, 0, make(1)),
+    "split_to_sphere.rotation": lambda make: split_to_sphere(validate(3, 1, (6, -6)), make(2), 0, -2, 2),
+    "split_to_sphere.index": lambda make: split_to_sphere(validate(3, 1, (6, -6)), 2, make(0), -2, 2),
+    "split_to_sphere.entry": lambda make: split_to_sphere(validate(3, 1, (6, -6)), 2, 0, make(-2), 2),
+    "framing.pair": lambda make: SymplecticFramingValues.from_signature(
+        validate(5, 1, (4, -4)), [(make(3), 4)]
+    ),
+    "quadratic_form.value": lambda make: Mod2QuadraticForm((make(1),), (0,)),
+    "quadratic_eval.bit": lambda make: quadratic_eval(Mod2QuadraticForm((1,), (0,)), (make(1), 0)),
+}
+
+
+@pytest.mark.parametrize("make", [float, Fraction, str], ids=["float", "Fraction", "str"])
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_every_entry_point_refuses_a_value_that_is_not_an_integer(call, make):
+    # refused even when the value names an integer, as 2.0, Fraction(2) and "2" do
+    with pytest.raises(SignatureError, match="must be an integer"):
+        call(make)
