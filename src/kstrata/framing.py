@@ -41,8 +41,10 @@ class SymplecticFramingValues(Record):
 
 
 def arf(pairs) -> int:
-    """Sum of (w(a_i) + 1)(w(b_i) + 1) over the symplectic pairs, mod 2."""
-    return sum((a + 1) * (b + 1) for a, b in pairs) % 2
+    """Sum of (w(a_i) + 1)(w(b_i) + 1) over the symplectic pairs of integers, mod 2."""
+    return sum(
+        (integer(a, "a framing value") + 1) * (integer(b, "a framing value") + 1) for a, b in pairs
+    ) % 2
 
 
 def spin(framing: SymplecticFramingValues) -> int:
@@ -62,9 +64,9 @@ def spin(framing: SymplecticFramingValues) -> int:
 def relative_arf(sbar: int, pairs) -> int:
     """Arf invariant relative to an arc s between two framing-zero punctures.
 
-    ``sbar`` is the value of the extended framing on the arc.
+    ``sbar`` is the integer value of the extended framing on the arc.
     """
-    return (sbar + arf(pairs)) % 2
+    return (integer(sbar, "a framing value") + arf(pairs)) % 2
 
 
 class Mod2QuadraticForm(Record):
@@ -113,7 +115,8 @@ def form_arf(form: Mod2QuadraticForm) -> int:
 
 
 def symplectic_product(u, v) -> int:
-    """Mod-2 intersection pairing of two vectors in (a-part, b-part) layout."""
+    """Mod-2 intersection pairing of two integer vectors in (a-part, b-part) layout."""
+    u, v = (tuple(integer(x, "a bit") for x in w) for w in (u, v))
     if len(u) != len(v) or len(u) % 2:
         raise SignatureError("vectors must share an even length")
     g = len(u) // 2

@@ -11,23 +11,26 @@ from __future__ import annotations
 
 import math
 
-from .errors import RotationError, SignatureError
+from .errors import RotationError, SignatureError, UnsupportedCase
 from .record import Record
 from . import genus_one
-from .signature import check_k, validate
+from .signature import check_k, integer, validate
 
 _ENUMERATION_LIMIT = 10**6
 
 
-def _check_orders(k: int, a: int, b: int) -> None:
+def _check_orders(k: int, a: int, b: int) -> tuple[int, int, int]:
+    """(k, a, b) through ``integer``, with k positive and both orders above -k."""
+    k, a, b = integer(k, "k"), integer(a, "an order"), integer(b, "an order")
     check_k(k)
     if a <= -k or b <= -k:
         raise SignatureError(f"orders must exceed -k = {-k}, got ({a}, {b})")
+    return k, a, b
 
 
 def local_classes(k: int, a: int, b: int) -> int:
     """Number of orbits of simultaneous rotation on the prong torsor."""
-    _check_orders(k, a, b)
+    k, a, b = _check_orders(k, a, b)
     return math.gcd(k + a, k + b)
 
 
@@ -35,12 +38,13 @@ def enumerate_local_classes(k: int, a: int, b: int) -> int:
     """Brute-force orbit count of the subgroup generated by (1, 1).
 
     Walks every orbit on Z/(k+a) x Z/(k+b) explicitly; serves as the
-    independent oracle for local_classes.
+    independent oracle for local_classes.  Past _ENUMERATION_LIMIT states
+    it raises UnsupportedCase.
     """
-    _check_orders(k, a, b)
+    k, a, b = _check_orders(k, a, b)
     na, nb = k + a, k + b
     if na * nb > _ENUMERATION_LIMIT:
-        raise SignatureError(f"state space {na}x{nb} too large to enumerate")
+        raise UnsupportedCase(f"state space {na}x{nb} too large to enumerate")
     seen = [[False] * nb for _ in range(na)]
     orbits = 0
     for x in range(na):
@@ -68,6 +72,7 @@ def prong_hom_image(k: int, a: int, e: int) -> ProngHomImage:
     The target is Z/gcd(k+a, k-a); the map is onto unless k and a are both
     odd, in which case the image has index 2.
     """
+    k, a, e = integer(k, "k"), integer(a, "an order"), integer(e, "a torsion order")
     check_k(k)
     if e <= 1 or a == 0 or abs(a) % e != 0:
         raise RotationError(f"torsion order {e} must exceed 1 and divide |{a}|")
@@ -92,6 +97,7 @@ def global_classes_genus_one_split(k, rotation, a, b, rest_orders=()) -> int:
     """
     rest_orders = tuple(rest_orders)
     sig = validate(k, 1, (a, b) + rest_orders)
+    rotation = integer(rotation, "a rotation")
     component = None
     for c in genus_one.components(sig):
         if c.rotation == rotation:

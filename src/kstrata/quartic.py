@@ -10,9 +10,9 @@ branch expansion is computed and compared through x^12.
 Smoothness is checked over the disjoint union P^2 = {pt}, A^2, A^1 (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
 x, y, z: the point (0 : 0 : 1) by evaluation, then the affine chart x = 1
-by resultants, then the line x = 0, y = 1 by one univariate gcd.  Each
-piece either proves itself clean, exhibits a rational singular point, or
-is left open.
+by resultants, then the line x = 0, y = 1 by one univariate gcd.  The
+point and the line are decided exactly; the chart either proves itself
+clean, exhibits a rational singular point, or is left open.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ class SmoothnessCertificate:
     certified"``) means the partials have no common zero in P^2: some
     partial is nonzero at (0 : 0 : 1), the chart v0 = 1 was certified by a
     constant gcd of resultants of the partials, and their gcd on the line
-    v0 = 0, v1 = 1 is a nonzero constant.  ``singular`` exhibits an exact
-    rational common zero of the partials, with the detail ``"common zero
-    found on chart v = 1"`` for the chart that contains it: v2 for
-    (0 : 0 : 1), v0 for the chart, v1 for the line.  ``not_certified``
-    means no rational common zero was found, and its detail names the
-    chart v0 = 1, the line v0 = 0 or both, whichever was not proved clean.
+    v0 = 0, v1 = 1 is a nonzero constant.  ``singular`` proves a common
+    zero: an exact rational one, with the detail ``"common zero found on
+    chart v = 1"`` for the chart that contains it (v2 for (0 : 0 : 1), v0
+    for the chart, v1 for the line), or none when that gcd is not constant
+    and no rational root of it was found.  ``not_certified`` means only
+    that the chart v0 = 1 was left open, with no rational common zero found.
     """
 
     status: str  # "smooth" | "singular" | "not_certified"
@@ -81,9 +81,8 @@ def _certify_chart(gs, elim, other):
     The resultants of the partial of highest degree in ``elim`` with each
     other one that involves ``elim``, plus those free of it, all vanish at
     the projection of every common zero; one that vanishes identically says
-    nothing and is left out.  Returns (certified, gcd_poly, whole): the gcd
-    of the rest in the other variable (None if none is left) and whether
-    none was left out.
+    nothing and is left out.  Returns (certified, gcd_poly): the gcd of the
+    rest in the other variable, None if none is left.
     """
     degrees = [g.degree_in(elim) for g in gs]
     base = gs[degrees.index(max(degrees))]
@@ -91,7 +90,15 @@ def _certify_chart(gs, elim, other):
     eliminants = [g for g, d in zip(gs, degrees) if d == 0]
     eliminants += [r for r in resultants if not r.is_zero()]
     g = gcd_many(eliminants, other) if eliminants else None
-    return g is not None and g.is_constant(), g, not any(r.is_zero() for r in resultants)
+    return g is not None and g.is_constant(), g
+
+
+def _searched(search, *args):
+    """``search(*args)``, or None past a budget: a search only names a point."""
+    try:
+        return search(*args)
+    except UnsupportedCase:
+        return None
 
 
 def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other):
@@ -124,10 +131,10 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     dehomogenized and one variable is eliminated by resultants, each way
     round; a constant gcd proves the chart free of singular points, and a
     rational root of it may lead to a rational common zero.  Last the line
-    v0 = 0, v1 = 1, where the partials' gcd in v2 is exact and a rational
-    root of it is a singular point.  The curve is smooth when the chart is
-    certified and that gcd is a nonzero constant; otherwise it is not
-    certified, naming the piece left open.
+    v0 = 0, v1 = 1, where the partials' gcd in v2 is exact: a nonconstant
+    one makes the curve singular, at its first rational root if one is
+    found; else the curve is smooth if the chart is certified, and not
+    certified if it is left open.
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
@@ -142,29 +149,23 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     # a nonzero form stays nonzero on a chart, so some partial is left
     gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
     for elim, other in ((v1, v2), (v2, v1)):
-        certified, gcd_poly, whole = _certify_chart(gs, elim, other)
+        certified, gcd_poly = _certify_chart(gs, elim, other)
         if certified:
             break
-        try:
-            point = _search_singular_point(partials, F.variables, v0, gs, gcd_poly, elim, other)
-        except UnsupportedCase:
-            if whole:  # short of a resultant, the gcd is searched only as a bonus
-                raise
-            point = None
+        point = _searched(_search_singular_point, partials, F.variables, v0, gs, gcd_poly, elim, other)
         if point is not None:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 
     # nonzero: partials vanishing on the whole line would vanish at (0 : 0 : 1)
     line = gcd_many([p.substitute(v0, 0).substitute(v1, 1) for p in partials], v2)
-    roots = rational_roots(line, v2)
-    if roots:
-        point = (Fraction(0), Fraction(1), roots[0])
-        return SmoothnessCertificate("singular", point, f"common zero found on chart {v1} = 1")
-    if certified and line.is_constant():
+    if not line.is_constant():
+        roots = _searched(rational_roots, line, v2)
+        point = (Fraction(0), Fraction(1), roots[0]) if roots else None
+        where = f"chart {v1} = 1" if roots else f"line {v0} = 0, no rational point found"
+        return SmoothnessCertificate("singular", point, f"common zero found on {where}")
+    if certified:
         return SmoothnessCertificate("smooth", None, "all charts certified")
-    pieces = ((f"chart {v0} = 1", certified), (f"line {v0} = 0", line.is_constant()))
-    detail = " or ".join(piece for piece, clean in pieces if not clean)
-    return SmoothnessCertificate("not_certified", None, f"no rational common zero on {detail}")
+    return SmoothnessCertificate("not_certified", None, f"no rational common zero on chart {v0} = 1")
 
 
 def verify_sporadic(construction_id: str) -> SporadicReport:

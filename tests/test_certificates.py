@@ -20,6 +20,7 @@ import pytest
 
 from kstrata.polynomials import Polynomial
 from kstrata.quartic import smoothness_certificate
+from macaulay_reference import FULL_RANK, macaulay_rank
 from polynomial_reference import ref_mul as mul
 
 GOLDEN = Path(__file__).parent / "golden" / "certificates.json"
@@ -126,6 +127,17 @@ def test_golden_covers_every_case_and_every_status():
 @pytest.mark.parametrize("label, terms", cases(), ids=[label for label, _ in cases()])
 def test_certificate_matches_golden(label, terms):
     assert record(label, terms) == golden()[label]
+
+
+def test_golden_verdicts_agree_with_the_macaulay_rank():
+    # smooth exactly at full rank; every singular and not_certified case is
+    # a singular curve
+    wrong = [
+        label
+        for label, terms in cases()
+        if (golden()[label]["status"] == "smooth") != (macaulay_rank(Polynomial(XYZ, terms)) == FULL_RANK)
+    ]
+    assert wrong == []
 
 
 if __name__ == "__main__":

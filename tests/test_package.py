@@ -160,6 +160,30 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == []
 
 
+def caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The exception names an ``except`` clause lists, bare or as ``module.Name``."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds if kind is not None}
+
+
+def test_only_the_point_search_catches_unsupported_case():
+    # past a budget the package raises UnsupportedCase and the CLI's one error
+    # boundary (``except (ValueError, OSError)`` in cli.main) reports it; only
+    # quartic's rational-point search may swallow it, since its points decide
+    # nothing.  StratumError, the base class, would swallow it as well.
+    catchers = {
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and caught_names(node) & {"UnsupportedCase", "StratumError"}
+    }
+    assert {catcher.split(":")[0] for catcher in catchers} == {"quartic.py"}
+    assert len(catchers) == 1
+    handler = ast.parse("try:\n    pass\nexcept (errors.UnsupportedCase, OSError):\n    pass\n").body[0].handlers[0]
+    assert caught_names(handler) == {"UnsupportedCase", "OSError"}
+
+
 def unread_imports(source: str) -> list[str]:
     """``line: name`` of each name an import binds and the module never reads.
 

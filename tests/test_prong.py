@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kstrata.errors import RotationError, SignatureError
+from kstrata.errors import RotationError, SignatureError, UnsupportedCase
 from kstrata.prong import (
     enumerate_local_classes,
     global_classes_genus_one_split,
@@ -29,7 +29,8 @@ def test_local_classes_rejects_too_negative_orders():
 
 
 def test_enumerate_rejects_huge_state_spaces():
-    with pytest.raises(SignatureError, match="too large"):
+    # a budget, not a bad argument: past it the oracle is unsupported
+    with pytest.raises(UnsupportedCase, match="too large"):
         enumerate_local_classes(2000, 0, 0)
 
 

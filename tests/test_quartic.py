@@ -8,7 +8,8 @@ import pytest
 
 from kstrata import quartic
 from kstrata.constructions import available_constructions
-from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, resultant
+from kstrata.errors import UnsupportedCase
+from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, rational_roots, resultant
 from kstrata.quartic import (
     SmoothnessCertificate,
     UnknownConstructionError,
@@ -16,9 +17,40 @@ from kstrata.quartic import (
     verify_sporadic,
 )
 from kstrata.series import intersection_multiplicity
+from macaulay_reference import FULL_RANK, macaulay_rank, monomials
 from polynomial_reference import add, mul, poly_key, power, scale, sub
 
 XYZ = ("x", "y", "z")
+FERMAT = "x^4 + y^4 + z^4"
+EMBEDDED = "x^4 - x*y^3 + x^3*z - y^3*z - x^2*z^2 - x*y*z^2 - y^2*z^2 + y*z^3"
+DOUBLE_CONIC = "x^4 + y^4 + z^4 + 2*x^2*y^2 + 2*x^2*z^2 + 2*y^2*z^2"
+NODAL = "y^2*z^2 - x^4"
+# (u^2 w^2 v + u^4 + v^4 + u^3 w) for u = x, v = z - 2*y, w = y: a node at (0 : 1 : 2)
+NODE_ON_THE_LINE = "x^4 + x^3*y - 2*x*y^3 + x*y^2*z + 16*y^4 - 32*y^3*z + 24*y^2*z^2 - 8*y*z^3 + z^4"
+NODES_AT_THE_POINT = ["x*y*z^2 + x^4 + y^4", "x*y*z^2 + x^4 + y^4 - x^3*z + 2*y^3*z"]
+HIGHLY_COMPOSITE = "720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x^2*z^2"
+# (z^2 - 2y^2)^2 + x^4 and a perturbation by x times a cubic vanishing on
+# z^2 = 2y^2: both are singular at (0 : 1 : +-sqrt 2)
+IRRATIONAL_ON_THE_LINE = [
+    "z^4 - 4*y^2*z^2 + 4*y^4 + x^4",
+    "z^4 - 4*y^2*z^2 + 4*y^4 + x^4 + x*y*z^2 - 2*x*y^3 + x^3*z",
+]
+VANISHING_RESULTANT = "3*x*y^2*z + 2*y^3*z + y^2*z^2 - 3*y*z^3"
+SHORT_OF_A_RESULTANT = [
+    # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x, eliminating
+    # z, F_x and F_y share the factor z, and the gcd left has a constant
+    # near 8*10^26; the three-chart rule never searched that gcd
+    ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified", None),
+    # eliminating y, F_x and F_z share the factor y, and the gcd left has
+    # a constant near 10^28; eliminating z finds (1 : 0 : 0)
+    ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular", (1, 0, 0)),
+]
+SMOOTH_DENSE = "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
+NAMED = [
+    FERMAT, EMBEDDED, DOUBLE_CONIC, NODAL, NODE_ON_THE_LINE, *NODES_AT_THE_POINT, HIGHLY_COMPOSITE,
+    *IRRATIONAL_ON_THE_LINE, VANISHING_RESULTANT, *(text for text, _, _ in SHORT_OF_A_RESULTANT),
+    SMOOTH_DENSE,
+]
 
 
 def homog(text):
@@ -26,24 +58,21 @@ def homog(text):
 
 
 def test_fermat_quartic_is_smooth():
-    cert = smoothness_certificate(homog("x^4 + y^4 + z^4"))
+    cert = smoothness_certificate(homog(FERMAT))
     assert cert.status == "smooth"
 
 
 def test_embedded_quartics_are_smooth():
-    first = homog(
-        "x^4 - x*y^3 + x^3*z - y^3*z - x^2*z^2 - x*y*z^2 - y^2*z^2 + y*z^3"
-    )
-    assert smoothness_certificate(first).status == "smooth"
+    assert smoothness_certificate(homog(EMBEDDED)).status == "smooth"
 
 
 def test_double_conic_is_never_smooth():
-    cert = smoothness_certificate(homog("x^4 + y^4 + z^4 + 2*x^2*y^2 + 2*x^2*z^2 + 2*y^2*z^2"))
+    cert = smoothness_certificate(homog(DOUBLE_CONIC))
     assert cert.status in ("singular", "not_certified")
 
 
 def test_nodal_quartic_singular_point_is_found():
-    cert = smoothness_certificate(homog("y^2*z^2 - x^4"))
+    cert = smoothness_certificate(homog(NODAL))
     assert cert.status == "singular"
     assert cert.point is not None
     x, y, z = cert.point
@@ -129,6 +158,7 @@ def singular_at(rng, t):
 def test_a_node_on_the_line_at_infinity_keeps_its_point_and_detail():
     u, v, w = homog("x"), homog("z - 2*y"), homog("y")
     F = add(mul(w, w, u, v), power(u, 4), power(v, 4), mul(power(u, 3), w))
+    assert poly_key(F) == poly_key(homog(NODE_ON_THE_LINE))
     assert chart_x_certifies(F)
     cert = smoothness_certificate(F)
     assert cert == SmoothnessCertificate(
@@ -137,7 +167,7 @@ def test_a_node_on_the_line_at_infinity_keeps_its_point_and_detail():
     assert cert == three_chart_rule(F)
 
 
-@pytest.mark.parametrize("text", ["x*y*z^2 + x^4 + y^4", "x*y*z^2 + x^4 + y^4 - x^3*z + 2*y^3*z"])
+@pytest.mark.parametrize("text", NODES_AT_THE_POINT)
 def test_a_node_at_the_point_at_infinity_keeps_its_point_and_detail(text):
     F = homog(text)
     assert chart_x_certifies(F)
@@ -152,36 +182,31 @@ def test_a_highly_composite_leading_coefficient_is_answered_in_seconds():
     # all partials vanish at (0 : 0 : 1), so the evaluation there answers
     # before any root search; searched on chart x, the gcd left once F_x and
     # F_y share the factor z has a constant near 2*10^26, past MAX_DIVISOR_INPUT
-    F = homog("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x^2*z^2")
+    F = homog(HIGHLY_COMPOSITE)
     start = time.perf_counter()
     cert = smoothness_certificate(F)
     assert time.perf_counter() - start < 5
     assert (cert.status, cert.point) == ("singular", (Fraction(0), Fraction(0), Fraction(1)))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # (z^2 - 2y^2)^2 + x^4 and a perturbation by x times a cubic vanishing
-        # on z^2 = 2y^2: both are singular at (0 : 1 : +-sqrt 2)
-        "z^4 - 4*y^2*z^2 + 4*y^4 + x^4",
-        "z^4 - 4*y^2*z^2 + 4*y^4 + x^4 + x*y*z^2 - 2*x*y^3 + x^3*z",
-    ],
-)
+@pytest.mark.parametrize("text", IRRATIONAL_ON_THE_LINE)
 def test_an_irrational_singular_point_at_infinity_is_never_smooth(text):
+    # the line's gcd is exact, so a nonconstant one is singular with or
+    # without a rational root; the three-chart rule left the curve open
     F = homog(text)
     assert chart_x_certifies(F)
     cert = smoothness_certificate(F)
     assert cert == SmoothnessCertificate(
-        "not_certified", None, "no rational common zero on line x = 0"
+        "singular", None, "common zero found on line x = 0, no rational point found"
     )
+    assert macaulay_rank(F) < FULL_RANK
     assert three_chart_rule(F).status == "not_certified"
 
 
 def test_a_vanishing_resultant_no_longer_fails_chart_x():
     # on chart x = 1 two partials share the factor y, so one resultant is 0;
     # the three-chart rule found this point only on chart y, as (-2/3 : 1 : 0)
-    F = homog("3*x*y^2*z + 2*y^3*z + y^2*z^2 - 3*y*z^3")
+    F = homog(VANISHING_RESULTANT)
     point = (Fraction(1), Fraction(-3, 2), Fraction(0))
     assert smoothness_certificate(F) == SmoothnessCertificate(
         "singular", point, "common zero found on chart x = 1"
@@ -192,18 +217,7 @@ def test_a_vanishing_resultant_no_longer_fails_chart_x():
     )
 
 
-@pytest.mark.parametrize(
-    "text, status, point",
-    [
-        # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x, eliminating
-        # z, F_x and F_y share the factor z, and the gcd left has a constant
-        # near 8*10^26; the three-chart rule never searched that gcd
-        ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified", None),
-        # eliminating y, F_x and F_z share the factor y, and the gcd left has
-        # a constant near 10^28; eliminating z finds (1 : 0 : 0)
-        ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular", (1, 0, 0)),
-    ],
-)
+@pytest.mark.parametrize("text, status, point", SHORT_OF_A_RESULTANT)
 def test_a_search_short_of_a_resultant_finds_nothing_when_too_large(text, status, point):
     F = homog(text)
     cert = smoothness_certificate(F)
@@ -259,9 +273,57 @@ def test_the_line_and_point_agree_with_three_full_charts():
         assert old.status == "not_certified" or old.status == new.status == "singular", F
         if new.status == "smooth":
             assert sympy_smooth(sympy, F), F
+        elif new.status == "singular" and new.point is None:
+            assert macaulay_rank(F) < FULL_RANK, F
         elif new.status == "singular":
             assert is_singular_point(F, new.point), F
     assert statuses == {"smooth", "singular", "not_certified"}
+
+
+@pytest.mark.parametrize(
+    "F", [homog(text) for text in NAMED] + seeded_quartics(), ids=lambda F: str(F)[:60]
+)
+def test_macaulay_rank_is_full_exactly_for_smooth_verdicts(F):
+    # Macaulay's criterion is exact; every singular or not_certified verdict
+    # here is a singular curve
+    assert (smoothness_certificate(F).status == "smooth") == (macaulay_rank(F) == FULL_RANK)
+
+
+def wide_form(rng, degree):
+    """A nonzero form of ``degree`` with random support and 13- to 15-digit coefficients."""
+    terms = {}
+    while not terms:
+        for e in monomials(degree):
+            if rng.random() < 0.7:
+                terms[e] = rng.choice([-1, 1]) * rng.randint(10**12, 10**15 - 1)
+    return Polynomial(XYZ, terms)
+
+
+def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
+    # line times cubic and conic times conic: reducible, so singular.  Most
+    # chart gcds have a constant past MAX_DIVISOR_INPUT, where listing their
+    # rational roots raises UnsupportedCase; the search then names no point
+    refused = []
+
+    def counting(p, name):
+        try:
+            return rational_roots(p, name)
+        except UnsupportedCase:
+            refused.append(name)
+            raise
+
+    monkeypatch.setattr(quartic, "rational_roots", counting)
+    rng = random.Random(28)
+    statuses = set()
+    for i in range(40):
+        F = mul(wide_form(rng, 1 + i % 2), wide_form(rng, 3 - i % 2))
+        cert = smoothness_certificate(F)
+        statuses.add(cert.status)
+        assert cert.status != "smooth", F
+        if cert.point is not None:
+            assert is_singular_point(F, cert.point), F
+    assert refused
+    assert statuses == {"singular", "not_certified"}
 
 
 @pytest.fixture
@@ -277,9 +339,7 @@ def resultant_calls(monkeypatch):
 
 
 def test_a_smooth_dense_quartic_costs_two_resultants(resultant_calls):
-    F = homog(
-        "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
-    )
+    F = homog(SMOOTH_DENSE)
     assert smoothness_certificate(F).status == "smooth"
     assert len(resultant_calls) == 2  # chart x = 1 only; three full charts took 6
 

@@ -12,8 +12,21 @@ from kstrata.degeneration import (
     split_result,
 )
 from kstrata.errors import SignatureError, UnsupportedCase
-from kstrata.framing import Mod2QuadraticForm, SymplecticFramingValues, quadratic_eval
+from kstrata.framing import (
+    Mod2QuadraticForm,
+    SymplecticFramingValues,
+    arf,
+    quadratic_eval,
+    relative_arf,
+    symplectic_product,
+)
 from kstrata.genus_one import merge, split_to_sphere
+from kstrata.prong import (
+    enumerate_local_classes,
+    global_classes_genus_one_split,
+    local_classes,
+    prong_hom_image,
+)
 from kstrata.signature import (
     MAX_DIVISOR_INPUT,
     StratumSignature,
@@ -218,6 +231,15 @@ ENTRY_POINTS = {
     ),
     "quadratic_form.value": lambda make: Mod2QuadraticForm((make(1),), (0,)),
     "quadratic_eval.bit": lambda make: quadratic_eval(Mod2QuadraticForm((1,), (0,)), (make(1), 0)),
+    "arf.pair": lambda make: arf([(make(2), 0)]),
+    "relative_arf.sbar": lambda make: relative_arf(make(0), [(0, 0)]),
+    "symplectic_product.entry": lambda make: symplectic_product((make(1), 1), (1, 1)),
+    "local_classes.k": lambda make: local_classes(make(2), 1, 1),
+    "local_classes.order": lambda make: local_classes(2, make(1), 1),
+    "enumerate_local_classes.order": lambda make: enumerate_local_classes(2, 1, make(1)),
+    "prong_hom_image.k": lambda make: prong_hom_image(make(5), 3, 3),
+    "prong_hom_image.torsion": lambda make: prong_hom_image(5, 3, make(3)),
+    "global_split.rotation": lambda make: global_classes_genus_one_split(3, make(1), 1, 1, (-2,)),
 }
 
 
