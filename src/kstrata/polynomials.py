@@ -6,13 +6,14 @@ Derivatives, substitution and evaluation run on ints; coefficients become
 Fractions only where they leave (``terms``, ``coefficient``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
-parsing, derivatives, evaluation, and Sylvester resultants computed as one
-fraction-free (Bareiss) integer determinant each, the stored numerators
-packed into a single integer per entry by Kronecker substitution, so every
-intermediate value stays exact.  Univariate work reads the same numerators.
-All gcds go through one loop of primitive pseudo-remainders in
-``gcd_many``, charged against a budget from the sparse terms before any
-dense coefficient list is built.
+parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
+``integer_rank`` that gives an integer matrix's rank and, at full rank, its
+determinant, and Sylvester resultants computed as one such determinant
+each, the stored numerators packed into a single integer per entry by
+Kronecker substitution, so every intermediate value stays exact.
+Univariate work reads the same numerators.  All gcds go through one loop
+of primitive pseudo-remainders in ``gcd_many``, charged against a budget
+from the sparse terms before any dense coefficient list is built.
 """
 
 from __future__ import annotations
@@ -379,7 +380,9 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
             packed[exps[idx]] += c << sum(map(mul, exps, shifts))
         return packed
 
-    det = _integer_determinant(_sylvester(pack(p, m), pack(q, n)))
+    rank, det = integer_rank(_sylvester(pack(p, m), pack(q, n)))
+    if rank < m + n:
+        det = 0
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     num = {}
     place = 0
@@ -406,29 +409,39 @@ def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:
     return matrix
 
 
-def _integer_determinant(matrix: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss 1968): every division exact."""
-    n = len(matrix)
+def integer_rank(matrix: list[list[int]]) -> tuple[int, int]:
+    """(rank, signed last pivot) of an integer matrix, by fraction-free elimination.
+
+    Bareiss's step (1968) with a row swap where a pivot is zero, skipping a
+    column with no pivot left below the rows already used: every entry
+    stays a minor of the input, so each division by the previous pivot is
+    exact.  The last pivot, signed by the swaps, is the determinant of a
+    square matrix of full rank; it is 1 for rank 0.
+    """
     m = [row[:] for row in matrix]
-    sign = 1
-    previous = 1
-    for i in range(n - 1):
-        if not m[i][i]:
-            for r in range(i + 1, n):
-                if m[r][i]:
-                    m[i], m[r] = m[r], m[i]
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, sign, previous = 0, 1, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        if not m[rank][col]:
+            for r in range(rank + 1, rows):
+                if m[r][col]:
+                    m[rank], m[r] = m[r], m[rank]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot, pivot_row = m[i][i], m[i]
-        for r in range(i + 1, n):
+                continue
+        pivot_row = m[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, rows):
             row = m[r]
-            lead = row[i]
-            for c in range(i + 1, n):
+            lead = row[col]
+            for c in range(col + 1, cols):
                 row[c] = (row[c] * pivot - lead * pivot_row[c]) // previous
         previous = pivot
-    return sign * m[n - 1][n - 1]
+        rank += 1
+    return rank, sign * previous
 
 
 def _univariate_terms(p: Polynomial, name: str) -> dict[int, int]:

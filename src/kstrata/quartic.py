@@ -12,7 +12,9 @@ Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
 x, y, z: the point (0 : 0 : 1) by evaluation, then the affine chart x = 1
 by resultants, then the line x = 0, y = 1 by one univariate gcd.  The
 point and the line are decided exactly; the chart either proves itself
-clean, exhibits a rational singular point, or is left open.
+clean or exhibits a rational singular point, and when it does neither the
+rank of the partials' Macaulay matrix decides (Cox, Little and O'Shea,
+Using Algebraic Geometry, ch. 3), so every curve is smooth or singular.
 """
 
 from __future__ import annotations
@@ -26,10 +28,22 @@ from .polynomials import (
     Polynomial,
     PolynomialError,
     gcd_many,
+    integer_rank,
     rational_roots,
     resultant,
 )
 from .series import branch_series, intersection_multiplicity, require_x_axis_tangent
+
+
+# the elimination of a Macaulay matrix with R rows, C columns and rank at most
+# r costs about R*C*r * (W + c)^2, W the words of Hadamard's bound on its
+# r x r minors and c the fixed cost of a step in words, and the charge is
+# held to this cap.  At the cap on a 2-vCPU Xeon guest: 3.4 s for a dense
+# quartic with 690-bit coefficients (45 x 36, charged 0.94 of the cap), 0.8 s
+# for a dense curve of degree 7 with one-digit coefficients (198 x 153, 0.39);
+# degree 8 with one-digit coefficients (273 x 210) is refused, and took 3.6 s
+MAX_RANK_WORK = 10**10
+RANK_STEP_WORDS = 12  # c above
 
 
 class UnknownConstructionError(ValueError):
@@ -38,21 +52,21 @@ class UnknownConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    """Semi-decision for smoothness of a projective plane curve.
+    """Decision on the smoothness of a projective plane curve.
 
     For v0, v1, v2 the curve's variables, ``smooth`` (detail ``"all charts
     certified"``) means the partials have no common zero in P^2: some
-    partial is nonzero at (0 : 0 : 1), the chart v0 = 1 was certified by a
-    constant gcd of resultants of the partials, and their gcd on the line
-    v0 = 0, v1 = 1 is a nonzero constant.  ``singular`` proves a common
-    zero: an exact rational one, with the detail ``"common zero found on
-    chart v = 1"`` for the chart that contains it (v2 for (0 : 0 : 1), v0
-    for the chart, v1 for the line), or none when that gcd is not constant
-    and no rational root of it was found.  ``not_certified`` means only
-    that the chart v0 = 1 was left open, with no rational common zero found.
+    partial is nonzero at (0 : 0 : 1), their gcd on the line v0 = 0, v1 = 1
+    is a nonzero constant, and the chart v0 = 1 was certified by a constant
+    gcd of resultants of the partials or, failing that, their Macaulay
+    matrix has full rank.  ``singular`` proves a common zero: an exact
+    rational one, with the detail ``"common zero found on chart v = 1"`` for
+    the chart that contains it (v2 for (0 : 0 : 1), v0 for the chart, v1 for
+    the line), or none when the line's gcd is not constant or the Macaulay
+    rank is short, and no rational point was found.
     """
 
-    status: str  # "smooth" | "singular" | "not_certified"
+    status: str  # "smooth" | "singular"
     point: tuple[Fraction, Fraction, Fraction] | None = None
     detail: str = ""
 
@@ -122,19 +136,59 @@ def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other
     return None
 
 
+def _monomials(degree):
+    """Exponent triples of the ternary monomials of ``degree``."""
+    return [(a, b, degree - a - b) for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)]
+
+
+def _macaulay_rank(partials, degree):
+    """(rank, full rank) of the Macaulay matrix of a curve of ``degree`` >= 2.
+
+    Its rows are the partials times each monomial of degree 2d - 4, its
+    columns the monomials of degree 3d - 5: the curve is smooth exactly when
+    the rank is full (partials with no common zero in P^2 are a regular
+    sequence, whose quotient ring vanishes from degree 3d - 5 on, and
+    evaluation at a common zero kills the image).  Scaling a partial to
+    integers changes no rank.  The
+    elimination is charged to MAX_RANK_WORK before it runs, and past it
+    this raises UnsupportedCase.
+    """
+    shifts = _monomials(2 * degree - 4)
+    column = {e: i for i, e in enumerate(_monomials(3 * degree - 5))}
+    cols = len(column)
+    matrix, norm = [], 0
+    for p in partials:
+        terms = p.cleared()[1]
+        norm = max(norm, sum(c * c for c in terms.values()))
+        for s in shifts:
+            row = [0] * cols
+            for (a, b, c), coeff in terms.items():
+                row[column[a + s[0], b + s[1], c + s[2]]] = coeff
+            matrix.append(row)
+    rows, bound = len(matrix), min(len(matrix), cols)
+    # Hadamard: no r x r minor exceeds the r-th power of the largest row's 2-norm
+    words = bound * norm.bit_length() // 128 + 1
+    if rows * cols * bound * (words + RANK_STEP_WORDS) ** 2 > MAX_RANK_WORK:
+        raise UnsupportedCase(
+            f"a Macaulay matrix of {rows} x {cols} with {words}-word minors exceeds "
+            "the supported maximum"
+        )
+    return integer_rank(matrix)[0], cols
+
+
 def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
-    """Certify smoothness of the projective curve F = 0 when possible.
+    """Decide whether the projective curve F = 0 is smooth.
 
     P^2 is covered as a point, A^2 and a line, for ``v0, v1, v2 =
     F.variables``.  First the point (0 : 0 : 1), by evaluating the partial
     derivatives there.  Then the chart v0 = 1: the partials are
-    dehomogenized and one variable is eliminated by resultants, each way
-    round; a constant gcd proves the chart free of singular points, and a
-    rational root of it may lead to a rational common zero.  Last the line
-    v0 = 0, v1 = 1, where the partials' gcd in v2 is exact: a nonconstant
-    one makes the curve singular, at its first rational root if one is
-    found; else the curve is smooth if the chart is certified, and not
-    certified if it is left open.
+    dehomogenized and v1 is eliminated by resultants; a constant gcd proves
+    the chart free of singular points, and a rational root of it may lead
+    to a rational common zero.  Then the line v0 = 0, v1 = 1, where the
+    partials' gcd in v2 is exact: a nonconstant one makes the curve
+    singular, at its first rational root if one is found.  Last, if the
+    chart is neither certified nor singular at a rational point, the rank
+    of the Macaulay matrix decides (``_macaulay_rank``).
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
@@ -148,11 +202,9 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
 
     # a nonzero form stays nonzero on a chart, so some partial is left
     gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
-    for elim, other in ((v1, v2), (v2, v1)):
-        certified, gcd_poly = _certify_chart(gs, elim, other)
-        if certified:
-            break
-        point = _searched(_search_singular_point, partials, F.variables, v0, gs, gcd_poly, elim, other)
+    certified, gcd_poly = _certify_chart(gs, v1, v2)
+    if not certified:
+        point = _searched(_search_singular_point, partials, F.variables, v0, gs, gcd_poly, v1, v2)
         if point is not None:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 
@@ -163,9 +215,12 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
         point = (Fraction(0), Fraction(1), roots[0]) if roots else None
         where = f"chart {v1} = 1" if roots else f"line {v0} = 0, no rational point found"
         return SmoothnessCertificate("singular", point, f"common zero found on {where}")
-    if certified:
-        return SmoothnessCertificate("smooth", None, "all charts certified")
-    return SmoothnessCertificate("not_certified", None, f"no rational common zero on chart {v0} = 1")
+    if not certified:
+        rank, full = _macaulay_rank(partials, F.degree())
+        if rank < full:
+            detail = f"partials share a zero; no rational point found (Macaulay rank {rank} < {full})"
+            return SmoothnessCertificate("singular", None, detail)
+    return SmoothnessCertificate("smooth", None, "all charts certified")
 
 
 def verify_sporadic(construction_id: str) -> SporadicReport:

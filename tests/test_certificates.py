@@ -121,7 +121,7 @@ def test_golden_covers_every_case_and_every_status():
     entries = golden()
     assert list(entries) == [label for label, _ in cases()]
     assert 140 <= len(entries) <= 160
-    assert {e["status"] for e in entries.values()} == {"smooth", "singular", "not_certified"}
+    assert {e["status"] for e in entries.values()} == {"smooth", "singular"}
 
 
 @pytest.mark.parametrize("label, terms", cases(), ids=[label for label, _ in cases()])
@@ -130,8 +130,7 @@ def test_certificate_matches_golden(label, terms):
 
 
 def test_golden_verdicts_agree_with_the_macaulay_rank():
-    # smooth exactly at full rank; every singular and not_certified case is
-    # a singular curve
+    # smooth exactly at full rank
     wrong = [
         label
         for label, terms in cases()

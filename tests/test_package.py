@@ -184,6 +184,18 @@ def test_only_the_point_search_catches_unsupported_case():
     assert caught_names(handler) == {"UnsupportedCase", "OSError"}
 
 
+def test_a_smoothness_certificate_is_smooth_or_singular():
+    # the certificate is a decision: every one the package builds names a
+    # literal status, and no third status comes back
+    statuses = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SmoothnessCertificate":
+                status = node.args[0] if node.args else {k.arg: k.value for k in node.keywords}.get("status")
+                statuses.append(status.value if isinstance(status, ast.Constant) else ast.dump(status))
+    assert set(statuses) == {"smooth", "singular"}
+
+
 def unread_imports(source: str) -> list[str]:
     """``line: name`` of each name an import binds and the module never reads.
 
@@ -212,8 +224,9 @@ def test_every_imported_name_is_read():
 
 
 def test_no_module_reads_private_polynomial_fields():
-    # outside polynomials, only series reads the integer numerators, through
-    # Polynomial.cleared(), so the storage can change in one module
+    # outside polynomials, only series and quartic's Macaulay matrix read the
+    # integer numerators, through Polynomial.cleared(), so the storage can
+    # change in one module
     from kstrata.polynomials import Polynomial
 
     private = {name for name in vars(Polynomial) if name.startswith("_") and not name.endswith("__")}
@@ -228,7 +241,7 @@ def test_no_module_reads_private_polynomial_fields():
             if isinstance(node, ast.Attribute) and node.attr == "cleared":
                 readers.add(path.name)
     assert found == []
-    assert readers == {"series.py"}
+    assert readers == {"quartic.py", "series.py"}
 
 
 def bare(signature: inspect.Signature) -> str:

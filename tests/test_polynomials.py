@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 import time
@@ -12,9 +14,11 @@ from kstrata.polynomials import (
     Polynomial,
     PolynomialError,
     gcd_many,
+    integer_rank,
     rational_roots,
     resultant,
 )
+from macaulay_reference import rank as reference_rank
 from polynomial_reference import add, mul, poly_key, power, ref_combine, ref_mul, scale, sub
 
 XY = ("x", "y")
@@ -436,6 +440,88 @@ def test_rational_roots_list_the_constant_divisors_once():
     start = time.perf_counter()
     assert rational_roots(p, "t") == []
     assert time.perf_counter() - start < 5
+
+
+# -- the one fraction-free elimination --------------------------------------
+
+
+def leibniz(matrix):
+    """The determinant as a signed sum over permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def random_matrices():
+    """Square, tall and wide, rank-deficient, and with zero rows and columns."""
+    rng = random.Random(29)
+
+    def entries(rows, cols, size):
+        return [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
+
+    out = []
+    for _ in range(60):
+        out.append(entries(rng.randint(1, 6), rng.randint(1, 6), rng.choice([1, 9, 10**12])))
+    for _ in range(30):  # rank at most r: a product through r dimensions
+        rows, cols, r = rng.randint(2, 6), rng.randint(2, 6), rng.randint(0, 3)
+        a, b = entries(rows, r, 5), entries(r, cols, 5)
+        out.append([[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)])
+    for _ in range(30):
+        m = entries(rng.randint(2, 6), rng.randint(2, 6), 9)
+        for i in rng.sample(range(len(m)), rng.randint(0, 2)):
+            m[i] = [0] * len(m[0])
+        for j in rng.sample(range(len(m[0])), rng.randint(0, 2)):
+            for row in m:
+                row[j] = 0
+        out.append(m)
+    return out
+
+
+def test_integer_rank_examples():
+    assert integer_rank([[0, 1], [1, 0]]) == (2, -1)  # one row swap
+    assert integer_rank([[0, 0], [0, 0]]) == (0, 1)
+    assert integer_rank([[0, 2, 1], [0, 4, 2]]) == (1, 2)
+    assert integer_rank([[2, 1], [4, 2], [1, 1]]) == (2, -1)
+
+
+def test_integer_rank_matches_an_independent_elimination():
+    matrices = random_matrices()
+    shapes = set()
+    for m in matrices:
+        before = [row[:] for row in m]
+        rank = integer_rank(m)[0]
+        assert rank == reference_rank(m), m
+        assert m == before
+        rows, cols = len(m), len(m[0])
+        shapes.add((rows > cols) - (rows < cols))
+        shapes.add("deficient" if rank < min(rows, cols) else "full")
+    assert shapes == {-1, 0, 1, "deficient", "full"}
+
+
+def test_integer_rank_gives_the_determinant_at_full_rank():
+    counts = {True: 0, False: 0}
+    for m in random_matrices():
+        if len(m) != len(m[0]):
+            continue
+        rank, pivot = integer_rank(m)
+        det = leibniz(m)
+        assert (rank == len(m)) == (det != 0), m
+        if det:
+            assert pivot == det, m
+        counts[det != 0] += 1
+    assert min(counts.values()) >= 5
+
+
+def test_integer_rank_matches_sympy_determinants():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    for n in (7, 9, 12):
+        m = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        m[0][0] = 0  # the first pivot needs a row swap
+        assert integer_rank(m) == (n, sympy.Matrix(m).det())
 
 
 # -- resultants against sympy ------------------------------------------------

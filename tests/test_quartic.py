@@ -37,19 +37,23 @@ IRRATIONAL_ON_THE_LINE = [
 ]
 VANISHING_RESULTANT = "3*x*y^2*z + 2*y^3*z + y^2*z^2 - 3*y*z^3"
 SHORT_OF_A_RESULTANT = [
-    # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x, eliminating
-    # z, F_x and F_y share the factor z, and the gcd left has a constant
-    # near 8*10^26; the three-chart rule never searched that gcd
-    ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified", None),
-    # eliminating y, F_x and F_z share the factor y, and the gcd left has
-    # a constant near 10^28; eliminating z finds (1 : 0 : 0)
-    ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular", (1, 0, 0)),
+    # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x the gcd left
+    # has a constant too large to search, and the three-chart rule left the
+    # curve open
+    ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified"),
+    # eliminating y, F_x and F_z share the factor y, and the gcd left has a
+    # constant near 10^28; the three-chart rule, eliminating z as well,
+    # found (1 : 0 : 0)
+    ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular"),
 ]
+# y*z times a conic, singular at (-1 : 1 : 0): the chart gcd is too large
+# to search, so the point stays unnamed
+UNNAMED_ON_THE_CHART = "-5*x^2*y*z - 3*x*y^2*z + 2*y^3*z - 9999999999971*y^2*z^2 + 100000000000007*y*z^3"
 SMOOTH_DENSE = "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
 NAMED = [
     FERMAT, EMBEDDED, DOUBLE_CONIC, NODAL, NODE_ON_THE_LINE, *NODES_AT_THE_POINT, HIGHLY_COMPOSITE,
-    *IRRATIONAL_ON_THE_LINE, VANISHING_RESULTANT, *(text for text, _, _ in SHORT_OF_A_RESULTANT),
-    SMOOTH_DENSE,
+    *IRRATIONAL_ON_THE_LINE, VANISHING_RESULTANT, *(text for text, _ in SHORT_OF_A_RESULTANT),
+    UNNAMED_ON_THE_CHART, SMOOTH_DENSE,
 ]
 
 
@@ -68,7 +72,7 @@ def test_embedded_quartics_are_smooth():
 
 def test_double_conic_is_never_smooth():
     cert = smoothness_certificate(homog(DOUBLE_CONIC))
-    assert cert.status in ("singular", "not_certified")
+    assert cert.status == "singular"
 
 
 def test_nodal_quartic_singular_point_is_found():
@@ -126,7 +130,7 @@ def three_chart_rule(F):
 
 def chart_x_certifies(F):
     gs = [g for g in (F.partial_derivative(v).substitute("x", 1) for v in XYZ) if not g.is_zero()]
-    return any(quartic._certify_chart(gs, elim, other)[0] for elim, other in (("y", "z"), ("z", "y")))
+    return quartic._certify_chart(gs, "y", "z")[0]
 
 
 def is_singular_point(F, point):
@@ -217,12 +221,26 @@ def test_a_vanishing_resultant_no_longer_fails_chart_x():
     )
 
 
-@pytest.mark.parametrize("text, status, point", SHORT_OF_A_RESULTANT)
-def test_a_search_short_of_a_resultant_finds_nothing_when_too_large(text, status, point):
+def rank_detail(rank):
+    return f"partials share a zero; no rational point found (Macaulay rank {rank} < {FULL_RANK})"
+
+
+@pytest.mark.parametrize("text, old_status", SHORT_OF_A_RESULTANT)
+def test_a_search_short_of_a_resultant_finds_nothing_when_too_large(text, old_status):
+    # the chart is not certified and its search runs past its budget, so the rank decides
     F = homog(text)
-    cert = smoothness_certificate(F)
-    assert (cert.status, cert.point) == (status, point)
-    assert three_chart_rule(F).status == status
+    rank = macaulay_rank(F)
+    assert rank < FULL_RANK
+    assert smoothness_certificate(F) == SmoothnessCertificate("singular", None, rank_detail(rank))
+    assert three_chart_rule(F).status == old_status
+
+
+def test_a_singular_point_too_large_to_search_for_is_still_singular():
+    F = homog(UNNAMED_ON_THE_CHART)
+    point = (Fraction(-1), Fraction(1), Fraction(0))
+    assert is_singular_point(F, point)
+    assert not chart_x_certifies(F)
+    assert smoothness_certificate(F) == SmoothnessCertificate("singular", None, rank_detail(macaulay_rank(F)))
 
 
 def sympy_smooth(sympy, F):
@@ -269,7 +287,7 @@ def test_the_line_and_point_agree_with_three_full_charts():
         statuses.add(new.status)
         if new == old:
             continue
-        # no smooth or singular verdict is lost, and every new point is singular
+        # no smooth or singular verdict flips, and every new point is singular
         assert old.status == "not_certified" or old.status == new.status == "singular", F
         if new.status == "smooth":
             assert sympy_smooth(sympy, F), F
@@ -277,16 +295,65 @@ def test_the_line_and_point_agree_with_three_full_charts():
             assert macaulay_rank(F) < FULL_RANK, F
         elif new.status == "singular":
             assert is_singular_point(F, new.point), F
-    assert statuses == {"smooth", "singular", "not_certified"}
+    assert statuses == {"smooth", "singular"}
 
 
 @pytest.mark.parametrize(
     "F", [homog(text) for text in NAMED] + seeded_quartics(), ids=lambda F: str(F)[:60]
 )
 def test_macaulay_rank_is_full_exactly_for_smooth_verdicts(F):
-    # Macaulay's criterion is exact; every singular or not_certified verdict
-    # here is a singular curve
+    # Macaulay's criterion is exact, and the certificate's rank is its own
     assert (smoothness_certificate(F).status == "smooth") == (macaulay_rank(F) == FULL_RANK)
+
+
+OTHER_DEGREES = {
+    2: ["x^2 + y^2 + z^2", "x*y - z^2", "x*y", "x^2", "y*z + 3*z^2"],
+    3: ["x^3 + y^3 + z^3", "y^2*z - x^3 - x^2*z", "y^2*z - x^3", "x*y*z", "x^3 - 3*x*y^2"],
+    5: ["x^5 + y^5 + z^5", "x*y*z^3 + x^5 + y^5", "x^5 + y^5", "x^4*z + y^5 + x*y*z^3 - z^5"],
+}
+
+
+def other_degree_curves():
+    rng = random.Random(29)
+    out = []
+    for degree, texts in OTHER_DEGREES.items():
+        out += [(degree, homog(text)) for text in texts]
+        for _ in range(8):
+            F = Polynomial(XYZ, {e: rng.randint(-3, 3) for e in monomials(degree) if rng.random() < 0.6})
+            if F.degree() == degree:
+                out.append((degree, F))
+    return out
+
+
+def test_the_rank_decides_smoothness_in_degrees_two_three_and_five():
+    # rows of degree 2d - 4 and columns of degree 3d - 5: 3 x 3 for a conic,
+    # 18 x 15 for a cubic, 84 x 66 for a quintic
+    sympy = pytest.importorskip("sympy")
+    sizes = {2: 3, 3: 15, 5: 66}
+    verdicts = set()
+    for degree, F in other_degree_curves():
+        partials = [F.partial_derivative(v) for v in XYZ]
+        rank, full = quartic._macaulay_rank(partials, degree)
+        smooth = sympy_smooth(sympy, F)
+        assert full == sizes[degree]
+        assert (rank == full) == smooth, F
+        cert = smoothness_certificate(F)
+        assert cert.status == ("smooth" if smooth else "singular"), F
+        if cert.point is not None:
+            assert is_singular_point(F, cert.point), F
+        verdicts.add((degree, smooth))
+    assert verdicts == {(d, s) for d in sizes for s in (True, False)}
+
+
+def test_the_rank_is_charged_before_it_runs(monkeypatch):
+    entered = []
+    monkeypatch.setattr(quartic, "integer_rank", entered.append)
+    monkeypatch.setattr(quartic, "MAX_RANK_WORK", 10**6)
+    # a chart certified by its resultants never reaches the rank
+    assert smoothness_certificate(homog(SMOOTH_DENSE)).status == "smooth"
+    with pytest.raises(UnsupportedCase, match="a Macaulay matrix of 45 x 36 "):
+        smoothness_certificate(homog(UNNAMED_ON_THE_CHART))
+    assert entered == []
 
 
 def wide_form(rng, degree):
@@ -302,7 +369,8 @@ def wide_form(rng, degree):
 def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
     # line times cubic and conic times conic: reducible, so singular.  Most
     # chart gcds have a constant past MAX_DIVISOR_INPUT, where listing their
-    # rational roots raises UnsupportedCase; the search then names no point
+    # rational roots raises UnsupportedCase; the search then names no point,
+    # and the rank decides
     refused = []
 
     def counting(p, name):
@@ -314,16 +382,17 @@ def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
 
     monkeypatch.setattr(quartic, "rational_roots", counting)
     rng = random.Random(28)
-    statuses = set()
+    unnamed = 0
     for i in range(40):
         F = mul(wide_form(rng, 1 + i % 2), wide_form(rng, 3 - i % 2))
         cert = smoothness_certificate(F)
-        statuses.add(cert.status)
-        assert cert.status != "smooth", F
+        assert cert.status == "singular", F
         if cert.point is not None:
             assert is_singular_point(F, cert.point), F
+        else:
+            unnamed += 1
     assert refused
-    assert statuses == {"singular", "not_certified"}
+    assert unnamed > 0
 
 
 @pytest.fixture
@@ -344,13 +413,13 @@ def test_a_smooth_dense_quartic_costs_two_resultants(resultant_calls):
     assert len(resultant_calls) == 2  # chart x = 1 only; three full charts took 6
 
 
-def test_no_seeded_quartic_costs_more_than_four_resultants(resultant_calls):
+def test_no_seeded_quartic_costs_more_than_two_resultants(resultant_calls):
     most = 0
     for F in seeded_quartics():
         resultant_calls.clear()
         smoothness_certificate(F)
         most = max(most, len(resultant_calls))
-    assert most <= 4  # two elimination orders, two pairs each
+    assert most <= 2  # one elimination order, two pairs
 
 
 def test_smoothness_requires_homogeneous_three_variables():
