@@ -50,8 +50,6 @@ def nonempty_rotations(orders) -> tuple[int, ...]:
     marked points neither count toward the two nor change d.
     """
     d = math.gcd(*orders)
-    if d == 0:
-        return ()
     rotations = [d // e for e in divisors(d)]
     if sum(1 for o in orders if o != 0) == 2:
         rotations.remove(d)

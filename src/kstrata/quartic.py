@@ -5,7 +5,8 @@ constructions behave as claimed: the curve is smooth, the marked branch has
 the stated expansion, the cubic meets it to order 12, and the tangency at
 the marked point has the stated contact order.  The contact orders are
 intersection numbers at the marked point, computed without series; the
-branch expansion is computed and compared through x^12.
+branch expansion is computed and compared through x^12.  The constructions
+are read from ``data/sporadic_quartics.json``, which no other module reads.
 
 Smoothness is checked over the disjoint union P^2 = {pt}, A^2, A^1 (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
@@ -13,16 +14,18 @@ x, y, z: the point (0 : 0 : 1) by evaluation, then the affine chart x = 1
 by resultants, then the line x = 0, y = 1 by one univariate gcd.  The
 point and the line are decided exactly; the chart either proves itself
 clean or exhibits a rational singular point, and when it does neither the
-rank of the partials' Macaulay matrix decides (Cox, Little and O'Shea,
-Using Algebraic Geometry, ch. 3), so every curve is smooth or singular.
+chart origin (1 : 0 : 0) is tried by evaluation and then the rank of the
+partials' Macaulay matrix decides (Cox, Little and O'Shea, Using Algebraic
+Geometry, ch. 3), so every curve is smooth or singular.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import load_constructions as _load_constructions
 from .errors import UnsupportedCase
 from .polynomials import (
     Polynomial,
@@ -48,6 +51,12 @@ RANK_STEP_WORDS = 12  # c above
 
 class UnknownConstructionError(ValueError):
     """No embedded construction is registered under the requested name."""
+
+
+def _load_constructions() -> dict:
+    path = os.path.join(os.path.dirname(__file__), "data", "sporadic_quartics.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 @dataclass(frozen=True)
@@ -89,22 +98,21 @@ class SporadicReport:
         return all(c.passed for c in self.checks)
 
 
-def _certify_chart(gs, elim, other):
-    """Try to certify that the chart has no common zero, eliminating one way.
+def _chart_gcd(gs, elim, other):
+    """The gcd in ``other`` of what eliminating ``elim`` from the chart leaves.
 
     The resultants of the partial of highest degree in ``elim`` with each
     other one that involves ``elim``, plus those free of it, all vanish at
     the projection of every common zero; one that vanishes identically says
-    nothing and is left out.  Returns (certified, gcd_poly): the gcd of the
-    rest in the other variable, None if none is left.
+    nothing and is left out.  A constant gcd certifies the chart; None means
+    nothing was left.
     """
     degrees = [g.degree_in(elim) for g in gs]
     base = gs[degrees.index(max(degrees))]
     resultants = [resultant(base, g, elim) for g, d in zip(gs, degrees) if g is not base and d > 0]
     eliminants = [g for g, d in zip(gs, degrees) if d == 0]
     eliminants += [r for r in resultants if not r.is_zero()]
-    g = gcd_many(eliminants, other) if eliminants else None
-    return g is not None and g.is_constant(), g
+    return gcd_many(eliminants, other) if eliminants else None
 
 
 def _searched(search, *args):
@@ -115,10 +123,14 @@ def _searched(search, *args):
         return None
 
 
-def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other):
-    """Look for an exact rational common zero in one chart."""
+def _search_singular_point(partials, variables, gs, gcd_poly):
+    """A rational common zero (1 : u : t) on the chart v0 = 1, or None.
+
+    t runs over the roots of ``gcd_poly``, u over those of the gcd of ``gs`` at v2 = t.
+    """
     if gcd_poly is None:
         return None
+    _, elim, other = variables
     for t in rational_roots(gcd_poly, other):
         slices = [g.substitute(other, t) for g in gs]
         if any(s.is_constant() and not s.is_zero() for s in slices):
@@ -127,12 +139,12 @@ def _search_singular_point(partials, variables, chart, gs, gcd_poly, elim, other
         if not candidates:
             continue
         pencil = gcd_many(candidates, elim)
-        if pencil.is_zero() or pencil.is_constant():
+        if pencil.is_constant():
             continue
         for u in rational_roots(pencil, elim):
-            point = {chart: Fraction(1), elim: u, other: t}
-            if all(p.evaluate(point) == 0 for p in partials):
-                return tuple(point[v] for v in variables)
+            point = (Fraction(1), u, t)
+            if all(p.evaluate(dict(zip(variables, point))) == 0 for p in partials):
+                return point
     return None
 
 
@@ -187,8 +199,9 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     to a rational common zero.  Then the line v0 = 0, v1 = 1, where the
     partials' gcd in v2 is exact: a nonconstant one makes the curve
     singular, at its first rational root if one is found.  Last, if the
-    chart is neither certified nor singular at a rational point, the rank
-    of the Macaulay matrix decides (``_macaulay_rank``).
+    chart is neither certified nor singular at a rational point, the chart
+    origin (1 : 0 : 0) is tried by evaluation, and then the rank of the
+    Macaulay matrix decides (``_macaulay_rank``).
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
@@ -202,9 +215,10 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
 
     # a nonzero form stays nonzero on a chart, so some partial is left
     gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
-    certified, gcd_poly = _certify_chart(gs, v1, v2)
+    gcd_poly = _chart_gcd(gs, v1, v2)
+    certified = gcd_poly is not None and gcd_poly.is_constant()
     if not certified:
-        point = _searched(_search_singular_point, partials, F.variables, v0, gs, gcd_poly, v1, v2)
+        point = _searched(_search_singular_point, partials, F.variables, gs, gcd_poly)
         if point is not None:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 
@@ -216,6 +230,9 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
         where = f"chart {v1} = 1" if roots else f"line {v0} = 0, no rational point found"
         return SmoothnessCertificate("singular", point, f"common zero found on {where}")
     if not certified:
+        if not any(p.evaluate({v0: 1, v1: 0, v2: 0}) for p in partials):
+            point = (Fraction(1), Fraction(0), Fraction(0))
+            return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
         rank, full = _macaulay_rank(partials, F.degree())
         if rank < full:
             detail = f"partials share a zero; no rational point found (Macaulay rank {rank} < {full})"

@@ -1,11 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import kstrata
 from kstrata.classifier import (
     ArfLabeled,
     CubicSporadic,
@@ -199,15 +193,3 @@ def test_genus_one_path_agrees_with_rotation_flags():
         assert report.count == len(expected)
         assert [d.rotation for d in report.components] == [c.rotation for c in expected]
         done += 1
-
-
-def test_importing_the_classifier_loads_no_typing():
-    # -S keeps the site hooks, which may import typing themselves, out of the
-    # count; the classifier alone, since kstrata.cli still loads typing through
-    # importlib.resources in constructions
-    env = dict(os.environ, PYTHONPATH=str(Path(kstrata.__file__).resolve().parents[1]))
-    code = "import sys, kstrata.classifier; print('typing' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout == "False\n"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kstrata import cli
+from kstrata import cli, quartic
 from kstrata.signature import validate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +56,8 @@ BRANCH_CASES = {
         "--index", "0", "--a", "-1", "--b", "1", "--rotation", "2",
     ],
     "arf_relative": ["arf", "--pairs", "1,1", "--sbar", "1"],
+    # genus 0 has no symplectic pairs, so blank text is the one valid list
+    "spin_genus0_no_pairs": ["spin", "--k", "3", "--genus", "0", "--orders", "-6", "--pairs", ""],
     "prong_global": ["prong", "--k", "3", "--a", "1", "--b", "1", "--rotation", "1", "--rest=-2"],
     "prong_local": ["prong", "--k", "3", "--a", "2", "--b", "-2"],
     "quartic_verify_second": ["quartic-verify", "--construction", "OddArf_h0_1"],
@@ -97,6 +99,7 @@ BRANCH_PAYLOADS = {
         "a": -1, "b": 1, "reachable": True, "rotation": 2, "signature": "k:3 g:1 orders:(6,-6)",
     },
     "arf_relative": {"relative_arf": 1},
+    "spin_genus0_no_pairs": {"boundary": [-3], "signature": "k:3 g:0 orders:(-6)", "spin": 0},
     "prong_global": {"a": 1, "b": 1, "global_classes": 4, "k": 3, "rest": [-2], "rotation": 1},
     "prong_local": {"a": 2, "b": -2, "k": 3, "local_classes": 1},
 }
@@ -138,12 +141,18 @@ REJECTED_CASES = {
         ["prong", "--k", "5", "--a", "3", "--torsion", "3", "--rotation", "1"],
         "--torsion takes no --b or --rotation",
     ),
+    "prong_local_without_b": (["prong", "--k", "3", "--a", "2"], "--b is required for local prong classes"),
+    "prong_global_without_b": (
+        ["prong", "--k", "3", "--a", "2", "--rotation", "1"], "--b is required for global prong classes",
+    ),
     "prong_torsion_with_b": (
         ["prong", "--k", "5", "--a", "3", "--torsion", "3", "--b", "1"],
         "--torsion takes no --b or --rotation",
     ),
     "arf_pair_not_integers": (["arf", "--pairs", "a,b"], "bad pair 'a,b'; expected 'wa,wb'"),
     "arf_pair_of_three": (["arf", "--pairs", "1,1;1,2,3"], "bad pair '1,2,3'; expected 'wa,wb'"),
+    "arf_pairs_trailing_semicolon": (["arf", "--pairs", "1,1;"], "bad pair ''; expected 'wa,wb'"),
+    "arf_pairs_doubled_semicolon": (["arf", "--pairs", "1,1;;0,0"], "bad pair ''; expected 'wa,wb'"),
     "spin_pair_not_integers": (
         ["spin", "--k", "5", "--genus", "1", "--orders", "4,-4", "--pairs", "x,4"],
         "bad pair 'x,4'; expected 'wa,wb'",
@@ -446,7 +455,7 @@ def test_help_matches_golden(monkeypatch, argv, name):
 def test_quartic_verify_help_lists_the_constructions(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     _, out, _ = run_to_exit(["quartic-verify", "--help"])
-    assert "--construction {OddArf_h0_0,OddArf_h0_1}" in out
+    assert f"--construction {{{','.join(sorted(quartic._load_constructions()))}}}" in out
 
 
 def test_readme_shows_the_flags_the_commands_have(monkeypatch):
@@ -473,24 +482,31 @@ def test_unknown_construction_is_a_usage_error():
 
 
 # Runs one command in a new interpreter; prints the exit code, the output
-# and the modules the call loaded beyond what the interpreter started with.
+# and the modules the call loaded beyond what the interpreter started with;
+# ``--help`` exits through SystemExit
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from kstrata import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
 """
 
 CERTIFICATION_STACK = {"kstrata.polynomials", "kstrata.series", "kstrata.quartic", "fractions"}
+# importlib.resources and what it imports
+RESOURCE_LOADER = {"importlib.resources", "zipfile", "pathlib", "tempfile", "typing"}
 
 
-def loaded_by(argv, code=0, err=""):
+def loaded_by(argv, code=0, err="", flags=()):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, *flags, "-c", IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, check=True,
     )
     assert done.stderr == err
     exit_code, out, modules = json.loads(done.stdout)
@@ -510,6 +526,20 @@ def test_classify_loads_no_certification_stack(tmp_path):
         out, loaded = loaded_by(argv)
         assert out == run_cli(argv)[1]
         assert loaded <= single
+
+
+@pytest.mark.parametrize("name", ["classify", "classify_json", "orders_file", "orders_file_json", "help"])
+def test_one_shot_calls_load_no_resource_loader(tmp_path, name):
+    # -S keeps out the site hooks, which may load these modules before kstrata
+    if name.startswith("orders_file"):
+        argv = ["classify", "--orders-file", str(write_batch(tmp_path / "strata.txt", BATCH_SPECIALS))]
+    else:
+        # the classify golden less its --json
+        argv = {"classify": GOLDEN_CASES["classify"][:-1], "help": ["--help"]}[name.removesuffix("_json")]
+    argv = argv + (["--json"] if name.endswith("_json") else [])
+    out, loaded = loaded_by(argv, flags=["-S"])
+    assert out
+    assert not loaded & RESOURCE_LOADER
 
 
 def test_prong_loads_no_degeneration():

@@ -55,6 +55,14 @@ def test_split_result_validation():
             split_result(validate(3, 2, (6,)), 0, a, b)
 
 
+def test_genus_zero_has_no_split_and_no_same_sign_merge():
+    sig = validate(2, 0, (2, -2, -2, -2))
+    with pytest.raises(SignatureError, match="splitting a zero lowers genus, need genus >= 1"):
+        split_result(sig, 0, 1, 1)
+    with pytest.raises(SignatureError, match="same-sign merging requires positive genus"):
+        merge_feasible_same_sign(sig, 1, 2)
+
+
 def test_split_listing_budget():
     # (z - 2k) // 2 + k pairs: k = 1, z = 2 * MAX_ZERO_SPLITS is exactly at the budget
     assert len(enumerate_zero_splits(1, 2 * MAX_ZERO_SPLITS)) == MAX_ZERO_SPLITS

@@ -55,6 +55,11 @@ def test_spin_requires_odd_k():
         spin(framing)
 
 
+def test_symplectic_product_needs_an_even_length():
+    with pytest.raises(SignatureError, match="vectors must share an even length"):
+        symplectic_product((1, 0, 1), (0, 1, 1))
+
+
 def test_spin_rejects_odd_order_singularity():
     framing = SymplecticFramingValues.from_signature(
         validate(3, 2, (5, 1)), [(0, 0), (0, 0)]

@@ -148,8 +148,8 @@ def test_submodules_stay_attributes():
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
-    # aliasing a public name to a private one (``load_constructions as
-    # _load_constructions``) is fine; reaching into a sibling's private names is not
+    # aliasing a public name to a private one (``from .polynomials import
+    # resultant as _resultant``) is fine; reaching into a sibling's private names is not
     found = []
     for path in PACKAGE:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

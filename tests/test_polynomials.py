@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from kstrata.constructions import load_constructions
 from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import (
     Polynomial,
@@ -18,6 +17,7 @@ from kstrata.polynomials import (
     rational_roots,
     resultant,
 )
+from kstrata.quartic import _load_constructions
 from macaulay_reference import rank as reference_rank
 from polynomial_reference import add, mul, poly_key, power, ref_combine, ref_mul, scale, sub
 
@@ -80,7 +80,7 @@ def test_a_star_stands_only_between_factors():
         with pytest.raises(PolynomialError, match="misplaced"):
             poly(text)
     assert poly_key(poly("2*x*y")) == poly_key(poly("2 x y")) == poly_key(poly("2*x y"))
-    for record in load_constructions().values():
+    for record in _load_constructions().values():
         for key in ("quartic", "affine", "cubic", "quadratic"):
             if key in record:
                 p = poly(record[key], XYZ)
@@ -260,6 +260,24 @@ def test_resultant_examples():
 def test_resultant_degree_zero_rejected():
     with pytest.raises(PolynomialError, match="positive degree"):
         resultant(poly("x"), poly("y"), "y")
+
+
+MALFORMED_CALLS = {
+    "short_exponents": (lambda: Polynomial(XY, {(1,): 1}), "exponent tuple (1,) does not fit variables"),
+    "negative_exponent": (lambda: Polynomial(XY, {(1, -1): 1}), "negative exponent in (1, -1)"),
+    "unknown_variable": (lambda: poly("x*y").degree_in("w"), "unknown variable 'w'"),
+    "variable_mismatch": (
+        lambda: resultant(poly("x*y"), Polynomial.from_string("x", ("x", "z")), "x"), "variable mismatch",
+    ),
+    "roots_of_zero": (lambda: rational_roots(Polynomial(XY), "x"), "the zero polynomial has every root"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CALLS))
+def test_a_malformed_call_is_a_polynomial_error(name):
+    call, message = MALFORMED_CALLS[name]
+    with pytest.raises(PolynomialError, match=re.escape(message)):
+        call()
 
 
 def test_resultant_antisymmetry():

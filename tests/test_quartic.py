@@ -6,8 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kstrata import quartic
-from kstrata.constructions import available_constructions
+from kstrata import cli, quartic
 from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, rational_roots, resultant
 from kstrata.quartic import (
@@ -36,24 +35,25 @@ IRRATIONAL_ON_THE_LINE = [
     "z^4 - 4*y^2*z^2 + 4*y^4 + x^4 + x*y*z^2 - 2*x*y^3 + x^3*z",
 ]
 VANISHING_RESULTANT = "3*x*y^2*z + 2*y^3*z + y^2*z^2 - 3*y*z^3"
-SHORT_OF_A_RESULTANT = [
-    # z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x the gcd left
-    # has a constant too large to search, and the three-chart rule left the
-    # curve open
-    ("720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3", "not_certified"),
-    # eliminating y, F_x and F_z share the factor y, and the gcd left has a
-    # constant near 10^28; the three-chart rule, eliminating z as well,
-    # found (1 : 0 : 0)
-    ("-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3", "singular"),
+# z times a cubic, with F_x = 1 at (0 : 0 : 1): on chart x the gcd left
+# has a constant too large to search, and the three-chart rule left the
+# curve open
+SHORT_OF_A_RESULTANT = "720720*y^3*z - 5*x^2*y*z - 9999999999971*x^3*z + x*z^3"
+# chart x = 1 open and its gcd too large to search, but singular at the
+# chart origin (1 : 0 : 0), where the three-chart rule, eliminating z as
+# well, found the first and third.  In the first, eliminating y, F_x and F_z
+# share the factor y and the gcd left has a constant near 10^28; the second
+# is y*z times a conic, also singular at (-1 : 1 : 0), which chart y found
+AT_THE_CHART_ORIGIN = [
+    "-100000000000007*x*y^3 + 2*x*y^2*z - 5*y^2*z^2 + 100000000000007*y*z^3",
+    "-5*x^2*y*z - 3*x*y^2*z + 2*y^3*z - 9999999999971*y^2*z^2 + 100000000000007*y*z^3",
+    "1090*x^2*y*z + 8346*x*y^3 + 9347*y^3*z + 1551*y^2*z^2 - 6226*y*z^3",
 ]
-# y*z times a conic, singular at (-1 : 1 : 0): the chart gcd is too large
-# to search, so the point stays unnamed
-UNNAMED_ON_THE_CHART = "-5*x^2*y*z - 3*x*y^2*z + 2*y^3*z - 9999999999971*y^2*z^2 + 100000000000007*y*z^3"
 SMOOTH_DENSE = "x^4 + y^4 + z^4 + 2*x^3*y - 3*x*y^2*z + x^2*z^2 - y^3*z + 5*x*z^3 - 2*x*y*z^2"
 NAMED = [
     FERMAT, EMBEDDED, DOUBLE_CONIC, NODAL, NODE_ON_THE_LINE, *NODES_AT_THE_POINT, HIGHLY_COMPOSITE,
-    *IRRATIONAL_ON_THE_LINE, VANISHING_RESULTANT, *(text for text, _ in SHORT_OF_A_RESULTANT),
-    UNNAMED_ON_THE_CHART, SMOOTH_DENSE,
+    *IRRATIONAL_ON_THE_LINE, VANISHING_RESULTANT, SHORT_OF_A_RESULTANT, *AT_THE_CHART_ORIGIN,
+    SMOOTH_DENSE,
 ]
 
 
@@ -113,12 +113,11 @@ def three_chart_rule(F):
             ok, gcd_poly = certify_chart(gs, elim, other)
             if ok:
                 break
-            point = quartic._search_singular_point(
-                partials, F.variables, chart, gs, gcd_poly, elim, other
-            )
-            if point is not None:
+            found = quartic._search_singular_point(partials, (chart, elim, other), gs, gcd_poly)
+            if found is not None:
+                point = dict(zip((chart, elim, other), found))
                 return SmoothnessCertificate(
-                    "singular", point, f"common zero found on chart {chart} = 1"
+                    "singular", tuple(point[v] for v in XYZ), f"common zero found on chart {chart} = 1"
                 )
         else:
             uncertified.append((chart, "no elimination order gave a constant gcd"))
@@ -130,7 +129,7 @@ def three_chart_rule(F):
 
 def chart_x_certifies(F):
     gs = [g for g in (F.partial_derivative(v).substitute("x", 1) for v in XYZ) if not g.is_zero()]
-    return quartic._certify_chart(gs, "y", "z")[0]
+    return quartic._chart_gcd(gs, "y", "z").is_constant()
 
 
 def is_singular_point(F, point):
@@ -225,22 +224,31 @@ def rank_detail(rank):
     return f"partials share a zero; no rational point found (Macaulay rank {rank} < {FULL_RANK})"
 
 
-@pytest.mark.parametrize("text, old_status", SHORT_OF_A_RESULTANT)
-def test_a_search_short_of_a_resultant_finds_nothing_when_too_large(text, old_status):
+def test_a_search_short_of_a_resultant_finds_nothing_when_too_large():
     # the chart is not certified and its search runs past its budget, so the rank decides
-    F = homog(text)
+    F = homog(SHORT_OF_A_RESULTANT)
     rank = macaulay_rank(F)
     assert rank < FULL_RANK
     assert smoothness_certificate(F) == SmoothnessCertificate("singular", None, rank_detail(rank))
-    assert three_chart_rule(F).status == old_status
+    assert three_chart_rule(F).status == "not_certified"
+
+
+@pytest.mark.parametrize("text", AT_THE_CHART_ORIGIN)
+def test_a_singular_chart_origin_is_named_before_the_rank(monkeypatch, text):
+    F = homog(text)
+    assert not chart_x_certifies(F)
+    monkeypatch.setattr(quartic, "integer_rank", None)  # never reached
+    assert smoothness_certificate(F) == SmoothnessCertificate(
+        "singular", (Fraction(1), Fraction(0), Fraction(0)), "common zero found on chart x = 1"
+    )
+    assert three_chart_rule(F).status == "singular"
 
 
 def test_a_singular_point_too_large_to_search_for_is_still_singular():
-    F = homog(UNNAMED_ON_THE_CHART)
-    point = (Fraction(-1), Fraction(1), Fraction(0))
-    assert is_singular_point(F, point)
-    assert not chart_x_certifies(F)
-    assert smoothness_certificate(F) == SmoothnessCertificate("singular", None, rank_detail(macaulay_rank(F)))
+    # (-1 : 1 : 0) is on the chart, where the gcd is too large to search
+    F = homog(AT_THE_CHART_ORIGIN[1])
+    assert is_singular_point(F, (Fraction(-1), Fraction(1), Fraction(0)))
+    assert smoothness_certificate(F).point == (Fraction(1), Fraction(0), Fraction(0))
 
 
 def sympy_smooth(sympy, F):
@@ -352,7 +360,7 @@ def test_the_rank_is_charged_before_it_runs(monkeypatch):
     # a chart certified by its resultants never reaches the rank
     assert smoothness_certificate(homog(SMOOTH_DENSE)).status == "smooth"
     with pytest.raises(UnsupportedCase, match="a Macaulay matrix of 45 x 36 "):
-        smoothness_certificate(homog(UNNAMED_ON_THE_CHART))
+        smoothness_certificate(homog(SHORT_OF_A_RESULTANT))
     assert entered == []
 
 
@@ -429,8 +437,10 @@ def test_smoothness_requires_homogeneous_three_variables():
         smoothness_certificate(Polynomial.from_string("x^2 + y^2", ("x", "y")))
 
 
-def test_available_constructions():
-    assert available_constructions() == ("OddArf_h0_0", "OddArf_h0_1")
+def test_the_parser_lists_every_construction():
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (choices,) = [a.choices for a in commands.choices["quartic-verify"]._actions if a.dest == "construction"]
+    assert list(choices) == sorted(quartic._load_constructions())
 
 
 def test_verify_first_construction():

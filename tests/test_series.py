@@ -80,6 +80,19 @@ def test_branch_rejects_singular_point():
         branch_series(poly("y^2 - x"), 4)
 
 
+def test_branch_needs_a_y():
+    with pytest.raises(PolynomialError, match="unknown variable 'y'"):
+        branch_series(Polynomial.from_string("x + z", ("x", "z")), 4)
+
+
+def test_a_series_has_a_constant_and_no_precision_it_was_not_given():
+    with pytest.raises(SeriesError, match="needs at least the constant coefficient"):
+        PowerSeries([])
+    assert PowerSeries([0, 1]).truncate(0).coefficients == (0,)
+    with pytest.raises(SeriesError, match="cannot extend precision 1 to 2"):
+        PowerSeries([0, 1]).truncate(2)
+
+
 def test_branch_residual_identity():
     rng = random.Random(53)
     for _ in range(50):
