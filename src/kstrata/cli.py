@@ -9,7 +9,8 @@ and ``genus_one`` and never the polynomial arithmetic behind
 ``dataclasses`` or ``inspect``: the other commands' results are
 ``record.Record`` types.  Building the parser reads no file: the
 ``--construction`` choices are written out, and only ``quartic-verify``
-reads the construction data.
+reads the construction data.  ``json`` is imported by the ``--json``
+output alone.
 
 ``main`` writes stdout once per call, after the command has finished, so a
 failing call writes nothing there.  Each ``_cmd_*`` returns the payload for
@@ -24,7 +25,6 @@ signature and report objects are built only for single calls.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -117,6 +117,8 @@ def _body_lines(report) -> list[str]:
 
 
 def _json_text(payload) -> str:
+    import json  # on the JSON paths only: a human call never loads it
+
     return json.dumps(_to_json(payload), indent=2, sort_keys=True)
 
 
@@ -125,9 +127,9 @@ def _lines_text(lines) -> str:
 
 
 # the signature of a report body while it is encoded: json writes it as
-# "\u0000", and no other string in a report holds a control character
+# _BLANK_JSON, and no other string in a report holds a control character
 _BLANK = "\0"
-_BLANK_JSON = json.dumps(_BLANK)
+_BLANK_JSON = '"\\u0000"'
 
 
 def _json_halves(payload, depth) -> list[str]:

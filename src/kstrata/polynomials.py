@@ -2,8 +2,10 @@
 
 A polynomial keeps integer numerators over one positive common denominator,
 in lowest terms (content and primitive part; Knuth, TAOCP vol. 2, 4.6.1).
-Derivatives, substitution and evaluation run on ints; coefficients become
-Fractions only where they leave (``terms``, ``coefficient``, ``str``).
+Int coefficients are stored as they are.  Derivatives, substitution and
+evaluation run on ints, evaluation in one pass per variable over a table of
+its value's powers; coefficients become Fractions only where they leave
+(``terms``, ``coefficient``, ``evaluate``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
@@ -12,8 +14,10 @@ determinant, and Sylvester resultants computed as one such determinant
 each, the stored numerators packed into a single integer per entry by
 Kronecker substitution, so every intermediate value stays exact.
 Univariate work reads the same numerators.  All gcds go through one loop
-of primitive pseudo-remainders in ``gcd_many``, charged against a budget
-from the sparse terms before any dense coefficient list is built.
+of primitive pseudo-remainders in ``gcd_many`` (Collins 1967), charged
+against a budget from the sparse terms before any dense coefficient list is
+built; the loop starts from the first input's primitive part and stops once
+the running gcd is constant.
 """
 
 from __future__ import annotations
@@ -116,14 +120,16 @@ class Polynomial:
         if len(set(self.variables)) != width:
             # every lookup by name would find the first of two equal names
             raise PolynomialError(f"repeated variable name in {self.variables}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
+        rational = False  # whether some coefficient came in as other than an int
         for exps, coeff in (terms or {}).items():
             try:
                 exps = tuple(map(index, exps))
             except TypeError:
                 raise PolynomialError(f"exponents must be a tuple of ints, got {exps!r}") from None
-            if not isinstance(coeff, Fraction):
+            if type(coeff) is not int:
                 coeff = exact(coeff)
+                rational = True
             if len(exps) != width:
                 raise PolynomialError(
                     f"exponent tuple {exps} does not fit variables {self.variables}"
@@ -132,13 +138,12 @@ class Polynomial:
                 raise PolynomialError(f"negative exponent in {exps}")
             if coeff:
                 clean[exps] = coeff
-        # the lcm of reduced denominators leaves numerators coprime to it
-        den = math.lcm(*[c.denominator for c in clean.values()])
-        if den == 1:
-            self._num = {e: c.numerator for e, c in clean.items()}
-        else:
-            self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._den = den
+        den = 1
+        if rational:
+            # the lcm of reduced denominators leaves numerators coprime to it
+            den = math.lcm(*[c.denominator for c in clean.values()])
+            clean = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num, self._den = clean, den
 
     @classmethod
     def _of(cls, variables: tuple, num: dict, den: int = 1) -> "Polynomial":
@@ -283,14 +288,25 @@ class Polynomial:
         return Polynomial._of(self.variables, num, self._den * b**top)
 
     def evaluate(self, values: dict) -> Fraction:
-        """The value at rational values of the variables that occur, as one Fraction."""
-        poly = self
-        for name, top in zip(self.variables, self._degrees()):
+        """The value at rational values of the variables that occur, as one Fraction.
+
+        One pass per variable, on ints: for its value a/b and top its largest
+        power, a table gives a^k * b^(top-k) for each power k that occurs,
+        and each term's numerator is multiplied by its entry; the sum is
+        over the denominator times every b^top.
+        """
+        den, products = self._den, list(self._num.values())
+        for name, column in zip(self.variables, zip(*self._num)):
+            top = max(column)
             if top:
                 if name not in values:
                     raise PolynomialError(f"no value for variable {name!r}")
-                poly = poly.substitute(name, values[name])
-        return poly.coefficient((0,) * len(self.variables))
+                value = exact(values[name])
+                a, b = value.numerator, value.denominator
+                powers = {k: a**k * b ** (top - k) for k in set(column)}
+                products = list(map(mul, products, map(powers.__getitem__, column)))
+                den *= b**top
+        return Fraction(sum(products), den)
 
     # -- display ----------------------------------------------------------
 
@@ -449,9 +465,10 @@ def _univariate_terms(p: Polynomial, name: str) -> dict[int, int]:
     idx = p._index(name)
     terms = {}
     for exps, c in p._num.items():
-        if any(exps[:idx]) or any(exps[idx + 1 :]):
+        k = exps[idx]
+        if sum(exps) != k:  # another variable has a positive exponent
             raise PolynomialError(f"{p} is not univariate in {name!r}")
-        terms[exps[idx]] = c
+        terms[k] = c
     return terms
 
 
@@ -464,14 +481,15 @@ def _dense(terms: dict[int, int]) -> list[int]:
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of lc(b)^s * a mod b for some s >= 0 (Collins 1967)."""
-    a = a[:]
-    lead = b[-1]
-    while len(a) >= len(b):
-        factor, shift = a[-1], len(a) - len(b)
-        a = [lead * c for c in a]
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
+    """Primitive part of lc(b)^s * a mod b for some s >= 0 (Collins 1967).
+
+    Each reduction step builds one list: lc(b) * a less lc(a) * b shifted
+    under it, without the top entry, which cancels.
+    """
+    lead, n = b[-1], len(b) - 1
+    while len(a) > n:
+        factor, shift = a[-1], len(a) - 1 - n
+        a = [lead * c - factor * b[i - shift] if i >= shift else lead * c for i, c in enumerate(a[:-1])]
         while a and a[-1] == 0:
             a.pop()
     return _primitive(a)
@@ -574,7 +592,9 @@ def gcd_many(polys, name: str) -> Polynomial:
 
     Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes of
     the sparse terms before any dense list is built, it raises
-    UnsupportedCase.  A single nonzero input is only made monic.
+    UnsupportedCase.  A single nonzero input is only made monic; otherwise
+    the running gcd starts as the first input's primitive part, and no
+    remainder sequence runs once it is constant.
     """
     polys = list(polys)
     if not polys:
@@ -585,8 +605,10 @@ def gcd_many(polys, name: str) -> Polynomial:
     _check_gcd_work(nonzero)
     gcd = nonzero[0] if nonzero else {}
     if len(nonzero) > 1:
-        a: list[int] = []
-        for terms in nonzero:
+        a = _primitive(_dense(gcd))
+        for terms in nonzero[1:]:
+            if len(a) == 1:  # a constant: the gcd is 1 whatever follows
+                break
             a = _gcd_ints(a, _dense(terms))
         gcd = dict(enumerate(a))
     lead = gcd[max(gcd)] if gcd else 1

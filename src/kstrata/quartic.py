@@ -10,13 +10,14 @@ are read from ``data/sporadic_quartics.json``, which no other module reads.
 
 Smoothness is checked over the disjoint union P^2 = {pt}, A^2, A^1 (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
-x, y, z: the point (0 : 0 : 1) by evaluation, then the affine chart x = 1
-by resultants, then the line x = 0, y = 1 by one univariate gcd.  The
-point and the line are decided exactly; the chart either proves itself
-clean or exhibits a rational singular point, and when it does neither the
-chart origin (1 : 0 : 0) is tried by evaluation and then the rank of the
-partials' Macaulay matrix decides (Cox, Little and O'Shea, Using Algebraic
-Geometry, ch. 3), so every curve is smooth or singular.
+x, y, z: the point (0 : 0 : 1) by one coefficient of each partial, then the
+affine chart x = 1 by resultants, then the line x = 0, y = 1 by one
+univariate gcd.  The point and the line are decided exactly; the chart
+either proves itself clean or exhibits a rational singular point, and when
+it does neither the chart origin (1 : 0 : 0) is tried the same way and
+then the rank of the partials' Macaulay matrix decides (Cox, Little and
+O'Shea, Using Algebraic Geometry, ch. 3), so every curve is smooth or
+singular.
 """
 
 from __future__ import annotations
@@ -115,6 +116,17 @@ def _chart_gcd(gs, elim, other):
     return gcd_many(eliminants, other) if eliminants else None
 
 
+def _on_line(p):
+    """A nonzero multiple of the form p(0, 1, v2), in p's variables.
+
+    p's degree fixes each term's exponent of v1 from that of v2, so setting
+    v0 = 0 and v1 = 1 keeps the integer numerators free of v0 under new
+    keys, and no two terms meet.  The stored denominator is dropped, which
+    changes the gcd of such restrictions by a constant factor only.
+    """
+    return Polynomial(p.variables, {(0, 0, e[2]): c for e, c in p.cleared()[1].items() if not e[0]})
+
+
 def _searched(search, *args):
     """``search(*args)``, or None past a budget: a search only names a point."""
     try:
@@ -192,24 +204,27 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
     """Decide whether the projective curve F = 0 is smooth.
 
     P^2 is covered as a point, A^2 and a line, for ``v0, v1, v2 =
-    F.variables``.  First the point (0 : 0 : 1), by evaluating the partial
-    derivatives there.  Then the chart v0 = 1: the partials are
-    dehomogenized and v1 is eliminated by resultants; a constant gcd proves
-    the chart free of singular points, and a rational root of it may lead
-    to a rational common zero.  Then the line v0 = 0, v1 = 1, where the
-    partials' gcd in v2 is exact: a nonconstant one makes the curve
-    singular, at its first rational root if one is found.  Last, if the
-    chart is neither certified nor singular at a rational point, the chart
-    origin (1 : 0 : 0) is tried by evaluation, and then the rank of the
-    Macaulay matrix decides (``_macaulay_rank``).
+    F.variables``.  First the point (0 : 0 : 1), where each partial, a form
+    of degree d - 1, takes the value of its v2^(d-1) coefficient.  Then the
+    chart v0 = 1: the partials are dehomogenized and v1 is eliminated by
+    resultants; a constant gcd proves the chart free of singular points,
+    and a rational root of it may lead to a rational common zero.  Then the
+    line v0 = 0, v1 = 1, where the partials' gcd in v2 is exact: a
+    nonconstant one makes the curve singular, at its first rational root
+    if one is found.  Last, if the chart is neither certified nor singular
+    at a rational point, the chart origin (1 : 0 : 0) is tried by the
+    v0^(d-1) coefficients, and then the rank of the Macaulay matrix decides
+    (``_macaulay_rank``).
     """
     if len(F.variables) != 3:
         raise PolynomialError("expected a polynomial in three variables")
-    if not F.is_homogeneous() or F.degree() < 1:
+    degree = F.degree()
+    if not F.is_homogeneous() or degree < 1:
         raise PolynomialError("expected a homogeneous polynomial of positive degree")
     v0, v1, v2 = F.variables
     partials = [F.partial_derivative(v) for v in F.variables]
-    if not any(p.evaluate({v0: 0, v1: 0, v2: 1}) for p in partials):
+    top = degree - 1  # the partials' degree
+    if not any(p.coefficient((0, 0, top)) for p in partials):
         point = (Fraction(0), Fraction(0), Fraction(1))
         return SmoothnessCertificate("singular", point, f"common zero found on chart {v2} = 1")
 
@@ -223,17 +238,17 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 
     # nonzero: partials vanishing on the whole line would vanish at (0 : 0 : 1)
-    line = gcd_many([p.substitute(v0, 0).substitute(v1, 1) for p in partials], v2)
+    line = gcd_many([_on_line(p) for p in partials], v2)
     if not line.is_constant():
         roots = _searched(rational_roots, line, v2)
         point = (Fraction(0), Fraction(1), roots[0]) if roots else None
         where = f"chart {v1} = 1" if roots else f"line {v0} = 0, no rational point found"
         return SmoothnessCertificate("singular", point, f"common zero found on {where}")
     if not certified:
-        if not any(p.evaluate({v0: 1, v1: 0, v2: 0}) for p in partials):
+        if not any(p.coefficient((top, 0, 0)) for p in partials):
             point = (Fraction(1), Fraction(0), Fraction(0))
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
-        rank, full = _macaulay_rank(partials, F.degree())
+        rank, full = _macaulay_rank(partials, degree)
         if rank < full:
             detail = f"partials share a zero; no rational point found (Macaulay rank {rank} < {full})"
             return SmoothnessCertificate("singular", None, detail)

@@ -62,6 +62,19 @@ def ref_evaluate(a, point):
     return total
 
 
+def evaluate_by_substitution(p, values):
+    """p at ``values`` by ``Polynomial.substitute``, one variable at a time.
+
+    A second route to ``Polynomial.evaluate``, which reads the terms in one
+    pass: each variable that occurs is substituted in turn, and the constant
+    term of what is left is the value.
+    """
+    for name, exps in zip(p.variables, zip(*p.terms)):
+        if max(exps):
+            p = p.substitute(name, values[name])
+    return p.coefficient((0,) * len(p.variables))
+
+
 def ref_str(a, names):
     """Terms by descending total degree, then exponents; unit coefficients elided."""
     if not a:

@@ -542,6 +542,32 @@ def test_one_shot_calls_load_no_resource_loader(tmp_path, name):
     assert not loaded & RESOURCE_LOADER
 
 
+# Runs one command in a new interpreter that has not loaded json itself, and
+# prints whether the call left json in sys.modules
+JSON_PROBE = """
+import contextlib, io, sys
+from kstrata import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print("json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("name", ["classify", "classify_json", "orders_file", "orders_file_json"])
+def test_only_json_calls_load_json(tmp_path, name):
+    if name.startswith("orders_file"):
+        argv = ["classify", "--orders-file", str(write_batch(tmp_path / "strata.txt", BATCH_SPECIALS))]
+    else:
+        argv = GOLDEN_CASES["classify"][:-1]
+    json_mode = name.endswith("_json")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", JSON_PROBE, *argv, *(["--json"] if json_mode else [])],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == f"{json_mode}\n"
+
+
 def test_prong_loads_no_degeneration():
     out, loaded = loaded_by(GOLDEN_CASES["prong"])
     assert out == (GOLDEN / "prong.json").read_text(encoding="utf-8")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from kstrata import polynomials
 from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import (
     Polynomial,
@@ -19,7 +20,18 @@ from kstrata.polynomials import (
 )
 from kstrata.quartic import _load_constructions
 from macaulay_reference import rank as reference_rank
-from polynomial_reference import add, mul, poly_key, power, ref_combine, ref_mul, scale, sub
+from polynomial_reference import (
+    add,
+    evaluate_by_substitution,
+    mul,
+    poly_key,
+    power,
+    ref_combine,
+    ref_evaluate,
+    ref_mul,
+    scale,
+    sub,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -69,7 +81,7 @@ def test_a_zero_denominator_is_a_polynomial_error(text):
 
 def test_evaluate_names_a_variable_without_a_value():
     p = poly("x*y + 1")
-    with pytest.raises(PolynomialError, match="'y'"):
+    with pytest.raises(PolynomialError, match=r"^no value for variable 'y'$"):
         p.evaluate({"x": 1})
     # a variable that does not occur needs no value
     assert poly("x + 1").evaluate({"x": 2}) == 3
@@ -216,6 +228,42 @@ def test_substitute_and_evaluate():
     p = poly("x^2*y - 3*y + 1")
     assert poly_key(p.substitute("y", 2)) == poly_key(poly("2*x^2 - 5"))
     assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == Fraction(2 - Fraction(3, 2) + 1)
+
+
+def test_evaluate_matches_substitution_one_variable_at_a_time():
+    rng = random.Random(31)
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), "-4/9"]
+    for width in range(1, 5):
+        variables = XYZW[:width]
+        for _ in range(60):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in variables): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 6))
+            }
+            p = Polynomial(variables, terms)
+            point = {name: rng.choice(values) for name in variables}
+            value = p.evaluate(point)
+            assert value == evaluate_by_substitution(p, point), (p, point)
+            assert value == ref_evaluate(p.terms, [Fraction(point[v]) for v in variables])
+            assert type(value) is Fraction
+
+
+def test_evaluate_of_the_zero_polynomial_is_zero():
+    for variables in (("x",), XY, XYZW):
+        zero = Polynomial(variables)
+        value = zero.evaluate({})
+        assert value == 0 and type(value) is Fraction
+        assert value == evaluate_by_substitution(zero, {})
+
+
+def test_evaluate_refuses_an_inexact_value_in_words():
+    p = poly("x*y + 1")
+    with pytest.raises(PolynomialError, match=r"^inexact value 0\.5: pass an int, a Fraction or a string$"):
+        p.evaluate({"x": 1, "y": 0.5})
+    with pytest.raises(PolynomialError, match=r"^not a rational number: 'one'$"):
+        p.evaluate({"x": "one", "y": 1})
+    # a value for a variable that does not occur is not read
+    assert poly("y + 1").evaluate({"x": 0.5, "y": 2}) == 3
 
 
 def test_exact_inputs_are_kept_and_floats_refused():
@@ -741,6 +789,29 @@ def test_gcd_matches_sympy_with_planted_factors():
     for polys, name in cases:
         g = gcd_many(polys, name)
         assert poly_key(g) == poly_key(_sympy_gcd(polys, name)), polys
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_gcd_with_a_constant_input_matches_sympy(place):
+    rng = random.Random(89)
+    for _ in range(20):
+        name = rng.choice(XY)
+        shared = random_univariate(rng, name, rng.randint(1, 3))
+        polys = [mul(shared, random_univariate(rng, name, rng.randint(0, 3))) for _ in range(rng.randint(2, 4))]
+        constant = Polynomial(XY, {(0, 0): Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+        polys.insert({"first": 0, "middle": len(polys) // 2, "last": len(polys)}[place], constant)
+        g = gcd_many(polys, name)
+        assert poly_key(g) == poly_key(_sympy_gcd(polys, name)) == poly_key(poly("1")), polys
+
+
+def test_gcd_budget_is_charged_when_the_first_input_is_constant(monkeypatch):
+    # the gcd is 1 from the first input on, but the charge comes first
+    monkeypatch.setattr(polynomials, "MAX_GCD_WORK", 100)
+    polys = [poly("3"), poly("x^3 - 2*x + 1"), poly("x^2 - 1")]
+    with pytest.raises(UnsupportedCase, match=r"degrees \[0, 2, 3\] exceeds the supported maximum"):
+        gcd_many(polys, "x")
+    monkeypatch.undo()
+    assert poly_key(gcd_many(polys, "x")) == poly_key(poly("1"))
 
 
 def test_univariate_work_rejects_a_second_variable():

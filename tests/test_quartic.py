@@ -430,6 +430,36 @@ def test_no_seeded_quartic_costs_more_than_two_resultants(resultant_calls):
     assert most <= 2  # one elimination order, two pairs
 
 
+@pytest.fixture
+def point_calls(monkeypatch):
+    """The names of the Polynomial methods ``evaluate`` and ``substitute`` as they are called."""
+    calls = []
+    for method in ("evaluate", "substitute"):
+        original = getattr(Polynomial, method)
+
+        def counting(self, *args, method=method, original=original):
+            calls.append(method)
+            return original(self, *args)
+
+        monkeypatch.setattr(Polynomial, method, counting)
+    return calls
+
+
+def test_a_smooth_dense_quartic_reads_its_points_without_evaluating(point_calls):
+    rng = random.Random(31)
+    dense = [homog(SMOOTH_DENSE)]
+    while len(dense) < 6:
+        F = Polynomial(XYZ, {e: rng.choice([-1, 1]) * rng.randint(1, 9) for e in QUARTIC_EXPONENTS})
+        if smoothness_certificate(F).status == "smooth":
+            dense.append(F)
+    for F in dense:
+        point_calls.clear()
+        assert smoothness_certificate(F).status == "smooth"
+        # the points are coefficients, the line re-keys its terms: only the chart substitutes
+        assert point_calls.count("evaluate") == 0
+        assert point_calls.count("substitute") <= 3
+
+
 def test_smoothness_requires_homogeneous_three_variables():
     with pytest.raises(PolynomialError, match="homogeneous"):
         smoothness_certificate(homog("x^4 + y^3"))
