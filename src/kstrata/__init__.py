@@ -68,8 +68,6 @@ _HOMES = {
     "series": ("PowerSeries", "SeriesError", "branch_series", "intersection_multiplicity"),
     "signature": (
         "StratumSignature",
-        "format_signature",
-        "gcd_orders",
         "imprimitive_divisors",
         "validate",
     ),

@@ -29,12 +29,12 @@ import re
 import sys
 
 from .errors import StratumError
-from .signature import StratumSignature, check_index, format_signature, parse_triple, triple_text, validate
+from .signature import StratumSignature, check_index, parse_triple, read_orders, triple_text, validate
 
 
 def _orders(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+        return read_orders(text)
     except ValueError as exc:
         raise StratumError(f"bad orders list {text!r}: {exc}") from None
 
@@ -73,7 +73,7 @@ def _to_json(value):
     if isinstance(value, dict):
         return {key: _to_json(item) for key, item in value.items()}
     if isinstance(value, StratumSignature):
-        return format_signature(value)
+        return str(value)
     fields = getattr(value, "__dict__", None)
     if fields is None:
         return value
@@ -101,7 +101,7 @@ def _describe(descriptor) -> str:
 
 
 def _report_lines(report) -> list[str]:
-    return [format_signature(report.signature), *_body_lines(report)]
+    return [str(report.signature), *_body_lines(report)]
 
 
 def _body_lines(report) -> list[str]:
@@ -215,9 +215,9 @@ def _cmd_breakdown(args):
             for row in rows
         ],
     }
-    lines = [format_signature(sig)]
+    lines = [str(sig)]
     for row in rows:
-        lines.append(f"d={row.divisor}: {format_signature(row.signature)}")
+        lines.append(f"d={row.divisor}: {row.signature}")
         lines.extend("  " + line for line in _body_lines(row.report))
     return payload, lines
 
@@ -225,9 +225,9 @@ def _cmd_breakdown(args):
 def _cmd_genus1(args):
     from . import genus_one
 
-    sig = validate(args.k, 1, _orders(args.orders))
+    sig = _signature_from_args(args)
     comps = genus_one.components(sig)
-    lines = [format_signature(sig)] + [
+    lines = [str(sig)] + [
         f"rotation {c.rotation} (torsion {c.torsion_order}):"
         f" primitive={c.primitive} hyperelliptic={c.hyperelliptic}"
         for c in comps
@@ -238,9 +238,7 @@ def _cmd_genus1(args):
 def _cmd_merge(args):
     from . import degeneration, genus_one
 
-    sig = validate(args.k, args.genus, _orders(args.orders))
-    if args.rotation is not None and args.genus != 1:
-        raise StratumError("--rotation needs genus 1")
+    sig = _signature_from_args(args)
     if args.rotation is not None:
         outcome = genus_one.merge(sig, args.rotation, args.i, args.j)
         lines = [
@@ -248,7 +246,7 @@ def _cmd_merge(args):
             + ("feasible" if outcome.feasible else f"infeasible ({outcome.reason})")
         ]
         if outcome.result is not None:
-            lines.append(f"result: {format_signature(outcome.result)}")
+            lines.append(f"result: {outcome.result}")
         if outcome.rotations:
             lines.append(f"rotations: {','.join(map(str, outcome.rotations))}")
         return {"signature": sig, **_to_json(outcome)}, lines
@@ -264,7 +262,7 @@ def _cmd_merge(args):
         "reason": "",
     }
     lines = [
-        f"merge entries {args.i},{args.j}: {format_signature(result)}",
+        f"merge entries {args.i},{args.j}: {result}",
         f"simple merge (same-sign pair): {simple}",
     ]
     return payload, lines
@@ -273,13 +271,13 @@ def _cmd_merge(args):
 def _cmd_split(args):
     from . import degeneration, genus_one
 
-    sig = validate(args.k, args.genus, _orders(args.orders))
+    sig = _signature_from_args(args)
     check_index(sig, args.index)
     z = sig.orders[args.index]
     if (args.a is None) != (args.b is None):
         raise StratumError("--a and --b must be given together")
-    if args.rotation is not None and (args.genus != 1 or args.a is None):
-        raise StratumError("--rotation needs genus 1 and --a/--b")
+    if args.rotation is not None and args.a is None:
+        raise StratumError("--rotation needs --a and --b")
     if args.a is None:
         pairs = degeneration.enumerate_zero_splits(sig.k, z)
         payload = {
@@ -289,7 +287,7 @@ def _cmd_split(args):
                 {"a": a, "b": b, "marked_point": a == 0 or b == 0} for a, b in pairs
             ],
         }
-        lines = [f"splits of {z} on {format_signature(sig)}:"] + [
+        lines = [f"splits of {z} on {sig}:"] + [
             f"  ({a},{b})" + (" [marked point]" if 0 in (a, b) else "")
             for a, b in pairs
         ]
@@ -301,7 +299,7 @@ def _cmd_split(args):
         return payload, [f"split to sphere ({args.a},{args.b}): {ok}"]
     result = degeneration.split_result(sig, args.index, args.a, args.b)
     payload["result"] = result
-    return payload, [f"split result: {format_signature(result)}"]
+    return payload, [f"split result: {result}"]
 
 
 def _cmd_arf(args):
@@ -320,7 +318,7 @@ def _cmd_arf(args):
 def _cmd_spin(args):
     from . import framing
 
-    sig = validate(args.k, args.genus, _orders(args.orders))
+    sig = _signature_from_args(args)
     values = framing.SymplecticFramingValues.from_signature(sig, _pairs(args.pairs))
     value = framing.spin(values)
     payload = {"signature": sig, "boundary": values.boundary, "spin": value}
@@ -414,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus1", help="rotation-number components of a genus-one stratum")
     _add_signature_arguments(p, with_genus=False)
-    p.set_defaults(func=_cmd_genus1)
+    p.set_defaults(func=_cmd_genus1, genus=1)
 
     p = sub.add_parser("merge", help="collide two singularities")
     _add_signature_arguments(p)

@@ -12,7 +12,7 @@ import math
 
 from .errors import RotationError, SignatureError
 from .record import Record
-from .signature import StratumSignature, divisors, gcd_orders, integer
+from .signature import StratumSignature, divisors, integer
 
 
 class GenusOneComponent(Record):
@@ -50,10 +50,10 @@ def nonempty_rotations(orders) -> tuple[int, ...]:
     marked points neither count toward the two nor change d.
     """
     d = math.gcd(*orders)
-    rotations = [d // e for e in divisors(d)]
+    rotations = [d // e for e in divisors(d)]  # descending, as divisors ascend
     if sum(1 for o in orders if o != 0) == 2:
         rotations.remove(d)
-    return tuple(sorted(rotations, reverse=True))
+    return tuple(rotations)
 
 
 def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
@@ -63,7 +63,7 @@ def components(sig: StratumSignature) -> tuple[GenusOneComponent, ...]:
     (r, r, -r, -r), (2r, -r, -r), (-2r, r, r) or (2r, -2r).
     """
     _require_genus_one(sig)
-    d = gcd_orders(sig)
+    d = math.gcd(*sig.orders)
     rotations, hyperelliptic = _rotations(sig.orders)
     return tuple(
         GenusOneComponent(
@@ -123,7 +123,7 @@ def merge(sig: StratumSignature, rotation: int, i: int, j: int) -> GenusOneMerge
 
     _require_genus_one(sig)
     result = merge_result(sig, i, j)
-    _check_rotation(rotation, gcd_orders(sig))
+    _check_rotation(rotation, math.gcd(*sig.orders))
     if not any(result.orders):
         return GenusOneMerge(False, None, (), "merging the only two singularities of (a,-a)")
     rotations = tuple(r for r in nonempty_rotations(result.orders) if r % rotation == 0)
@@ -146,6 +146,6 @@ def split_to_sphere(
 
     _require_genus_one(sig)
     split_result(sig, zero_index, a1, a2)
-    d = gcd_orders(sig)
+    d = math.gcd(*sig.orders)
     _check_rotation(rotation, d)
     return math.gcd(sig.k + a1, d) % rotation == 0

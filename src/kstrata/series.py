@@ -129,12 +129,6 @@ def branch_series(f: Polynomial, precision: int) -> PowerSeries:
     return PowerSeries([Fraction(c * v, c ** (2 * n)) for n, v in enumerate(psi)])
 
 
-def require_x_axis_tangent(f: Polynomial) -> None:
-    """Raise SeriesError unless df/dx vanishes at the origin."""
-    if (1, 0) in _terms(f):
-        raise SeriesError("tangent line at the origin is not the x-axis")
-
-
 def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
     """I(f, g): the intersection number of f = 0 and g = 0 at the origin.
 

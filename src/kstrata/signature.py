@@ -17,9 +17,9 @@ from .record import Record
 # divisors is O(sqrt(n)): 0.5 s at the cap on a 2-vCPU Xeon guest
 MAX_DIVISOR_INPUT = 10**13
 
-_SIGNATURE_RE = re.compile(
-    r"^\s*k:\s*(-?\d+)\s+g:\s*(-?\d+)\s+orders:\s*\(\s*([-\d,\s]*)\)\s*$"
-)
+# the regex only splits a line into k, genus and the orders list; int()
+# reads each value, as argparse and ``read_orders`` read the command line
+_SIGNATURE_RE = re.compile(r"^\s*k:\s*(\S+)\s+g:\s*(\S+)\s+orders:\s*\(([^)]*)\)\s*$")
 
 
 class StratumSignature(Record):
@@ -44,7 +44,8 @@ class StratumSignature(Record):
         fields["k"], fields["genus"], fields["orders"] = _canonical(k, genus, orders)
 
     def __str__(self) -> str:
-        return format_signature(self)
+        """Canonical text form ``k:<k> g:<g> orders:(o1,o2,...)``, descending."""
+        return triple_text(self.k, self.genus, self.orders)
 
 
 def validate(k, genus, orders) -> StratumSignature:
@@ -78,14 +79,19 @@ def _canonical(k: int, genus: int, orders: tuple[int, ...]) -> tuple[int, int, t
     return k, genus, tuple(sorted(orders, reverse=True))
 
 
-def format_signature(sig: StratumSignature) -> str:
-    """Canonical text form ``k:<k> g:<g> orders:(o1,o2,...)``, descending."""
-    return triple_text(sig.k, sig.genus, sig.orders)
-
-
 def triple_text(k: int, genus: int, orders: tuple[int, ...]) -> str:
-    """``format_signature`` of the canonical triple (k, genus, orders)."""
+    """The text form, ``str`` of a signature, of the canonical triple (k, genus, orders)."""
     return f"k:{k} g:{genus} orders:({','.join(map(str, orders))})"
+
+
+def read_orders(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list, each read by ``int``; blank text is ().
+
+    Raises ValueError on an entry ``int`` refuses: an empty one, as in
+    "2," or "1,,1", a doubled sign, two numbers joined by a space, and any
+    integer longer than the interpreter's digit limit.
+    """
+    return tuple(map(int, text.split(","))) if text.strip() else ()
 
 
 def parse_triple(text: str) -> tuple[int, int, tuple[int, ...]]:
@@ -97,13 +103,8 @@ def parse_triple(text: str) -> tuple[int, int, tuple[int, ...]]:
     m = _SIGNATURE_RE.match(text)
     if m is None:
         raise SignatureError(f"unparseable signature: {text!r}")
-    body = m.group(3).strip()
     try:
-        # int() refuses the empty, doubled-sign and space-joined entries the
-        # regex lets through: "(2,)", "(--2)", "(1 1)"; and any integer
-        # longer than the interpreter's digit limit
-        k, genus = int(m.group(1)), int(m.group(2))
-        orders = tuple(map(int, body.split(","))) if body else ()
+        k, genus, orders = int(m.group(1)), int(m.group(2)), read_orders(m.group(3))
     except ValueError:
         raise SignatureError(f"unparseable signature: {text!r}") from None
     return _canonical(k, genus, orders)
@@ -150,14 +151,6 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
-
-
-def gcd_orders(sig: StratumSignature) -> int:
-    """gcd of the nonzero orders; 0 when every order is zero.
-
-    Marked points are ignored, consistent with gcd(x, 0) = x.
-    """
-    return math.gcd(*sig.orders)
 
 
 def imprimitive_divisors(sig: StratumSignature) -> set[int]:

@@ -167,16 +167,16 @@ REJECTED_CASES = {
     ),
     "split_rotation_without_a_b": (
         ["split", "--k", "3", "--genus", "1", "--orders", "6,-6", "--index", "0", "--rotation", "7"],
-        "--rotation needs genus 1",
+        "--rotation needs --a and --b",
     ),
     "split_rotation_genus2": (
         ["split", "--k", "3", "--genus", "2", "--orders", "6", "--index", "0",
          "--a", "-2", "--b", "2", "--rotation", "1"],
-        "--rotation needs genus 1",
+        "expected genus one, got genus 2",
     ),
     "merge_rotation_genus2": (
         ["merge", "--k", "3", "--genus", "2", "--orders", "3,3", "--i", "0", "--j", "1", "--rotation", "5"],
-        "--rotation needs genus 1",
+        "expected genus one, got genus 2",
     ),
     "cylinder_negative_k": (["cylinder", "--k", "-2", "--orders", "2,2"], "k must be positive, got -2"),
     "prong_zero_k": (["prong", "--k", "0", "--a", "2", "--b", "2"], "k must be positive, got 0"),
@@ -746,6 +746,46 @@ def test_batch_rejects_a_malformed_orders_list(tmp_path, body):
         assert run_cli(["classify", "--orders-file", str(batch), *mode]) == (
             2, "", f"error: unparseable signature: 'k:1 g:2 orders:({body})'\n",
         )
+
+
+def both_readings(batch, text):
+    """(exit, stdout) of classify with the orders list ``text`` as --orders and in a file.
+
+    k is 1 and the genus is the one whose order sum the list meets, when
+    ``int`` reads every entry, so a list both readers take is classified.
+    """
+    try:
+        total = sum(int(part) for part in text.split(","))
+    except ValueError:
+        total = 0
+    genus = max(total, -2) // 2 + 1
+    single = run_cli(["classify", "--k", "1", "--genus", str(genus), f"--orders={text}"])
+    batch.write_text(f"k:1 g:{genus} orders:({text})\n", encoding="utf-8")
+    in_file = run_cli(["classify", "--orders-file", str(batch)])
+    return single[:2], in_file[:2]
+
+
+@pytest.mark.parametrize(
+    "text, code", [("1_1,-9", 0), ("+2", 0), ("2,", 2), ("-", 2), ("2-", 2), ("1 1", 2)]
+)
+def test_an_orders_list_reads_alike_as_an_option_and_in_a_file(tmp_path, text, code):
+    single, in_file = both_readings(tmp_path / "strata.txt", text)
+    assert single == in_file
+    assert single[0] == code
+
+
+def test_any_orders_list_reads_alike_as_an_option_and_in_a_file(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.text("0123456789-+_, ", max_size=12))
+    def agree(text):
+        single, in_file = both_readings(tmp_path / "strata.txt", text)
+        assert single == in_file
+        assert single[0] in (0, 2)
+
+    agree()
 
 
 def test_batch_with_a_bad_last_line_writes_nothing(tmp_path):

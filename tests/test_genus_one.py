@@ -10,7 +10,7 @@ from kstrata.genus_one import (
     nonempty_rotations,
     split_to_sphere,
 )
-from kstrata.signature import divisors, gcd_orders, validate
+from kstrata.signature import divisors, validate
 
 
 def rotations_of(sig):
@@ -58,7 +58,7 @@ def test_rotation_times_torsion_is_gcd():
         if all(o == 0 for o in orders):
             continue
         sig = validate(k, 1, orders)
-        d = gcd_orders(sig)
+        d = math.gcd(*sig.orders)
         for c in components(sig):
             assert c.rotation * c.torsion_order == d
             assert c.primitive == (math.gcd(k, c.rotation) == 1)
@@ -145,7 +145,7 @@ def test_merge_same_sign_is_always_feasible_at_same_rotation():
         sig = validate(k, 1, body)
         if not any(sig.orders):
             continue
-        d = gcd_orders(sig)
+        d = math.gcd(*sig.orders)
         rotation = rng.choice([r for r in nonempty_rotations(sig.orders)] or [d])
         if rotation not in nonempty_rotations(sig.orders):
             continue

@@ -48,7 +48,7 @@ def test_import_loads_no_submodule():
 
 def test_all_is_sorted_and_complete():
     assert kstrata.__all__ == sorted(set(kstrata.__all__))
-    assert len(kstrata.__all__) == 53
+    assert len(kstrata.__all__) == 51
 
 
 def references(path: Path) -> set[str]:

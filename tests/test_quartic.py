@@ -542,3 +542,13 @@ def test_one_corrupted_field_fails_only_its_check(monkeypatch, name):
     assert [c.name for c in report.checks if not c.passed] == [name]
     (failed,) = [c for c in report.checks if c.name == name]
     assert (failed.expected, failed.actual) == (expected, actual)
+
+
+def test_a_tangent_off_the_x_axis_fails_its_contact_order(monkeypatch):
+    # y = x is the tangent, so the x-axis meets the branch to order 1
+    data = copy.deepcopy(quartic._load_constructions())
+    data["OddArf_h0_0"].update(affine="y - x + x^4 + y^4", quartic="y*z^3 - x*z^3 + x^4 + y^4")
+    monkeypatch.setattr(quartic, "_load_constructions", lambda: data)
+    report = verify_sporadic("OddArf_h0_0")
+    (check,) = [c for c in report.checks if c.name == "tangent_contact_order"]
+    assert (check.passed, check.expected, check.actual) == (False, "2", "1")

@@ -14,7 +14,6 @@ from kstrata.series import (
     SeriesError,
     branch_series,
     intersection_multiplicity,
-    require_x_axis_tangent,
 )
 from polynomial_reference import add, mul, ref_combine, ref_mul
 
@@ -206,7 +205,6 @@ def test_a_variable_at_exponent_zero_changes_nothing():
     for text in ("y - x^2 - x^3", "y - x^4 + x*y - 2*y^3", "y - x^3 + x^2*y"):
         f, f3 = poly(text), Polynomial.from_string(text, XYZ)
         assert branch_series(f3, 12).coefficients == branch_series(f, 12).coefficients
-        require_x_axis_tangent(f3)
         for other in (g, poly("y")):
             assert intersection_multiplicity(f3, other) == intersection_multiplicity(f, other)
 
@@ -215,8 +213,6 @@ def test_a_stray_variable_is_a_polynomial_error():
     f = Polynomial.from_string("y - x^2 + z", XYZ)
     with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
         branch_series(f, 6)
-    with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
-        require_x_axis_tangent(f)
     for pair in ((f, poly("y")), (poly("y"), f)):
         with pytest.raises(PolynomialError, match="not a polynomial in 'x' and 'y'"):
             intersection_multiplicity(*pair)
@@ -266,13 +262,7 @@ def test_vanishing_order_multiplicative():
 
 def test_tangent_contact_order_toy_hyperflex():
     f = poly("y - x^4")
-    require_x_axis_tangent(f)
     assert intersection_multiplicity(f, poly("y")) == 4
-
-
-def test_tangent_contact_order_requires_horizontal_tangent():
-    with pytest.raises(SeriesError, match="tangent"):
-        require_x_axis_tangent(poly("y + x + x^2"))
 
 
 def test_series_coefficients_are_exact():

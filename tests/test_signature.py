@@ -31,8 +31,6 @@ from kstrata.signature import (
     MAX_DIVISOR_INPUT,
     StratumSignature,
     divisors,
-    format_signature,
-    gcd_orders,
     imprimitive_divisors,
     parse_triple,
     validate,
@@ -80,7 +78,7 @@ def test_the_constructor_checks_and_sorts_as_validate_does():
 
 def test_text_form_round_trip():
     sig = validate(3, 2, (2, 4, -1, 1))
-    text = format_signature(sig)
+    text = str(sig)
     assert text == "k:3 g:2 orders:(4,2,1,-1)"
     assert parse_triple(text) == (3, 2, (4, 2, 1, -1)) == (sig.k, sig.genus, sig.orders)
     assert parse_triple("  k:3   g:2  orders:( 4 , 2, 1, -1 ) ") == (3, 2, (4, 2, 1, -1))
@@ -144,19 +142,6 @@ def test_parse_agrees_with_validate_on_any_rendering():
     agree()
 
 
-@pytest.mark.parametrize(
-    "k, genus, orders, expected",
-    [(1, 1, (6, -6), 6), (2, 1, (2, 2, -4), 2), (1, 1, (3, 1, -4), 1)],
-)
-def test_gcd_orders_examples(k, genus, orders, expected):
-    assert gcd_orders(validate(k, genus, orders)) == expected
-
-
-def test_gcd_orders_ignores_marked_points():
-    assert gcd_orders(validate(2, 1, (4, 0, -4))) == 4
-    assert gcd_orders(validate(1, 1, (0, 0))) == 0
-
-
 def test_divisors_up_to_the_cap():
     assert divisors(-12) == (1, 2, 3, 4, 6, 12)
     assert divisors(0) == ()
@@ -190,19 +175,6 @@ def test_imprimitive_divisors_downward_closed():
             for smaller in divisors(m):
                 if smaller > 1:
                     assert smaller in found
-
-
-def test_gcd_orders_divides_every_nonzero_order():
-    rng = random.Random(19)
-    for _ in range(300):
-        k = rng.randint(1, 8)
-        genus = rng.randint(0, 3)
-        body = [rng.randint(-2 * k, 3 * k) for _ in range(rng.randint(1, 4))]
-        body.append(k * (2 * genus - 2) - sum(body))
-        sig = validate(k, genus, body)
-        d = gcd_orders(sig)
-        if d:
-            assert all(o % d == 0 for o in sig.orders if o != 0)
 
 
 # Each entry point that reads an integer, with one integer argument made by
