@@ -13,11 +13,14 @@ parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
 determinant, and Sylvester resultants computed as one such determinant
 each, the stored numerators packed into a single integer per entry by
 Kronecker substitution, so every intermediate value stays exact.
-Univariate work reads the same numerators.  All gcds go through one loop
-of primitive pseudo-remainders in ``gcd_many`` (Collins 1967), charged
-against a budget from the sparse terms before any dense coefficient list is
-built; the loop starts from the first input's primitive part and stops once
-the running gcd is constant.
+Univariate work reads the same numerators.  The gcds of ``gcd_many`` and
+of the squarefree step of ``rational_roots`` are charged against a budget
+from the sparse terms before any dense coefficient list is built, and a gcd
+of several stops once the running gcd is constant.  Each pair is first
+packed the same way and given one integer gcd, the heuristic gcd of Char,
+Geddes and Gonnet (1989), whose answer is kept only when it divides both
+inputs exactly; when a few evaluation points fail that check, primitive
+pseudo-remainders (Collins 1967) decide.
 """
 
 from __future__ import annotations
@@ -48,13 +51,17 @@ BAREISS_STEP_WORDS = 44  # c above
 # (m - n + 1)*m + n^2 row operations on coefficients of up to W words, where
 # 64*W = n*log2|p| + m*log2|q| bits (Hadamard's bound on the subresultants,
 # |p| the 2-norm); each costs about W^2 + c^2, c^2 the fixed cost of a row
-# operation however small its integers, and the sum is held to this cap.  At
-# the cap on a 2-vCPU Xeon guest: 4.8 s for a dense pair of degree 98 with
-# 100-bit coefficients, 4.3 s for a dense pair of degree 351 with 4-bit ones;
-# the sparse x^d - 1, x^d - x is refused from d = 693, though its sequence
-# stops after two remainders (6 ms at d = 600)
+# operation however small its integers, and the sum is held to this cap,
+# though the heuristic gcd in front of the sequence usually answers at once.
+# At the cap on a 2-vCPU Xeon guest, for a dense pair of degree 98 with
+# 100-bit coefficients and one of degree 351 with 4-bit ones: the heuristic
+# takes 0.3 and 0.1 ms when they are coprime, 0.4 ms each with a common
+# quadratic factor; when it declines, its three attempts add at most 6 and
+# 2 ms to a remainder sequence of 3.8 and 2.7 s.  The sparse x^d - 1,
+# x^d - x is refused from d = 693, though its gcd takes 0.5 ms at d = 600
 MAX_GCD_WORK = 10**9
 GCD_STEP_WORDS = 12  # c above
+_GCD_HEURISTIC_ATTEMPTS = 3  # evaluations before the remainder sequence
 
 
 class PolynomialError(ValueError):
@@ -399,19 +406,25 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     rank, det = integer_rank(_sylvester(pack(p, m), pack(q, n)))
     if rank < m + n:
         det = 0
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
     num = {}
-    place = 0
-    while det:
-        digit = det & mask
-        det >>= bits
-        if digit >= half:  # a negative coefficient borrows from the next slot
-            digit -= mask + 1
-            det += 1
+    for place, digit in enumerate(_signed_digits(det, bits)):
         if digit:
             num[tuple([place // s % r for s, r in zip(strides, radices)])] = digit
-        place += 1
     return Polynomial._of(p.variables, num, p._den**n * q._den**m)
+
+
+def _signed_digits(value: int, bits: int) -> list[int]:
+    """value's base-2^bits digits, each in [-2^(bits-1), 2^(bits-1)), lowest first."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:  # a negative digit borrows from the next slot
+            digit -= mask + 1
+            value += 1
+        digits.append(digit)
+    return digits
 
 
 def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:
@@ -497,25 +510,59 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 def _primitive(a: list[int]) -> list[int]:
     content = math.gcd(*a)
-    return [c // content for c in a] if content else a
+    return [c // content for c in a] if content > 1 else a
+
+
+def _pack(a: list[int], bits: int) -> int:
+    """a(2^bits), the coefficients packed into one integer (Kronecker)."""
+    value = 0
+    for c in reversed(a):
+        value = (value << bits) + c
+    return value
 
 
 def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """A gcd of two integer polynomials, up to a rational factor."""
+    """A gcd of two integer polynomials, up to a rational factor.
+
+    First the heuristic gcd (GCDHEU; Char, Geddes and Gonnet 1989) of the
+    primitive parts: for 2^s > 2*min(|a|_inf, |b|_inf) + 2, the signed
+    base-2^s digits of gcd(a(2^s), b(2^s)) form a polynomial whose primitive
+    part is the gcd when it divides a and b exactly (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, Theorem 7.7).  A constant needs
+    no division: by Cauchy's bound every root of a common factor is below
+    1 + min(|a|_inf, |b|_inf) in absolute value, so a nonconstant one exceeds
+    2^(s-1) at 2^s and cannot divide a gcd of values that is a single digit.
+    When the check fails, s doubles, for _GCD_HEURISTIC_ATTEMPTS evaluations
+    in all, and then the primitive remainder sequence decides.
+    """
+    if not a or not b:
+        return a or b
+    a, b = _primitive(a), _primitive(b)
+    bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    for _ in range(_GCD_HEURISTIC_ATTEMPTS):
+        g = _primitive(_signed_digits(math.gcd(_pack(a, bits), _pack(b, bits)), bits))
+        if len(g) == 1 or _quotient(a, g) is not None and _quotient(b, g) is not None:
+            return g
+        bits *= 2
     while b:
         a, b = b, _prem(a, b)
     return a
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b when b divides a in Z[x]."""
+def _quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for a nonzero a, or None when b does not divide a in Z[x]."""
+    n, lead = len(b) - 1, b[-1]
     a = a[:]
-    q = [0] * (len(a) - len(b) + 1)
+    q = [0] * (len(a) - n)
     for shift in reversed(range(len(q))):
-        q[shift] = a[shift + len(b) - 1] // b[-1]
-        for i, c in enumerate(b):
-            a[shift + i] -= q[shift] * c
-    return q
+        c, r = divmod(a[shift + n], lead)
+        if r:
+            return None
+        if c:
+            q[shift] = c
+            for i in range(n):
+                a[shift + i] -= c * b[i]
+    return None if any(a[:n]) else q
 
 
 def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
@@ -523,9 +570,10 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
 
     The squarefree part p / gcd(p, p'), which has the same roots and a
     smaller constant term when p has repeated roots, supplies the candidates:
-    num/den is a root iff sum a_i * num^i * den^(n-i) is 0.  The remainder
-    sequence of p and p' is charged to MAX_GCD_WORK first, from the sparse
-    terms, and past it this raises UnsupportedCase.
+    num/den is a root iff sum a_i * num^i * den^(n-i) is 0.  gcd(p, p') is
+    ``_gcd_ints``'s: the heuristic gcd when it divides both exactly, else
+    the remainder sequence of p and p', which is charged to MAX_GCD_WORK
+    first, from the sparse terms; past it this raises UnsupportedCase.
     """
     terms = _univariate_terms(p, name)
     if not terms:
@@ -540,7 +588,7 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     coeffs = _dense(terms)
     # a primitive g divides coeffs over Q, hence over Z (Gauss)
     g = _primitive(_gcd_ints(coeffs, _dense(derivative)))
-    coeffs = _primitive(_exact_quotient(coeffs, g))
+    coeffs = _primitive(_quotient(coeffs, g))
     n = len(coeffs) - 1
     if n > 0:
         lead = abs(coeffs[-1])
@@ -592,9 +640,12 @@ def gcd_many(polys, name: str) -> Polynomial:
 
     Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes of
     the sparse terms before any dense list is built, it raises
-    UnsupportedCase.  A single nonzero input is only made monic; otherwise
-    the running gcd starts as the first input's primitive part, and no
-    remainder sequence runs once it is constant.
+    UnsupportedCase, whether or not the heuristic would have answered.  A
+    single nonzero input is only made monic; otherwise the running gcd
+    starts as the first input and is folded with each next one by
+    ``_gcd_ints``: the heuristic gcd, kept when it divides both exactly,
+    else the primitive remainder sequence.  Nothing more runs once the
+    running gcd is constant.
     """
     polys = list(polys)
     if not polys:
@@ -605,7 +656,7 @@ def gcd_many(polys, name: str) -> Polynomial:
     _check_gcd_work(nonzero)
     gcd = nonzero[0] if nonzero else {}
     if len(nonzero) > 1:
-        a = _primitive(_dense(gcd))
+        a = _dense(gcd)
         for terms in nonzero[1:]:
             if len(a) == 1:  # a constant: the gcd is 1 whatever follows
                 break

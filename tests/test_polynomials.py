@@ -934,3 +934,159 @@ def test_rational_roots_budget_admits_moderate_inputs():
     # a dense degree-60 factor with 8-bit coefficients, times a planted root
     p = mul(dense_univariate(random.Random(11), 60, 8), Polynomial.from_string("2*x - 1", ("x",)))
     assert Fraction(1, 2) in rational_roots(p, "x")
+
+
+# -- the heuristic gcd: its retry, its fallback and its budget ---------------
+
+
+def _refuse(*args):
+    raise AssertionError("the remainder sequence ran")
+
+
+@pytest.mark.parametrize(
+    "a, b, expected, points",
+    [
+        # 2^3 > 2*|x^2 + 1|_inf + 2, and x - 8 vanishes there
+        ("x - 8", "x^2 + 1", "1", [3, 6]),
+        # (x - 16)(x + 3) and (x^2 + 1)(x + 3): 2^4 > 2*3 + 2, and the first vanishes there
+        ("x^2 - 13*x - 48", "x^3 + 3*x^2 + x + 3", "x + 3", [4, 8]),
+    ],
+)
+def test_the_heuristic_gcd_retries_past_a_root_at_its_first_point(monkeypatch, a, b, expected, points):
+    pair = [poly(a, ("x",)), poly(b, ("x",))]
+    seen = []
+    digits = polynomials._signed_digits
+
+    def recording(value, bits):
+        seen.append(bits)
+        return digits(value, bits)
+
+    monkeypatch.setattr(polynomials, "_signed_digits", recording)
+    monkeypatch.setattr(polynomials, "_prem", _refuse)
+    assert poly_key(gcd_many(pair, "x")) == poly_key(poly(expected, ("x",)))
+    assert seen == points
+    monkeypatch.undo()
+    # the remainder sequence alone gives the same monic gcd
+    monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
+    assert poly_key(gcd_many(pair, "x")) == poly_key(poly(expected, ("x",)))
+
+
+def test_the_remainder_sequence_decides_when_every_point_is_a_root(monkeypatch):
+    # the first point is 2^4, as above, and each retry squares it; a vanishes
+    # at all of them, so each gcd of values is b's value and b does not divide a
+    shared = poly("x + 3", ("x",))
+    b = mul(poly("x^2 + 1", ("x",)), shared)
+    bits = [4 * 2**i for i in range(polynomials._GCD_HEURISTIC_ATTEMPTS)]
+    a = mul(shared, *(poly(f"x - {2**s}", ("x",)) for s in bits))
+    calls = []
+    prem = polynomials._prem
+
+    def counting(*args):
+        calls.append(args)
+        return prem(*args)
+
+    monkeypatch.setattr(polynomials, "_prem", counting)
+    assert poly_key(gcd_many([a, b], "x")) == poly_key(shared)
+    assert calls
+    monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
+    assert poly_key(gcd_many([a, b], "x")) == poly_key(shared)
+
+
+def test_the_gcd_budget_is_charged_before_the_heuristic(monkeypatch):
+    # two dense degree-d cofactors with 100-bit coefficients times x^2 - 2:
+    # the heuristic alone finds x^2 - 2 at once, but from the first d whose
+    # remainder sequence is past the cap the pair is refused as before
+    shared = poly("x^2 - 2", ("x",))
+
+    def pair(degree):
+        rng = random.Random(degree)
+        return [mul(dense_univariate(rng, degree, 100), shared) for _ in range(2)]
+
+    def charged(polys):
+        try:
+            polynomials._check_gcd_work([polynomials._univariate_terms(p, "x") for p in polys])
+        except UnsupportedCase:
+            return False
+        return True
+
+    degree = next(d for d in itertools.count(80) if not charged(pair(d)))
+    assert charged(pair(degree - 1))
+    polys = pair(degree)
+    n = degree + 2
+    with pytest.raises(UnsupportedCase, match=rf"^a gcd of degrees \[{n}, {n}\] exceeds the supported maximum$"):
+        gcd_many(polys, "x")
+    monkeypatch.setattr(polynomials, "MAX_GCD_WORK", math.inf)
+    monkeypatch.setattr(polynomials, "_prem", _refuse)
+    assert poly_key(gcd_many(polys, "x")) == poly_key(shared)
+
+
+def _cyclotomic(n):
+    """The n-th cyclotomic polynomial in x, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+    return Polynomial(("x",), {(i,): int(c) for i, c in enumerate(coeffs)})
+
+
+def test_gcd_and_rational_roots_match_sympy_on_planted_factors():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    def signed(magnitude):
+        return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+    big = signed(st.integers(2**200, 2**240))
+    small = signed(st.integers(1, 9))
+    nonzero = small | big
+
+    def univariate(low, high, nonzero=nonzero):
+        # a polynomial of degree low to high, its leading coefficient of either sign
+        coefficient = st.just(0) | nonzero
+        return st.tuples(st.lists(coefficient, min_size=low, max_size=high), nonzero).map(
+            lambda cs: Polynomial(("x",), {(i,): c for i, c in enumerate([*cs[0], cs[1]])})
+        )
+
+    zero = Polynomial(("x",))
+    settings = hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+    @settings
+    @hypothesis.given(univariate(1, 4), st.lists(univariate(0, 4), min_size=1, max_size=4), st.data())
+    def planted(shared, cofactors, data):
+        polys = [mul(shared, c) for c in cofactors]
+        for _ in range(data.draw(st.integers(0, 2))):
+            polys.insert(data.draw(st.integers(0, len(polys))), zero)
+        assert poly_key(gcd_many(polys, "x")) == poly_key(_sympy_gcd(polys, "x")), polys
+
+    @settings
+    @hypothesis.given(
+        st.sampled_from([30, 42, 60, 70, 84, 105]), st.data(), univariate(0, 3, small)
+    )
+    def mignotte(n, data, cofactor):
+        # a product of some of the cyclotomic factors of x^n - 1 often has
+        # larger coefficients than x^n - 1 itself (Phi_105 has a 2)
+        factors = data.draw(st.lists(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), min_size=1, unique=True))
+        shared = mul(*(_cyclotomic(d) for d in factors))
+        polys = [poly(f"x^{n} - 1", ("x",)), mul(shared, cofactor)]
+        assert poly_key(gcd_many(polys, "x")) == poly_key(_sympy_gcd(polys, "x")), polys
+
+    @settings
+    @hypothesis.given(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 6), st.integers(1, 3)), min_size=1, max_size=3),
+        st.lists(big, min_size=0, max_size=3),
+        st.sampled_from([1, -1, 2, -5]),
+        st.sampled_from([1, -1, 3, -7]),
+    )
+    def roots(planted, middle, lead, constant):
+        # planted roots num/den, repeated, times a cofactor whose middle
+        # coefficients have 200 bits or more; the ends stay small, as the
+        # candidates are divisors of them
+        x = ("x",)
+        p = Polynomial(x, {(0,): constant, **{(i + 1,): c for i, c in enumerate(middle)}, (len(middle) + 1,): lead})
+        for num, den, times in planted:
+            p = mul(p, power(Polynomial(x, {(1,): den, (0,): -num}), times))
+        assert rational_roots(p, "x") == _sympy_rational_roots(p, "x"), p
+
+    planted()
+    mignotte()
+    roots()
