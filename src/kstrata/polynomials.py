@@ -13,14 +13,17 @@ parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
 determinant, and Sylvester resultants computed as one such determinant
 each, the stored numerators packed into a single integer per entry by
 Kronecker substitution, so every intermediate value stays exact.
-Univariate work reads the same numerators.  The gcds of ``gcd_many`` and
-of the squarefree step of ``rational_roots`` are charged against a budget
-from the sparse terms before any dense coefficient list is built, and a gcd
-of several stops once the running gcd is constant.  Each pair is first
-packed the same way and given one integer gcd, the heuristic gcd of Char,
-Geddes and Gonnet (1989), whose answer is kept only when it divides both
-inputs exactly; when a few evaluation points fail that check, primitive
-pseudo-remainders (Collins 1967) decide.
+Univariate work reads the same numerators.  ``resultant``, ``gcd_many``
+and ``rational_roots`` are ``Polynomial`` doors to kernels on integer
+terms and coefficient lists (``resultant_slots``, ``gcd_terms`` and
+``roots_of_terms``), which the smoothness certificate calls directly.  The
+gcds of ``gcd_terms`` and of the squarefree step of ``roots_of_terms`` are
+charged against a budget from the sparse terms before any dense
+coefficient list is built, and a gcd of several stops once the running gcd
+is constant.  Each pair is first packed the same way and given one integer
+gcd, the heuristic gcd of Char, Geddes and Gonnet (1989), whose answer is
+kept only when it divides both inputs exactly; when a few evaluation points
+fail that check, primitive pseudo-remainders (Collins 1967) decide.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import index, mul
+from operator import index, itemgetter, mul
 
 from .errors import UnsupportedCase
 from .signature import divisors
@@ -218,19 +221,9 @@ class Polynomial:
         """(l, {exponents: int}): the least l > 0 making l*self integral, and l*self."""
         return self._den, dict(self._num)
 
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self._num)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self._num), default=-1)
-
-    def degree_in(self, name: str) -> int:
-        idx = self._index(name)
-        return max((e[idx] for e in self._num), default=-1)
 
     def _degrees(self) -> list[int]:
         """The degree in each variable, in one pass; empty for the zero polynomial."""
@@ -348,19 +341,11 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
 
     Both inputs need positive degree in the eliminated variable; the result
     is a polynomial in the remaining variables (the variable slot stays but
-    its exponent is zero everywhere).
-
-    The inputs' integer numerators are used as they are stored, and every
-    remaining variable is replaced by a power of two (Kronecker
-    substitution): each variable gets a mixed radix one more than its degree
-    bound in the result, and each of the S coefficient slots is B bits wide,
-    enough for any coefficient of the result and its sign.  One
-    fraction-free determinant of the packed integer Sylvester matrix then
-    carries every coefficient of the resultant as a signed base-2^B digit,
-    over the denominators' product.  When (m+n)^4 * S^2 exceeds
-    MAX_RESULTANT_WORK, judged from the degrees alone, or
-    (m+n)^3 * (S*B/64 + BAREISS_STEP_WORDS)^2 does once the coefficient
-    sizes are known, it raises UnsupportedCase.
+    its exponent is zero everywhere).  Each remaining variable gets a mixed
+    radix one more than its degree bound in the result, and
+    ``resultant_slots`` computes the coefficients in those slots from the
+    stored numerators, over the denominators' product.  Past
+    MAX_RESULTANT_WORK it raises UnsupportedCase.
     """
     p._match(q)
     idx = p._index(name)
@@ -375,17 +360,41 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     bezout = p.degree() * q.degree()
     radices = [min(n * a + m * b, bezout) + 1 for a, b in zip(degrees_p, degrees_q)]
     radices[idx] = 1
-    slots = math.prod(radices)
+    strides = [math.prod(radices[:v]) for v in range(len(radices))]
+    digits = resultant_slots(p._num, q._num, idx, strides, math.prod(radices))
+    num = {}
+    for place, digit in enumerate(digits):
+        if digit:
+            num[tuple([place // s % r for s, r in zip(strides, radices)])] = digit
+    return Polynomial._of(p.variables, num, p._den**n * q._den**m)
+
+
+def resultant_slots(p: dict, q: dict, idx: int, strides, slots: int) -> list[int]:
+    """The coefficients of the resultant of p and q, one per slot, lowest first.
+
+    p and q map exponent tuples to ints, of degrees m, n > 0 in exponent
+    ``idx``, the eliminated one; a term's other exponents put it in slot
+    sum(e[v] * strides[v]), below ``slots``.  Each remaining variable is
+    thus replaced by a power of two (Kronecker substitution), each slot
+    B bits wide, enough for any coefficient of the result and its sign, and
+    one fraction-free determinant of the packed integer Sylvester matrix
+    carries every coefficient as a signed base-2^B digit; the list ends at
+    the last nonzero one, so it is empty for a zero resultant.  When
+    (m+n)^4 * slots^2 exceeds MAX_RESULTANT_WORK, judged from the degrees
+    alone, or (m+n)^3 * (slots*B/64 + BAREISS_STEP_WORDS)^2 does once the
+    coefficient sizes are known, it raises UnsupportedCase before anything
+    is packed.
+    """
+    m, n = max(map(itemgetter(idx), p)), max(map(itemgetter(idx), q))
     if (m + n) ** 4 * slots**2 > MAX_RESULTANT_WORK:
         raise UnsupportedCase(
             f"a resultant of order {m + n} over {slots} coefficient slots exceeds "
             "the supported maximum"
         )
-    strides = [math.prod(radices[:v]) for v in range(len(radices))]
     # each Sylvester row's coefficients sum in absolute value to |p|_1 or
     # |q|_1, so no coefficient of the result reaches their product
-    norm_p = sum(map(abs, p._num.values()))
-    norm_q = sum(map(abs, q._num.values()))
+    norm_p = sum(map(abs, p.values()))
+    norm_q = sum(map(abs, q.values()))
     bits = (norm_p**n * norm_q**m).bit_length() + 1
     words = -(-slots * bits // 64)
     if (m + n) ** 3 * (words + BAREISS_STEP_WORDS) ** 2 > MAX_RESULTANT_WORK:
@@ -396,21 +405,15 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     shifts = [bits * s for s in strides]
     shifts[idx] = 0  # the eliminated variable picks the Sylvester entry instead
 
-    def pack(poly: Polynomial, degree: int) -> list[int]:
-        """The packed coefficient of each power of name, lowest first."""
+    def pack(terms: dict, degree: int) -> list[int]:
+        """The packed coefficient of each power of the eliminated variable, lowest first."""
         packed = [0] * (degree + 1)
-        for exps, c in poly._num.items():
+        for exps, c in terms.items():
             packed[exps[idx]] += c << sum(map(mul, exps, shifts))
         return packed
 
     rank, det = integer_rank(_sylvester(pack(p, m), pack(q, n)))
-    if rank < m + n:
-        det = 0
-    num = {}
-    for place, digit in enumerate(_signed_digits(det, bits)):
-        if digit:
-            num[tuple([place // s % r for s, r in zip(strides, radices)])] = digit
-    return Polynomial._of(p.variables, num, p._den**n * q._den**m)
+    return _signed_digits(det if rank == m + n else 0, bits)
 
 
 def _signed_digits(value: int, bits: int) -> list[int]:
@@ -485,8 +488,10 @@ def _univariate_terms(p: Polynomial, name: str) -> dict[int, int]:
     return terms
 
 
-def _dense(terms: dict[int, int]) -> list[int]:
-    """The ascending coefficient list of a sparse univariate polynomial."""
+def _dense(terms: dict[int, int] | list[int]) -> list[int]:
+    """The ascending coefficient list of a univariate polynomial; a list is one already."""
+    if isinstance(terms, list):
+        return terms
     a = [0] * (max(terms, default=-1) + 1)
     for k, c in terms.items():
         a[k] = c
@@ -566,18 +571,24 @@ def _quotient(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
-    """All rational roots of a univariate polynomial, ascending.
+    """All rational roots of a univariate polynomial, ascending (``roots_of_terms``)."""
+    terms = _univariate_terms(p, name)
+    if not terms:
+        raise PolynomialError("the zero polynomial has every root")
+    return roots_of_terms(terms)
+
+
+def roots_of_terms(terms: dict[int, int]) -> list[Fraction]:
+    """The rational roots, ascending, of the nonzero sum of a_k * x^k for {k: a_k}.
 
     The squarefree part p / gcd(p, p'), which has the same roots and a
     smaller constant term when p has repeated roots, supplies the candidates:
     num/den is a root iff sum a_i * num^i * den^(n-i) is 0.  gcd(p, p') is
     ``_gcd_ints``'s: the heuristic gcd when it divides both exactly, else
     the remainder sequence of p and p', which is charged to MAX_GCD_WORK
-    first, from the sparse terms; past it this raises UnsupportedCase.
+    first, from the sparse terms; past it this raises UnsupportedCase.  A
+    constant gcd leaves p as its own squarefree part.
     """
-    terms = _univariate_terms(p, name)
-    if not terms:
-        raise PolynomialError("the zero polynomial has every root")
     roots = set()
     low = min(terms)
     if low:
@@ -586,9 +597,11 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     derivative = {k - 1: k * c for k, c in terms.items() if k}
     _check_gcd_work([terms, derivative])
     coeffs = _dense(terms)
-    # a primitive g divides coeffs over Q, hence over Z (Gauss)
-    g = _primitive(_gcd_ints(coeffs, _dense(derivative)))
-    coeffs = _primitive(_quotient(coeffs, g))
+    g = _gcd_ints(coeffs, _dense(derivative))
+    if len(g) > 1:
+        # a primitive g divides coeffs over Q, hence over Z (Gauss)
+        coeffs = _quotient(coeffs, _primitive(g))
+    coeffs = _primitive(coeffs)
     n = len(coeffs) - 1
     if n > 0:
         lead = abs(coeffs[-1])
@@ -609,19 +622,25 @@ def rational_roots(p: Polynomial, name: str) -> list[Fraction]:
     return sorted(roots)
 
 
-def _check_gcd_work(polys: list[dict[int, int]]) -> None:
+def _check_gcd_work(polys: list[dict[int, int] | list[int]]) -> None:
     """Raise UnsupportedCase if gcd_many's remainder sequences cost too much.
 
-    Reads only the degree and the 2-norm of each sparse {k: a_k}, so nothing
-    is densified before the charge.  The running gcd is charged with the
-    smallest degree and the largest norm folded in so far, each fold as the
-    MAX_GCD_WORK comment says.
+    Each input is sparse, {k: a_k}, or dense, its ascending coefficients
+    ending in a nonzero one.  Only the degree and the 2-norm of each are
+    read, so nothing is densified before the charge.  The running gcd is
+    charged with the smallest degree and the largest norm folded in so far,
+    each fold as the MAX_GCD_WORK comment says.
     """
-    work, degree, norm = 0, None, 0
+    work, degree, norm, degrees = 0, None, 0, []
     for terms in polys:
         if not terms:  # a zero polynomial leaves the gcd as it is
             continue
-        n, bits = max(terms), sum(c * c for c in terms.values()).bit_length() // 2 + 1
+        if isinstance(terms, dict):
+            n, values = max(terms), terms.values()
+        else:
+            n, values = len(terms) - 1, terms
+        bits = sum(map(mul, values, values)).bit_length() // 2 + 1
+        degrees.append(n)
         if degree is not None:
             high, low = max(degree, n), min(degree, n)
             words = (n * norm + degree * bits) // 64 + 1
@@ -629,10 +648,36 @@ def _check_gcd_work(polys: list[dict[int, int]]) -> None:
         degree = n if degree is None else min(degree, n)
         norm = max(norm, bits)
     if work > MAX_GCD_WORK:
-        raise UnsupportedCase(
-            f"a gcd of degrees {sorted(max(t) for t in polys if t)} "
-            "exceeds the supported maximum"
-        )
+        raise UnsupportedCase(f"a gcd of degrees {sorted(degrees)} exceeds the supported maximum")
+
+
+def gcd_terms(polys: list[dict[int, int] | list[int]]) -> dict[int, int]:
+    """The gcd of univariate polynomials as the {k: a_k} of a primitive one, a_n > 0.
+
+    The inputs are as ``_check_gcd_work`` reads them, and are charged by it
+    first; {} when all are zero.  A single nonzero input is only made
+    primitive; otherwise the running gcd starts as the first one and is
+    folded with each next one by ``_gcd_ints``: the heuristic gcd, kept
+    when it divides both exactly, else the primitive remainder sequence.
+    Nothing more is densified or folded once the running gcd is constant.
+    """
+    polys = [t for t in polys if t]
+    _check_gcd_work(polys)
+    if not polys:
+        return {}
+    terms = polys[0]
+    if len(polys) > 1:
+        terms = _dense(terms)
+        for other in polys[1:]:
+            if len(terms) == 1:  # a constant: the gcd is 1 whatever follows
+                break
+            terms = _gcd_ints(terms, _dense(other))
+    if isinstance(terms, list):
+        terms = {k: c for k, c in enumerate(terms) if c}
+    content = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        content = -content
+    return {k: c // content for k, c in terms.items()}
 
 
 def gcd_many(polys, name: str) -> Polynomial:
@@ -640,31 +685,15 @@ def gcd_many(polys, name: str) -> Polynomial:
 
     Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes of
     the sparse terms before any dense list is built, it raises
-    UnsupportedCase, whether or not the heuristic would have answered.  A
-    single nonzero input is only made monic; otherwise the running gcd
-    starts as the first input and is folded with each next one by
-    ``_gcd_ints``: the heuristic gcd, kept when it divides both exactly,
-    else the primitive remainder sequence.  Nothing more runs once the
-    running gcd is constant.
+    UnsupportedCase, whether or not the heuristic would have answered
+    (``gcd_terms``).
     """
     polys = list(polys)
     if not polys:
         raise PolynomialError("gcd of nothing")
     for p in polys:
         p._match(polys[0])
-    nonzero = [t for t in (_univariate_terms(p, name) for p in polys) if t]
-    _check_gcd_work(nonzero)
-    gcd = nonzero[0] if nonzero else {}
-    if len(nonzero) > 1:
-        a = _dense(gcd)
-        for terms in nonzero[1:]:
-            if len(a) == 1:  # a constant: the gcd is 1 whatever follows
-                break
-            a = _gcd_ints(a, _dense(terms))
-        gcd = dict(enumerate(a))
-    lead = gcd[max(gcd)] if gcd else 1
-    sign = 1 if lead > 0 else -1
+    gcd = gcd_terms([_univariate_terms(p, name) for p in polys])
     unit = tuple(int(v == name) for v in polys[0].variables)
-    return Polynomial._of(
-        polys[0].variables, {tuple(k * e for e in unit): sign * c for k, c in gcd.items()}, abs(lead)
-    )
+    num = {tuple(k * e for e in unit): c for k, c in gcd.items()}
+    return Polynomial._of(polys[0].variables, num, gcd[max(gcd)] if gcd else 1)

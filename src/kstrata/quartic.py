@@ -12,17 +12,21 @@ Smoothness is checked over the disjoint union P^2 = {pt}, A^2, A^1 (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
 x, y, z: the point (0 : 0 : 1) by one coefficient of each partial, then the
 affine chart x = 1 by resultants, then the line x = 0, y = 1 by one
-univariate gcd.  The point and the line are decided exactly; the chart
-either proves itself clean or exhibits a rational singular point, and when
-it does neither the chart origin (1 : 0 : 0) is tried the same way and
-then the rank of the partials' Macaulay matrix decides (Cox, Little and
-O'Shea, Using Algebraic Geometry, ch. 3), so every curve is smooth or
-singular.
+univariate gcd.  The chart, its point search and the line read only the
+partials' integer numerators, as coefficient lists handed to the integer
+kernels behind ``resultant``, ``gcd_many`` and ``rational_roots``, and
+build no ``Polynomial``; a point found is confirmed by ``evaluate``.  The
+point and the line are decided exactly; the chart either proves itself
+clean or exhibits a rational singular point, and when it does neither the
+chart origin (1 : 0 : 0) is tried the same way and then the rank of the
+partials' Macaulay matrix decides (Cox, Little and O'Shea, Using Algebraic
+Geometry, ch. 3), so every curve is smooth or singular.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +35,10 @@ from .errors import UnsupportedCase
 from .polynomials import (
     Polynomial,
     PolynomialError,
-    gcd_many,
+    gcd_terms,
     integer_rank,
-    rational_roots,
-    resultant,
+    resultant_slots,
+    roots_of_terms,
 )
 from .series import branch_series, intersection_multiplicity
 
@@ -99,32 +103,39 @@ class SporadicReport:
         return all(c.passed for c in self.checks)
 
 
-def _chart_gcd(gs, elim, other):
-    """The gcd in ``other`` of what eliminating ``elim`` from the chart leaves.
+def _chart_resultant(p, q):
+    """Res_v1 of two partials on the chart v0 = 1, as its coefficients in v2, lowest first.
 
-    The resultants of the partial of highest degree in ``elim`` with each
-    other one that involves ``elim``, plus those free of it, all vanish at
-    the projection of every common zero; one that vanishes identically says
-    nothing and is left out.  A constant gcd certifies the chart; None means
-    nothing was left.
+    p and q are chart entries (denominator, numerators, degree in v1,
+    degree in v2, total degree) of partials of positive degree in v1.  The
+    charge counts the slots ``resultant`` gives their chart polynomials, one
+    more than min(n*deg_v2 p + m*deg_v2 q, Bezout's bound); the
+    coefficients are divided by their gcd with the denominators' product,
+    as a ``Polynomial`` keeps them.
     """
-    degrees = [g.degree_in(elim) for g in gs]
-    base = gs[degrees.index(max(degrees))]
-    resultants = [resultant(base, g, elim) for g, d in zip(gs, degrees) if g is not base and d > 0]
-    eliminants = [g for g, d in zip(gs, degrees) if d == 0]
-    eliminants += [r for r in resultants if not r.is_zero()]
-    return gcd_many(eliminants, other) if eliminants else None
+    dp, tp, m, cp, total_p = p
+    dq, tq, n, cq, total_q = q
+    slots = min(n * cp + m * cq, total_p * total_q) + 1
+    digits = resultant_slots(tp, tq, 1, (0, 0, 1), slots)
+    common = math.gcd(dp**n * dq**m, *digits)
+    return [c // common for c in digits] if common > 1 else digits
 
 
-def _on_line(p):
-    """A nonzero multiple of the form p(0, 1, v2), in p's variables.
+def _slice(p, t):
+    """The chart entry p of a partial at v2 = t, as {power of v1: int}.
 
-    p's degree fixes each term's exponent of v1 from that of v2, so setting
-    v0 = 0 and v1 = 1 keeps the integer numerators free of v0 under new
-    keys, and no two terms meet.  The stored denominator is dropped, which
-    changes the gcd of such restrictions by a constant factor only.
+    For t = a/b and top the largest power of v2, a term c*v1^j*v2^k adds
+    c * a^k * b^(top-k) to the coefficient of v1^j; the coefficients are
+    divided by their gcd with the denominator times b^top.
     """
-    return Polynomial(p.variables, {(0, 0, e[2]): c for e, c in p.cleared()[1].items() if not e[0]})
+    den, terms, _, top, _ = p
+    a, b = t.numerator, t.denominator
+    powers = {k: a**k * b ** (top - k) for k in {e[2] for e in terms}}
+    out = {}
+    for e, c in terms.items():
+        out[e[1]] = out.get(e[1], 0) + c * powers[e[2]]
+    common = math.gcd(den * b**top, *out.values())
+    return {j: c // common for j, c in out.items() if c}
 
 
 def _searched(search, *args):
@@ -135,25 +146,21 @@ def _searched(search, *args):
         return None
 
 
-def _search_singular_point(partials, variables, gs, gcd_poly):
+def _search_singular_point(variables, partials, chart, gcd):
     """A rational common zero (1 : u : t) on the chart v0 = 1, or None.
 
-    t runs over the roots of ``gcd_poly``, u over those of the gcd of ``gs`` at v2 = t.
+    t runs over the rational roots of the chart's ``gcd`` in v2, u over
+    those of the gcd in v1 of the ``chart`` partials at v2 = t; the first
+    (1 : u : t) where every one of ``partials`` vanishes is the point.
     """
-    if gcd_poly is None:
-        return None
-    _, elim, other = variables
-    for t in rational_roots(gcd_poly, other):
-        slices = [g.substitute(other, t) for g in gs]
-        if any(s.is_constant() and not s.is_zero() for s in slices):
+    for t in roots_of_terms(gcd):
+        slices = [_slice(p, t) for p in chart]
+        if any(s.keys() == {0} for s in slices):  # a nonzero constant
             continue
-        candidates = [s for s in slices if not s.is_zero()]
-        if not candidates:
+        pencil = gcd_terms(slices)
+        if not any(pencil):  # zero or a constant
             continue
-        pencil = gcd_many(candidates, elim)
-        if pencil.is_constant():
-            continue
-        for u in rational_roots(pencil, elim):
+        for u in roots_of_terms(pencil):
             point = (Fraction(1), u, t)
             if all(p.evaluate(dict(zip(variables, point))) == 0 for p in partials):
                 return point
@@ -228,19 +235,38 @@ def smoothness_certificate(F: Polynomial) -> SmoothnessCertificate:
         point = (Fraction(0), Fraction(0), Fraction(1))
         return SmoothnessCertificate("singular", point, f"common zero found on chart {v2} = 1")
 
-    # a nonzero form stays nonzero on a chart, so some partial is left
-    gs = [g for g in (p.substitute(v0, 1) for p in partials) if not g.is_zero()]
-    gcd_poly = _chart_gcd(gs, v1, v2)
-    certified = gcd_poly is not None and gcd_poly.is_constant()
-    if not certified:
-        point = _searched(_search_singular_point, partials, F.variables, gs, gcd_poly)
+    # a form of degree top on the chart v0 = 1 keeps its terms under their
+    # (v1, v2) exponents, so the chart reads each partial's integer
+    # numerators {(a, b, c): int} as they are, with its degrees there; a
+    # nonzero form stays nonzero, so some partial is left
+    cleared = [p.cleared() for p in partials]
+    chart = []
+    for den, terms in cleared:
+        if terms:
+            a, b, c = zip(*terms)
+            chart.append((den, terms, max(b), max(c), top - min(a)))
+    # eliminate v1: the resultants of the partial of highest degree in v1
+    # with each other one that involves v1, plus those free of it, all
+    # vanish at the projection of every common zero; one that vanishes
+    # identically says nothing and is left out.  A constant gcd certifies
+    # the chart, and {} means nothing was left
+    degrees = [entry[2] for entry in chart]
+    base = chart[degrees.index(max(degrees))]
+    free = [{e[2]: c for e, c in entry[1].items()} for entry, d in zip(chart, degrees) if d == 0]
+    resultants = [_chart_resultant(base, p) for p, d in zip(chart, degrees) if p is not base and d > 0]
+    gcd = gcd_terms(free + resultants)
+    certified = gcd.keys() == {0}
+    if not certified and gcd:
+        point = _searched(_search_singular_point, F.variables, partials, chart, gcd)
         if point is not None:
             return SmoothnessCertificate("singular", point, f"common zero found on chart {v0} = 1")
 
-    # nonzero: partials vanishing on the whole line would vanish at (0 : 0 : 1)
-    line = gcd_many([_on_line(p) for p in partials], v2)
-    if not line.is_constant():
-        roots = _searched(rational_roots, line, v2)
+    # the partials at v0 = 0, v1 = 1 are their v0-free terms, keyed by the
+    # power of v2; their gcd is nonzero, as partials vanishing on the whole
+    # line would vanish at (0 : 0 : 1)
+    line = gcd_terms([{e[2]: c for e, c in terms.items() if not e[0]} for _, terms in cleared])
+    if any(line):
+        roots = _searched(roots_of_terms, line)
         point = (Fraction(0), Fraction(1), roots[0]) if roots else None
         where = f"chart {v1} = 1" if roots else f"line {v0} = 0, no rational point found"
         return SmoothnessCertificate("singular", point, f"common zero found on {where}")

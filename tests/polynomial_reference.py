@@ -120,3 +120,21 @@ def power(p, k):
 def scale(p, c):
     """c * p for a rational c."""
     return Polynomial(p.variables, {e: c * v for e, v in p.terms.items()})
+
+
+# -- structure read from ``terms`` -----------------------------------------------
+
+
+def degree_in(p, name):
+    """p's degree in one variable; -1 for the zero polynomial."""
+    idx = p.variables.index(name)
+    return max((e[idx] for e in p.terms), default=-1)
+
+
+def is_zero(p):
+    return not p.terms
+
+
+def is_constant(p):
+    """True for every polynomial with no variable, zero included."""
+    return not any(map(any, p.terms))

@@ -1,6 +1,7 @@
 import copy
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -17,7 +18,7 @@ from kstrata.quartic import (
 )
 from kstrata.series import intersection_multiplicity
 from macaulay_reference import FULL_RANK, macaulay_rank, monomials
-from polynomial_reference import add, mul, poly_key, power, scale, sub
+from polynomial_reference import add, degree_in, is_constant, is_zero, mul, poly_key, power, scale, sub
 
 XYZ = ("x", "y", "z")
 FERMAT = "x^4 + y^4 + z^4"
@@ -86,34 +87,95 @@ def test_nodal_quartic_singular_point_is_found():
 # -- the chart x = 1, the line x = 0, y = 1 and the point (0 : 0 : 1) ---------
 
 
+# The chart's gcd and point search on Polynomials, through the public
+# resultant, gcd_many and rational_roots and by substitution: the
+# certificate computes both on integer lists.
+
+
+def chart_gcd(gs, elim, other):
+    """The gcd in ``other`` of what eliminating ``elim`` from the restricted partials ``gs`` leaves.
+
+    The resultants of the partial of highest degree in ``elim`` with each
+    other one that involves ``elim``, plus those free of it; one that
+    vanishes identically is left out.  None means nothing was left.
+    """
+    degrees = [degree_in(g, elim) for g in gs]
+    base = gs[degrees.index(max(degrees))]
+    resultants = [resultant(base, g, elim) for g, d in zip(gs, degrees) if g is not base and d > 0]
+    eliminants = [g for g, d in zip(gs, degrees) if d == 0]
+    eliminants += [r for r in resultants if not is_zero(r)]
+    return gcd_many(eliminants, other) if eliminants else None
+
+
+def search_singular_point(partials, variables, gs, gcd_poly):
+    """A rational common zero (1 : u : t) on the chart variables[0] = 1, or None.
+
+    t runs over the roots of ``gcd_poly``, u over those of the gcd of ``gs`` at variables[2] = t.
+    """
+    if gcd_poly is None:
+        return None
+    _, elim, other = variables
+    for t in rational_roots(gcd_poly, other):
+        slices = [g.substitute(other, t) for g in gs]
+        if any(is_constant(s) and not is_zero(s) for s in slices):
+            continue
+        candidates = [s for s in slices if not is_zero(s)]
+        if not candidates:
+            continue
+        pencil = gcd_many(candidates, elim)
+        if is_constant(pencil):
+            continue
+        for u in rational_roots(pencil, elim):
+            point = (Fraction(1), u, t)
+            if all(p.evaluate(dict(zip(variables, point))) == 0 for p in partials):
+                return point
+    return None
+
+
+def chart_x_search(F):
+    """The chart x = 1 as the certificate decides it, on Polynomials: (certified, point or None).
+
+    A search past its budget names no point.
+    """
+    partials = [F.partial_derivative(v) for v in XYZ]
+    gs = [g for g in (p.substitute("x", 1) for p in partials) if not is_zero(g)]
+    gcd_poly = chart_gcd(gs, "y", "z")
+    if gcd_poly is not None and is_constant(gcd_poly):
+        return True, None
+    try:
+        return False, search_singular_point(partials, XYZ, gs, gcd_poly)
+    except UnsupportedCase:
+        return False, None
+
+
 def three_chart_rule(F):
     """The reference rule: all three charts checked in full, a chart failing when a resultant vanishes."""
 
     def certify_chart(gs, elim, other):
-        degrees = [g.degree_in(elim) for g in gs]
+        degrees = [degree_in(g, elim) for g in gs]
         base = gs[degrees.index(max(degrees))]
         eliminants = [g for g, d in zip(gs, degrees) if d == 0]
         for g, d in zip(gs, degrees):
             if g is not base and d > 0:
                 eliminants.append(resultant(base, g, elim))
-        if not eliminants or any(r.is_zero() for r in eliminants):
+        if not eliminants or any(is_zero(r) for r in eliminants):
             return False, None
         g = gcd_many(eliminants, other)
-        return not g.is_zero() and g.is_constant(), g
+        return not is_zero(g) and is_constant(g), g
 
     partials = [F.partial_derivative(v) for v in F.variables]
     uncertified = []
     for chart in F.variables:
         others = [v for v in F.variables if v != chart]
         restricted = (p.substitute(chart, 1) for p in partials)
-        gs = list({poly_key(g): g for g in restricted if not g.is_zero()}.values())
-        if any(g.is_constant() for g in gs):
+        gs = list({poly_key(g): g for g in restricted if not is_zero(g)}.values())
+        if any(is_constant(g) for g in gs):
             continue
         for elim, other in (others, others[::-1]):
             ok, gcd_poly = certify_chart(gs, elim, other)
             if ok:
                 break
-            found = quartic._search_singular_point(partials, (chart, elim, other), gs, gcd_poly)
+            found = search_singular_point(partials, (chart, elim, other), gs, gcd_poly)
             if found is not None:
                 point = dict(zip((chart, elim, other), found))
                 return SmoothnessCertificate(
@@ -128,8 +190,46 @@ def three_chart_rule(F):
 
 
 def chart_x_certifies(F):
-    gs = [g for g in (F.partial_derivative(v).substitute("x", 1) for v in XYZ) if not g.is_zero()]
-    return quartic._chart_gcd(gs, "y", "z").is_constant()
+    return chart_x_search(F)[0]
+
+
+def reference_certificate(F):
+    """The certificate on Polynomials: (0 : 0 : 1), chart x = 1, the line x = 0, y = 1, then the rank.
+
+    The line is the gcd of the partials' numerators free of x, keyed by the
+    power of z; the rank is the certificate's own, checked against the
+    Macaulay oracle by the tests below.
+    """
+
+    def singular(point, where):
+        return SmoothnessCertificate("singular", point, f"common zero found on {where}")
+
+    zero, one = Fraction(0), Fraction(1)
+    partials = [F.partial_derivative(v) for v in XYZ]
+    top = F.degree() - 1
+    if not any(p.coefficient((0, 0, top)) for p in partials):
+        return singular((zero, zero, one), "chart z = 1")
+    certified, point = chart_x_search(F)
+    if point is not None:
+        return singular(point, "chart x = 1")
+    on_line = [{(0, 0, e[2]): c for e, c in p.cleared()[1].items() if not e[0]} for p in partials]
+    line = gcd_many([Polynomial(XYZ, terms) for terms in on_line], "z")
+    if not is_constant(line):
+        try:
+            roots = rational_roots(line, "z")
+        except UnsupportedCase:
+            roots = []
+        if roots:
+            return singular((zero, one, roots[0]), "chart y = 1")
+        return singular(None, "line x = 0, no rational point found")
+    if not certified:
+        if not any(p.coefficient((top, 0, 0)) for p in partials):
+            return singular((one, zero, zero), "chart x = 1")
+        rank, full = quartic._macaulay_rank(partials, F.degree())
+        if rank < full:
+            detail = f"partials share a zero; no rational point found (Macaulay rank {rank} < {full})"
+            return SmoothnessCertificate("singular", None, detail)
+    return SmoothnessCertificate("smooth", None, "all charts certified")
 
 
 def is_singular_point(F, point):
@@ -284,7 +384,7 @@ def seeded_quartics():
         line = Polynomial(XYZ, {(1, 0, 0): rng.randint(1, 3), (0, 0, 1): rng.randint(-3, 3)})
         cubic = Polynomial(XYZ, {(a, b, c - 1): rng.randint(-3, 3) for a, b, c in QUARTIC_EXPONENTS if c})
         out.append(mul(line, cubic))
-    return [F for F in out if not F.is_zero()]
+    return [F for F in out if not is_zero(F)]
 
 
 def test_the_line_and_point_agree_with_three_full_charts():
@@ -353,6 +453,69 @@ def test_the_rank_decides_smoothness_in_degrees_two_three_and_five():
     assert verdicts == {(d, s) for d in sizes for s in (True, False)}
 
 
+def rational_copy(rng, F):
+    """F with each coefficient divided by 1 to 6, so that its partials have different denominators."""
+    return Polynomial(XYZ, {e: c / rng.randint(1, 6) for e, c in F.terms.items()})
+
+
+def outcome(call, F):
+    try:
+        return call(F)
+    except UnsupportedCase as exc:
+        return str(exc)
+
+
+def test_the_certificate_matches_its_polynomial_reference():
+    # the chart, its search and the line run on integer lists; on Polynomials
+    # they give the same status, point and detail, and refuse alike
+    rng = random.Random(34)
+    curves = [homog(text) for text in NAMED] + seeded_quartics() + [F for _, F in other_degree_curves()]
+    curves += [rational_copy(rng, F) for F in curves]
+    curves += [mul(wide_form(rng, 1 + i % 2), wide_form(rng, 3 - i % 2)) for i in range(10)]
+    details = set()
+    for F in curves:
+        got = outcome(smoothness_certificate, F)
+        assert got == outcome(reference_certificate, F), F
+        details.add(got if isinstance(got, str) else got.detail.split(" (")[0])
+    assert details == {
+        "all charts certified",
+        "common zero found on chart x = 1",
+        "common zero found on chart y = 1",
+        "common zero found on chart z = 1",
+        "common zero found on line x = 0, no rational point found",
+        "partials share a zero; no rational point found",
+    }
+
+
+N = 10**6
+LARGE_REFUSALS = {
+    f"x^{N} + y^{N} + z^{N}": "a gcd of degrees [0, 999999] exceeds the supported maximum",
+    f"x^{N} + y^{N} + z^{N} + x*y*z^{N - 2}":
+        "a resultant of order 1000000 over 999998000001 coefficient slots exceeds the supported maximum",
+    f"x^{N} + y^{N} + z^{N} + y^2*z^{N - 2} + x*y^{N - 1}":
+        "a resultant of order 1999998 over 999997000003 coefficient slots exceeds the supported maximum",
+    f"x^{N} + x*y^{N - 1} + y*z^{N - 1}":
+        "a resultant of order 1999997 over 999998000002 coefficient slots exceeds the supported maximum",
+}
+
+
+@pytest.mark.parametrize("text", sorted(LARGE_REFUSALS), ids=lambda text: text.replace(str(N), "N"))
+def test_a_curve_of_huge_degree_is_refused_before_any_dense_list(text):
+    # the chart's resultants and gcd are charged from the sparse numerators;
+    # a dense list of a degree-10^6 polynomial alone would take 8 MB
+    F = homog(text)
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCase) as refused:
+        smoothness_certificate(F)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert str(refused.value) == LARGE_REFUSALS[text]
+    assert elapsed < 0.05
+    assert peak < 10**6
+
+
 def test_the_rank_is_charged_before_it_runs(monkeypatch):
     entered = []
     monkeypatch.setattr(quartic, "integer_rank", entered.append)
@@ -381,14 +544,16 @@ def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
     # and the rank decides
     refused = []
 
-    def counting(p, name):
+    roots = quartic.roots_of_terms
+
+    def counting(terms):
         try:
-            return rational_roots(p, name)
+            return roots(terms)
         except UnsupportedCase:
-            refused.append(name)
+            refused.append(max(terms))
             raise
 
-    monkeypatch.setattr(quartic, "rational_roots", counting)
+    monkeypatch.setattr(quartic, "roots_of_terms", counting)
     rng = random.Random(28)
     unnamed = 0
     for i in range(40):
@@ -405,13 +570,15 @@ def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
 
 @pytest.fixture
 def resultant_calls(monkeypatch):
+    """The eliminated exponent of each Sylvester determinant the certificate takes."""
     calls = []
+    digits = quartic.resultant_slots
 
-    def counting(p, q, name):
-        calls.append(name)
-        return resultant(p, q, name)
+    def counting(p, q, idx, *args):
+        calls.append(idx)
+        return digits(p, q, idx, *args)
 
-    monkeypatch.setattr(quartic, "resultant", counting)
+    monkeypatch.setattr(quartic, "resultant_slots", counting)
     return calls
 
 
@@ -455,9 +622,9 @@ def test_a_smooth_dense_quartic_reads_its_points_without_evaluating(point_calls)
     for F in dense:
         point_calls.clear()
         assert smoothness_certificate(F).status == "smooth"
-        # the points are coefficients, the line re-keys its terms: only the chart substitutes
+        # the points are coefficients, and the chart and the line read the partials' numerators
         assert point_calls.count("evaluate") == 0
-        assert point_calls.count("substitute") <= 3
+        assert point_calls.count("substitute") == 0
 
 
 def test_smoothness_requires_homogeneous_three_variables():
