@@ -2,10 +2,10 @@
 
 A polynomial keeps integer numerators over one positive common denominator,
 in lowest terms (content and primitive part; Knuth, TAOCP vol. 2, 4.6.1).
-Int coefficients are stored as they are.  Derivatives, substitution and
-evaluation run on ints, evaluation in one pass per variable over a table of
-its value's powers; coefficients become Fractions only where they leave
-(``terms``, ``coefficient``, ``evaluate``, ``str``).
+Int coefficients are stored as they are.  Derivatives and evaluation run
+on ints, evaluation in one pass per variable over a table of its value's
+powers; coefficients become Fractions only where they leave (``terms``,
+``coefficient``, ``evaluate``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
 parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
@@ -13,10 +13,11 @@ parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
 determinant, and Sylvester resultants computed as one such determinant
 each, the stored numerators packed into a single integer per entry by
 Kronecker substitution, so every intermediate value stays exact.
-Univariate work reads the same numerators.  ``resultant``, ``gcd_many``
-and ``rational_roots`` are ``Polynomial`` doors to kernels on integer
-terms and coefficient lists (``resultant_slots``, ``gcd_terms`` and
-``roots_of_terms``), which the smoothness certificate calls directly.  The
+Univariate work reads the same numerators.  The smoothness certificate
+calls the integer kernels ``resultant_slots``, ``gcd_terms`` and
+``roots_of_terms`` directly; ``resultant`` and ``rational_roots`` are their
+``Polynomial`` doors.  A univariate polynomial reaches the gcd as its
+sparse terms {k: a_k} or as its dense ascending coefficient list.  The
 gcds of ``gcd_terms`` and of the squarefree step of ``roots_of_terms`` are
 charged against a budget from the sparse terms before any dense
 coefficient list is built, and a gcd of several stops once the running gcd
@@ -50,7 +51,7 @@ from .signature import divisors
 MAX_RESULTANT_WORK = 10**11
 BAREISS_STEP_WORDS = 44  # c above
 
-# gcd_many's remainder sequence for degrees m >= n takes about
+# the remainder sequence of a gcd for degrees m >= n takes about
 # (m - n + 1)*m + n^2 row operations on coefficients of up to W words, where
 # 64*W = n*log2|p| + m*log2|q| bits (Hadamard's bound on the subresultants,
 # |p| the 2-norm); each costs about W^2 + c^2, c^2 the fixed cost of a row
@@ -263,29 +264,6 @@ class Polynomial:
             reduced = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
             num[reduced] = coeff * exps[idx]  # distinct exps give distinct reduced
         return Polynomial._of(self.variables, num, self._den)
-
-    def substitute(self, name: str, value) -> "Polynomial":
-        """Substitute a rational value for one variable (kept in the ring).
-
-        For value a/b and top the largest power of the variable, a term
-        c*name^k becomes c * a^k * b^(top-k) over the denominator times b^top.
-        """
-        idx = self._index(name)
-        value = exact(value)
-        a, b = value.numerator, value.denominator
-        exponents = {e[idx] for e in self._num}
-        top = max(exponents, default=0)
-        powers = {k: a**k * b ** (top - k) for k in exponents}
-        num: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._num.items():
-            k = exps[idx]
-            if k:
-                exps = exps[:idx] + (0,) + exps[idx + 1 :]
-            power = powers[k]
-            if power != 1:
-                coeff *= power
-            num[exps] = num[exps] + coeff if exps in num else coeff
-        return Polynomial._of(self.variables, num, self._den * b**top)
 
     def evaluate(self, values: dict) -> Fraction:
         """The value at rational values of the variables that occur, as one Fraction.
@@ -623,11 +601,11 @@ def roots_of_terms(terms: dict[int, int]) -> list[Fraction]:
 
 
 def _check_gcd_work(polys: list[dict[int, int] | list[int]]) -> None:
-    """Raise UnsupportedCase if gcd_many's remainder sequences cost too much.
+    """Raise UnsupportedCase if the remainder sequences of a gcd of polys cost too much.
 
-    Each input is sparse, {k: a_k}, or dense, its ascending coefficients
-    ending in a nonzero one.  Only the degree and the 2-norm of each are
-    read, so nothing is densified before the charge.  The running gcd is
+    Each input is its sparse terms {k: a_k} or its dense ascending
+    coefficients, ending in a nonzero one.  Only the degree and the 2-norm
+    of each are read, so nothing is densified before the charge.  The running gcd is
     charged with the smallest degree and the largest norm folded in so far,
     each fold as the MAX_GCD_WORK comment says.
     """
@@ -678,22 +656,3 @@ def gcd_terms(polys: list[dict[int, int] | list[int]]) -> dict[int, int]:
     if terms[max(terms)] < 0:
         content = -content
     return {k: c // content for k, c in terms.items()}
-
-
-def gcd_many(polys, name: str) -> Polynomial:
-    """Monic gcd of several univariate polynomials; zero if all of them are.
-
-    Past MAX_GCD_WORK, estimated from the degrees and coefficient sizes of
-    the sparse terms before any dense list is built, it raises
-    UnsupportedCase, whether or not the heuristic would have answered
-    (``gcd_terms``).
-    """
-    polys = list(polys)
-    if not polys:
-        raise PolynomialError("gcd of nothing")
-    for p in polys:
-        p._match(polys[0])
-    gcd = gcd_terms([_univariate_terms(p, name) for p in polys])
-    unit = tuple(int(v == name) for v in polys[0].variables)
-    num = {tuple(k * e for e in unit): c for k, c in gcd.items()}
-    return Polynomial._of(polys[0].variables, num, gcd[max(gcd)] if gcd else 1)

@@ -13,9 +13,9 @@ Little and O'Shea, Ideals, Varieties, and Algorithms, 8.2); for a curve in
 x, y, z: the point (0 : 0 : 1) by one coefficient of each partial, then the
 affine chart x = 1 by resultants, then the line x = 0, y = 1 by one
 univariate gcd.  The chart, its point search and the line read only the
-partials' integer numerators, as coefficient lists handed to the integer
-kernels behind ``resultant``, ``gcd_many`` and ``rational_roots``, and
-build no ``Polynomial``; a point found is confirmed by ``evaluate``.  The
+partials' integer numerators, handed as terms or coefficient lists to the
+integer kernels ``resultant_slots``, ``gcd_terms`` and ``roots_of_terms``,
+and build no ``Polynomial``; a point found is confirmed by ``evaluate``.  The
 point and the line are decided exactly; the chart either proves itself
 clean or exhibits a rational singular point, and when it does neither the
 chart origin (1 : 0 : 0) is tried the same way and then the rank of the
@@ -307,8 +307,8 @@ def verify_sporadic(construction_id: str) -> SporadicReport:
         checks.append(SporadicCheck(name, want == got, want, got))
 
     check("smoothness", "smooth", smoothness_certificate(F).status)
-    affine = F.substitute("z", 1).terms
-    affine2 = Polynomial(("x", "y"), {e[:2]: c for e, c in affine.items()})
+    # F is a form, so at z = 1 each term keeps its (x, y) exponents
+    affine2 = Polynomial(("x", "y"), {e[:2]: c for e, c in F.terms.items()})
     check("affine_form_matches_quartic", f, affine2)
 
     # raises unless the origin is a simple point of f, where the intersection

@@ -63,7 +63,7 @@ def ref_evaluate(a, point):
 
 
 def evaluate_by_substitution(p, values):
-    """p at ``values`` by ``Polynomial.substitute``, one variable at a time.
+    """p at ``values`` by ``substitute``, one variable at a time.
 
     A second route to ``Polynomial.evaluate``, which reads the terms in one
     pass: each variable that occurs is substituted in turn, and the constant
@@ -71,7 +71,7 @@ def evaluate_by_substitution(p, values):
     """
     for name, exps in zip(p.variables, zip(*p.terms)):
         if max(exps):
-            p = p.substitute(name, values[name])
+            p = substitute(p, name, values[name])
     return p.coefficient((0,) * len(p.variables))
 
 
@@ -120,6 +120,11 @@ def power(p, k):
 def scale(p, c):
     """c * p for a rational c."""
     return Polynomial(p.variables, {e: c * v for e, v in p.terms.items()})
+
+
+def substitute(p, name, value):
+    """p with a rational value put for one variable, which stays with exponent 0."""
+    return Polynomial(p.variables, ref_substitute(p.terms, p.variables.index(name), value))
 
 
 # -- structure read from ``terms`` -----------------------------------------------

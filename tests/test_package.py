@@ -31,6 +31,9 @@ UNREAD_NAMES = {
     "resultant": "the Polynomial door to the kernel the certificate's chart calls; timed by benchmarks/",
 }
 UNREAD_MEMBERS = {"PowerSeries.truncate": "called by benchmarks/test_benchmarks.py"}
+# public functions and classes of a package module that no caller reads outside
+# their own definition, as ``module.name``, each with the reason it stays
+UNREAD_DEFINITIONS = {"polynomials.rational_roots": "timed by benchmarks/ growth"}
 RING_OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"}
 
 
@@ -53,14 +56,18 @@ def test_all_is_sorted_and_complete():
     assert len(kstrata.__all__) == 51
 
 
-def references(path: Path) -> set[str]:
-    """Names a module reads: bare names, imported names and ``module.name``.
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def references(tree: ast.AST) -> set[str]:
+    """Names a tree reads: bare names, imported names and ``module.name``.
 
     A ``def`` or ``class`` statement binds its name without reading it, so a
     name defined and never used elsewhere is absent.
     """
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.ImportFrom):
@@ -75,8 +82,23 @@ def references(path: Path) -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    read = set().union(*map(references, CALLERS))
+    read = set().union(*(references(parse(path)) for path in CALLERS))
     assert sorted(set(kstrata.__all__) - read) == sorted(UNREAD_NAMES)
+
+
+def test_every_public_definition_has_a_caller():
+    # a public function or class must be read outside its own def, by the
+    # package or the acceptance suite; kstrata.__getattr__ reads each name
+    # of _HOMES from its home module, so an exported name has that caller
+    read, defined = set(kstrata._HOME_OF), []
+    for path in CALLERS:
+        for node in parse(path).body:
+            own = getattr(node, "name", None)  # a def's or a class's
+            if path in PACKAGE and own is not None and not own.startswith("_"):
+                defined.append(f"{path.stem}.{own}")
+            read |= references(node) - {own}
+    unread = sorted(name for name in defined if name.partition(".")[2] not in read)
+    assert unread == sorted(UNREAD_DEFINITIONS)
 
 
 def attributes_read(path: Path) -> set[str]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from kstrata.polynomials import Polynomial
-from polynomial_reference import add, mul, poly_key, ref_derivative, ref_evaluate, ref_str, ref_substitute
+from polynomial_reference import add, mul, poly_key, ref_derivative, ref_evaluate, ref_str
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -49,11 +49,10 @@ def agrees(poly, reference):
 
 
 @SETTINGS
-@hypothesis.given(references, st.sampled_from(XYZ), values, st.tuples(values, values, values))
-def test_calculus_and_specialization_match_the_reference(a, name, value, point):
+@hypothesis.given(references, st.sampled_from(XYZ), st.tuples(values, values, values))
+def test_calculus_and_specialization_match_the_reference(a, name, point):
     p, idx = Polynomial(XYZ, a), XYZ.index(name)
     assert agrees(p.partial_derivative(name), ref_derivative(a, idx))
-    assert agrees(p.substitute(name, value), ref_substitute(a, idx, value))
     assert p.evaluate(dict(zip(XYZ, point))) == ref_evaluate(a, point)
     assert type(p.evaluate(dict(zip(XYZ, point)))) is Fraction
     for e, c in a.items():

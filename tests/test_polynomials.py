@@ -13,7 +13,7 @@ from kstrata.errors import UnsupportedCase
 from kstrata.polynomials import (
     Polynomial,
     PolynomialError,
-    gcd_many,
+    gcd_terms,
     integer_rank,
     rational_roots,
     resultant,
@@ -43,6 +43,28 @@ XYZWU = ("x", "y", "z", "w", "u")
 
 def poly(text, variables=XY):
     return Polynomial.from_string(text, variables)
+
+
+def univariate_terms(p, name):
+    """{k: a_k} of p's ``cleared()`` numerators, for p univariate in ``name``."""
+    idx = p.variables.index(name)
+    terms = p.cleared()[1]
+    assert all(sum(e) == e[idx] for e in terms), p
+    return {e[idx]: c for e, c in terms.items()}
+
+
+def gcd_of(polys, name):
+    """``gcd_terms`` of the {k: a_k} read from each polynomial's ``cleared()``."""
+    return gcd_terms([univariate_terms(p, name) for p in polys])
+
+
+def primitive(p, name):
+    """p's {k: a_k}, divided by their gcd and signed so the leading one is positive; {} for zero."""
+    terms = univariate_terms(p, name)
+    if not terms:
+        return {}
+    content = math.gcd(*terms.values()) * (1 if terms[max(terms)] > 0 else -1)
+    return {k: c // content for k, c in terms.items()}
 
 
 def random_poly(rng, variables=XY, max_degree=3, max_terms=5):
@@ -226,12 +248,6 @@ def test_partial_derivative_examples():
     assert is_zero(poly("x^4 - x*y^3", XYZ).partial_derivative("z"))
 
 
-def test_substitute_and_evaluate():
-    p = poly("x^2*y - 3*y + 1")
-    assert poly_key(p.substitute("y", 2)) == poly_key(poly("2*x^2 - 5"))
-    assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == Fraction(2 - Fraction(3, 2) + 1)
-
-
 def test_evaluate_matches_substitution_one_variable_at_a_time():
     rng = random.Random(31)
     values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), "-4/9"]
@@ -274,25 +290,15 @@ def test_exact_inputs_are_kept_and_floats_refused():
     assert p.terms[1, 0] == third and type(p.terms[1, 0]) is Fraction
     assert poly_key(p) == poly_key(poly("1/3*x + 2*y - 1/10"))
     assert poly_key(Polynomial(XY, {(0, 0): "0.1"})) == poly_key(poly("1/10"))
-    assert p.substitute("x", "3/2").evaluate({"y": 0}) == Fraction(2, 5)
+    assert p.evaluate({"x": "3/2", "y": 0}) == Fraction(2, 5)
     for call in (
         lambda: Polynomial(XY, {(1, 0): 0.1}),
         lambda: Polynomial(XY, {(0, 0): 0.5}),
-        lambda: p.substitute("x", 0.1),
         lambda: p.evaluate({"x": 0.5, "y": 1}),
         lambda: Polynomial(XY, {(0, 0): "one"}),
     ):
         with pytest.raises(PolynomialError, match="inexact value|not a rational"):
             call()
-
-
-def test_substitute_matches_term_by_term_evaluation():
-    rng = random.Random(43)
-    for _ in range(40):
-        p = random_poly(rng, XYZ, max_degree=4, max_terms=8)
-        value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        point = {"x": Fraction(rng.randint(-3, 3), 2), "y": value, "z": Fraction(1, rng.randint(1, 5))}
-        assert p.substitute("y", value).evaluate(point) == p.evaluate(point)
 
 
 def test_homogeneous_check():
@@ -355,8 +361,8 @@ def test_resultant_vanishes_exactly_on_shared_roots():
     p = poly("y - x")
     q = poly("y - 2*x")
     r = resultant(p, q, "y")
-    assert is_zero(r.substitute("x", 0))
-    assert not is_zero(r.substitute("x", 1))
+    assert r.evaluate({"x": 0}) == 0
+    assert r.evaluate({"x": 1}) != 0
 
 
 def test_resultant_specialization_on_numeric_roots():
@@ -448,12 +454,11 @@ def test_resultant_budget_admits_a_sparse_pair_of_high_order():
     assert poly_key(resultant(f, g, "y")) == poly_key(Polynomial(("y",), {(0,): 2}))
 
 
-def test_gcd_many_of_two():
+def test_gcd_terms_of_two():
     p = poly("x^2 - 1")
     q = poly("x^2 - 2*x + 1")
-    g = gcd_many((p, q), "x")
-    assert poly_key(g) == poly_key(poly("x - 1"))
-    assert poly_key(gcd_many((p, poly("x^2 + 1")), "x")) == poly_key(poly("1"))
+    assert gcd_of((p, q), "x") == {1: 1, 0: -1}
+    assert gcd_of((p, poly("x^2 + 1")), "x") == {0: 1}
 
 
 def test_rational_roots():
@@ -834,10 +839,9 @@ def test_gcd_matches_sympy_with_planted_factors():
         if trial % 5 == 0:
             polys.insert(rng.randint(0, len(polys)), zero)
         cases.append((polys, name))
-        assert degree_in(gcd_many(polys, name), name) >= degree_in(shared, name)
+        assert max(gcd_of(polys, name), default=-1) >= degree_in(shared, name)
     for polys, name in cases:
-        g = gcd_many(polys, name)
-        assert poly_key(g) == poly_key(_sympy_gcd(polys, name)), polys
+        assert gcd_of(polys, name) == primitive(_sympy_gcd(polys, name), name), polys
 
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
@@ -849,8 +853,7 @@ def test_gcd_with_a_constant_input_matches_sympy(place):
         polys = [mul(shared, random_univariate(rng, name, rng.randint(0, 3))) for _ in range(rng.randint(2, 4))]
         constant = Polynomial(XY, {(0, 0): Fraction(rng.randint(1, 9), rng.randint(1, 4))})
         polys.insert({"first": 0, "middle": len(polys) // 2, "last": len(polys)}[place], constant)
-        g = gcd_many(polys, name)
-        assert poly_key(g) == poly_key(_sympy_gcd(polys, name)) == poly_key(poly("1")), polys
+        assert gcd_of(polys, name) == primitive(_sympy_gcd(polys, name), name) == {0: 1}, polys
 
 
 def test_gcd_budget_is_charged_when_the_first_input_is_constant(monkeypatch):
@@ -858,15 +861,13 @@ def test_gcd_budget_is_charged_when_the_first_input_is_constant(monkeypatch):
     monkeypatch.setattr(polynomials, "MAX_GCD_WORK", 100)
     polys = [poly("3"), poly("x^3 - 2*x + 1"), poly("x^2 - 1")]
     with pytest.raises(UnsupportedCase, match=r"degrees \[0, 2, 3\] exceeds the supported maximum"):
-        gcd_many(polys, "x")
+        gcd_of(polys, "x")
     monkeypatch.undo()
-    assert poly_key(gcd_many(polys, "x")) == poly_key(poly("1"))
+    assert gcd_of(polys, "x") == {0: 1}
 
 
 def test_univariate_work_rejects_a_second_variable():
     p = poly("x^2 - x*y + 1")
-    with pytest.raises(PolynomialError, match="not univariate in 'x'"):
-        gcd_many([poly("x - 1"), p], "x")
     with pytest.raises(PolynomialError, match="not univariate in 'x'"):
         rational_roots(p, "x")
 
@@ -906,12 +907,22 @@ def test_rational_roots_match_sympy():
 def test_gcd_of_zero_and_single_inputs():
     p = poly("2*x^2 - 2")
     zero = Polynomial(XY)
-    assert poly_key(gcd_many([p], "x")) == poly_key(poly("x^2 - 1"))
-    assert poly_key(gcd_many([zero, p], "x")) == poly_key(poly("x^2 - 1")) == poly_key(gcd_many([p, zero], "x"))
-    assert poly_key(gcd_many([zero], "x")) == poly_key(zero) == poly_key(gcd_many([zero, zero], "x"))
-    assert poly_key(gcd_many([poly("3"), p], "x")) == poly_key(poly("1"))
-    with pytest.raises(PolynomialError, match="nothing"):
-        gcd_many([], "x")
+    # one input is only made primitive, and a zero input is skipped
+    assert gcd_of([p], "x") == {2: 1, 0: -1}
+    assert gcd_of([zero, p], "x") == {2: 1, 0: -1} == gcd_of([p, zero], "x")
+    assert gcd_of([zero], "x") == {} == gcd_of([zero, zero], "x") == gcd_terms([])
+    assert gcd_of([poly("3"), p], "x") == {0: 1}
+    # the same on dense coefficient lists, where [] is zero
+    assert gcd_terms([[-2, 0, 2]]) == {2: 1, 0: -1} == gcd_terms([[], [-2, 0, 2], []])
+    assert gcd_terms([[], []]) == {}
+    assert gcd_terms([[3], [-2, 0, 2]]) == {0: 1} == gcd_terms([{0: -3}])
+
+
+def test_gcd_terms_gives_a_positive_leading_coefficient():
+    assert gcd_of([poly("-2*x^2 + 2")], "x") == {2: 1, 0: -1}
+    assert gcd_of([poly("-x^2 + 1"), poly("-3*x + 3")], "x") == {1: 1, 0: -1}
+    assert gcd_terms([{3: -6, 0: 4}, [-2, 0, 0, 3]]) == {3: 3, 0: -2}
+    assert gcd_terms([[0, -5]]) == {1: 1}
 
 
 def test_gcd_budget_answers_a_sparse_pair_of_high_degree_at_once():
@@ -920,7 +931,7 @@ def test_gcd_budget_answers_a_sparse_pair_of_high_degree_at_once():
     q = Polynomial.from_string("x^100000 - x", ("x",))
     start = time.perf_counter()
     try:
-        assert poly_key(gcd_many([p, q], "x")) == poly_key(Polynomial.from_string("x - 1", ("x",)))
+        assert gcd_of([p, q], "x") == {1: 1, 0: -1}
     except UnsupportedCase:
         pass
     assert time.perf_counter() - start < 1
@@ -935,11 +946,10 @@ def test_gcd_budget_sees_degree_and_coefficient_size():
 
     start = time.perf_counter()
     with pytest.raises(UnsupportedCase, match=r"degrees \[120, 120\] exceeds the supported maximum"):
-        gcd_many([dense(120, 100), dense(120, 100)], "x")
+        gcd_of([dense(120, 100), dense(120, 100)], "x")
     assert time.perf_counter() - start < 1
     shared = Polynomial.from_string("x^2 - 2", ("x",))
-    g = gcd_many([mul(dense(40, 100), shared), mul(dense(40, 100), shared)], "x")
-    assert poly_key(g) == poly_key(shared)
+    assert gcd_of([mul(dense(40, 100), shared), mul(dense(40, 100), shared)], "x") == {2: 1, 0: -2}
 
 
 @pytest.mark.parametrize("degree", [2_000_000, 10**8])
@@ -951,11 +961,11 @@ def test_gcd_budget_refuses_a_high_degree_before_densifying(degree):
     tracemalloc.start()
     start = time.perf_counter()
     with pytest.raises(UnsupportedCase, match=rf"degrees \[1, {degree}\] exceeds"):
-        gcd_many([p, line], "x")
+        gcd_of([p, line], "x")
     with pytest.raises(UnsupportedCase, match=rf"degrees \[{degree - 1}, {degree}\] exceeds"):
         rational_roots(p, "x")
-    # one polynomial is only made monic, from its sparse terms
-    assert poly_key(gcd_many([Polynomial(("x",)), scale(p, 3)], "x")) == poly_key(p)
+    # one polynomial is only made primitive, from its sparse terms
+    assert gcd_of([Polynomial(("x",)), scale(p, -3)], "x") == {degree: 1, 0: -1}
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert time.perf_counter() - start < 1
@@ -1012,12 +1022,12 @@ def test_the_heuristic_gcd_retries_past_a_root_at_its_first_point(monkeypatch, a
 
     monkeypatch.setattr(polynomials, "_signed_digits", recording)
     monkeypatch.setattr(polynomials, "_prem", _refuse)
-    assert poly_key(gcd_many(pair, "x")) == poly_key(poly(expected, ("x",)))
+    assert gcd_of(pair, "x") == primitive(poly(expected, ("x",)), "x")
     assert seen == points
     monkeypatch.undo()
-    # the remainder sequence alone gives the same monic gcd
+    # the remainder sequence alone gives the same primitive gcd
     monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
-    assert poly_key(gcd_many(pair, "x")) == poly_key(poly(expected, ("x",)))
+    assert gcd_of(pair, "x") == primitive(poly(expected, ("x",)), "x")
 
 
 def test_the_remainder_sequence_decides_when_every_point_is_a_root(monkeypatch):
@@ -1035,10 +1045,10 @@ def test_the_remainder_sequence_decides_when_every_point_is_a_root(monkeypatch):
         return prem(*args)
 
     monkeypatch.setattr(polynomials, "_prem", counting)
-    assert poly_key(gcd_many([a, b], "x")) == poly_key(shared)
+    assert gcd_of([a, b], "x") == {1: 1, 0: 3}
     assert calls
     monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
-    assert poly_key(gcd_many([a, b], "x")) == poly_key(shared)
+    assert gcd_of([a, b], "x") == {1: 1, 0: 3}
 
 
 def test_the_gcd_budget_is_charged_before_the_heuristic(monkeypatch):
@@ -1063,10 +1073,10 @@ def test_the_gcd_budget_is_charged_before_the_heuristic(monkeypatch):
     polys = pair(degree)
     n = degree + 2
     with pytest.raises(UnsupportedCase, match=rf"^a gcd of degrees \[{n}, {n}\] exceeds the supported maximum$"):
-        gcd_many(polys, "x")
+        gcd_of(polys, "x")
     monkeypatch.setattr(polynomials, "MAX_GCD_WORK", math.inf)
     monkeypatch.setattr(polynomials, "_prem", _refuse)
-    assert poly_key(gcd_many(polys, "x")) == poly_key(shared)
+    assert gcd_of(polys, "x") == {2: 1, 0: -2}
 
 
 def _cyclotomic(n):
@@ -1105,7 +1115,7 @@ def test_gcd_and_rational_roots_match_sympy_on_planted_factors():
         polys = [mul(shared, c) for c in cofactors]
         for _ in range(data.draw(st.integers(0, 2))):
             polys.insert(data.draw(st.integers(0, len(polys))), zero)
-        assert poly_key(gcd_many(polys, "x")) == poly_key(_sympy_gcd(polys, "x")), polys
+        assert gcd_of(polys, "x") == primitive(_sympy_gcd(polys, "x"), "x"), polys
 
     @settings
     @hypothesis.given(
@@ -1117,7 +1127,7 @@ def test_gcd_and_rational_roots_match_sympy_on_planted_factors():
         factors = data.draw(st.lists(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), min_size=1, unique=True))
         shared = mul(*(_cyclotomic(d) for d in factors))
         polys = [poly(f"x^{n} - 1", ("x",)), mul(shared, cofactor)]
-        assert poly_key(gcd_many(polys, "x")) == poly_key(_sympy_gcd(polys, "x")), polys
+        assert gcd_of(polys, "x") == primitive(_sympy_gcd(polys, "x"), "x"), polys
 
     @settings
     @hypothesis.given(

@@ -9,7 +9,7 @@ import pytest
 
 from kstrata import cli, quartic
 from kstrata.errors import UnsupportedCase
-from kstrata.polynomials import Polynomial, PolynomialError, gcd_many, rational_roots, resultant
+from kstrata.polynomials import Polynomial, PolynomialError, gcd_terms, rational_roots, resultant
 from kstrata.quartic import (
     SmoothnessCertificate,
     UnknownConstructionError,
@@ -18,7 +18,7 @@ from kstrata.quartic import (
 )
 from kstrata.series import intersection_multiplicity
 from macaulay_reference import FULL_RANK, macaulay_rank, monomials
-from polynomial_reference import add, degree_in, is_constant, is_zero, mul, poly_key, power, scale, sub
+from polynomial_reference import add, degree_in, is_constant, is_zero, mul, poly_key, power, scale, sub, substitute
 
 XYZ = ("x", "y", "z")
 FERMAT = "x^4 + y^4 + z^4"
@@ -88,8 +88,18 @@ def test_nodal_quartic_singular_point_is_found():
 
 
 # The chart's gcd and point search on Polynomials, through the public
-# resultant, gcd_many and rational_roots and by substitution: the
-# certificate computes both on integer lists.
+# resultant and rational_roots, gcd_terms on each polynomial's numerators
+# and the reference's own substitution: the certificate computes both on
+# integer lists.
+
+
+def gcd_in(polys, name):
+    """The gcd of polynomials univariate in ``name``: primitive, leading coefficient positive."""
+    idx = XYZ.index(name)
+    numerators = [p.cleared()[1] for p in polys]
+    assert all(sum(e) == e[idx] for terms in numerators for e in terms), polys
+    gcd = gcd_terms([{e[idx]: c for e, c in terms.items()} for terms in numerators])
+    return Polynomial(XYZ, {tuple(k * (v == name) for v in XYZ): c for k, c in gcd.items()})
 
 
 def chart_gcd(gs, elim, other):
@@ -104,7 +114,7 @@ def chart_gcd(gs, elim, other):
     resultants = [resultant(base, g, elim) for g, d in zip(gs, degrees) if g is not base and d > 0]
     eliminants = [g for g, d in zip(gs, degrees) if d == 0]
     eliminants += [r for r in resultants if not is_zero(r)]
-    return gcd_many(eliminants, other) if eliminants else None
+    return gcd_in(eliminants, other) if eliminants else None
 
 
 def search_singular_point(partials, variables, gs, gcd_poly):
@@ -116,13 +126,13 @@ def search_singular_point(partials, variables, gs, gcd_poly):
         return None
     _, elim, other = variables
     for t in rational_roots(gcd_poly, other):
-        slices = [g.substitute(other, t) for g in gs]
+        slices = [substitute(g, other, t) for g in gs]
         if any(is_constant(s) and not is_zero(s) for s in slices):
             continue
         candidates = [s for s in slices if not is_zero(s)]
         if not candidates:
             continue
-        pencil = gcd_many(candidates, elim)
+        pencil = gcd_in(candidates, elim)
         if is_constant(pencil):
             continue
         for u in rational_roots(pencil, elim):
@@ -138,7 +148,7 @@ def chart_x_search(F):
     A search past its budget names no point.
     """
     partials = [F.partial_derivative(v) for v in XYZ]
-    gs = [g for g in (p.substitute("x", 1) for p in partials) if not is_zero(g)]
+    gs = [g for g in (substitute(p, "x", 1) for p in partials) if not is_zero(g)]
     gcd_poly = chart_gcd(gs, "y", "z")
     if gcd_poly is not None and is_constant(gcd_poly):
         return True, None
@@ -160,14 +170,14 @@ def three_chart_rule(F):
                 eliminants.append(resultant(base, g, elim))
         if not eliminants or any(is_zero(r) for r in eliminants):
             return False, None
-        g = gcd_many(eliminants, other)
+        g = gcd_in(eliminants, other)
         return not is_zero(g) and is_constant(g), g
 
     partials = [F.partial_derivative(v) for v in F.variables]
     uncertified = []
     for chart in F.variables:
         others = [v for v in F.variables if v != chart]
-        restricted = (p.substitute(chart, 1) for p in partials)
+        restricted = (substitute(p, chart, 1) for p in partials)
         gs = list({poly_key(g): g for g in restricted if not is_zero(g)}.values())
         if any(is_constant(g) for g in gs):
             continue
@@ -213,7 +223,7 @@ def reference_certificate(F):
     if point is not None:
         return singular(point, "chart x = 1")
     on_line = [{(0, 0, e[2]): c for e, c in p.cleared()[1].items() if not e[0]} for p in partials]
-    line = gcd_many([Polynomial(XYZ, terms) for terms in on_line], "z")
+    line = gcd_in([Polynomial(XYZ, terms) for terms in on_line], "z")
     if not is_constant(line):
         try:
             roots = rational_roots(line, "z")
@@ -599,16 +609,15 @@ def test_no_seeded_quartic_costs_more_than_two_resultants(resultant_calls):
 
 @pytest.fixture
 def point_calls(monkeypatch):
-    """The names of the Polynomial methods ``evaluate`` and ``substitute`` as they are called."""
+    """The arguments of each ``Polynomial.evaluate`` call, as it is made."""
     calls = []
-    for method in ("evaluate", "substitute"):
-        original = getattr(Polynomial, method)
+    original = Polynomial.evaluate
 
-        def counting(self, *args, method=method, original=original):
-            calls.append(method)
-            return original(self, *args)
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
-        monkeypatch.setattr(Polynomial, method, counting)
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
     return calls
 
 
@@ -623,8 +632,7 @@ def test_a_smooth_dense_quartic_reads_its_points_without_evaluating(point_calls)
         point_calls.clear()
         assert smoothness_certificate(F).status == "smooth"
         # the points are coefficients, and the chart and the line read the partials' numerators
-        assert point_calls.count("evaluate") == 0
-        assert point_calls.count("substitute") == 0
+        assert point_calls == []
 
 
 def test_smoothness_requires_homogeneous_three_variables():
