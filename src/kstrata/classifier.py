@@ -159,7 +159,7 @@ def report_body(k: int, genus: int, orders: tuple[int, ...]) -> Body:
         return _labels(kept) if kept else _NONE
 
     # the poles are the negative tail of the descending orders
-    if k == 1 and orders[-1] == -1 and (len(orders) == 1 or orders[-2] > 0):
+    if k == 1 and orders[-1] == -1 and orders[-2] > 0:
         return _EMPTY_STRATUM
 
     row = _EXCEPTIONS.get((k, genus, orders))
@@ -173,7 +173,6 @@ def report_body(k: int, genus: int, orders: tuple[int, ...]) -> Body:
         k == 1
         and genus >= 3
         and orders[-2:] == (-1, -1)
-        and (len(orders) == 2 or orders[-3] > 0)
         and all(o % 2 == 0 for o in orders[:-2])
     ):
         return _RELATIVE_ARF

@@ -8,11 +8,12 @@ powers; coefficients become Fractions only where they leave (``terms``,
 ``coefficient``, ``evaluate``, ``str``).
 
 Supports the arithmetic needed to certify plane-curve constructions:
-parsing, derivatives, evaluation, one fraction-free (Bareiss) elimination
-``integer_rank`` that gives an integer matrix's rank and, at full rank, its
-determinant, and Sylvester resultants computed as one such determinant
-each, the stored numerators packed into a single integer per entry by
-Kronecker substitution, so every intermediate value stays exact.
+parsing, derivatives, evaluation, Sylvester resultants computed by one
+subresultant remainder sequence each (Collins 1967; Brown and Traub 1971)
+on the stored numerators, packed into a single integer per coefficient by
+Kronecker substitution, so every intermediate value stays exact, and one
+fraction-free (Bareiss) elimination ``integer_rank`` that gives an integer
+matrix's rank, read by the Macaulay rank of ``quartic``.
 Univariate work reads the same numerators.  The smoothness certificate
 calls the integer kernels ``resultant_slots``, ``gcd_terms`` and
 ``roots_of_terms`` directly; ``resultant`` and ``rational_roots`` are their
@@ -24,7 +25,8 @@ coefficient list is built, and a gcd of several stops once the running gcd
 is constant.  Each pair is first packed the same way and given one integer
 gcd, the heuristic gcd of Char, Geddes and Gonnet (1989), whose answer is
 kept only when it divides both inputs exactly; when a few evaluation points
-fail that check, primitive pseudo-remainders (Collins 1967) decide.
+fail that check, the primitive part of the last nonzero remainder of the
+same subresultant sequence decides.
 """
 
 from __future__ import annotations
@@ -37,21 +39,25 @@ from operator import index, itemgetter, mul
 from .errors import UnsupportedCase
 from .signature import divisors
 
-# a resultant of Sylvester order m+n over S coefficient slots of B bits costs
-# about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 * (W + c)^2 for
-# the W = S*B/64 words of the packed result with large ones (the long
-# divisions of the Bareiss steps, each costing as if its integers had about
-# c more words, however small they are); both are held to this cap.  At the
-# cap on a 2-vCPU Xeon guest: 5.5 s for a univariate pair of order 244 with
-# 4-bit coefficients (the largest such pair admitted; order 284 took 13 s),
-# 1.2 s for the sparse univariate pair y^160 + 1, y^160 + y + 2 of order
-# 320, 3.5 s for a dense bivariate pair of degree 16, 0.2 s for S = 79001 at
-# order 2, and 4.9 s for a dense bivariate pair of degree 10 with 100-bit
-# coefficients
+# the two charges on a resultant of Sylvester order m+n over S coefficient
+# slots of B bits were fitted to a fraction-free elimination of the Sylvester
+# matrix: about (m+n)^4 * S^2 with small coefficients, and (m+n)^3 *
+# (W + c)^2 for the W = S*B/64 words of the packed result with large ones
+# (each step costing as if its integers had about c more words, however
+# small they are); both are held to this cap.  The subresultant sequence
+# that computes the resultant takes about m*n multiplications and exact
+# divisions of integers of at most W words, so the cap is conservative.  At
+# the cap on a 2-vCPU Xeon guest: 0.03 s for a univariate pair of order 244
+# with 4-bit coefficients (the largest such pair admitted; uncapped, order
+# 800 takes 4.8 s), 0.001 s for the sparse univariate pair y^160 + 1,
+# y^160 + y + 2 of order 320, 0.4 s for a dense bivariate pair of degree 16
+# (uncapped, degree 20 takes 2.7 s), 0.4 s for S = 79001 at order 2, most
+# of it packing and unpacking, and 0.9 s for a dense bivariate pair of
+# degree 10 with 100-bit coefficients
 MAX_RESULTANT_WORK = 10**11
 BAREISS_STEP_WORDS = 44  # c above
 
-# the remainder sequence of a gcd for degrees m >= n takes about
+# the subresultant sequence of a gcd for degrees m >= n takes about
 # (m - n + 1)*m + n^2 row operations on coefficients of up to W words, where
 # 64*W = n*log2|p| + m*log2|q| bits (Hadamard's bound on the subresultants,
 # |p| the 2-norm); each costs about W^2 + c^2, c^2 the fixed cost of a row
@@ -59,10 +65,11 @@ BAREISS_STEP_WORDS = 44  # c above
 # though the heuristic gcd in front of the sequence usually answers at once.
 # At the cap on a 2-vCPU Xeon guest, for a dense pair of degree 98 with
 # 100-bit coefficients and one of degree 351 with 4-bit ones: the heuristic
-# takes 0.3 and 0.1 ms when they are coprime, 0.4 ms each with a common
-# quadratic factor; when it declines, its three attempts add at most 6 and
-# 2 ms to a remainder sequence of 3.8 and 2.7 s.  The sparse x^d - 1,
-# x^d - x is refused from d = 693, though its gcd takes 0.5 ms at d = 600
+# takes 0.5 and 0.4 ms when they are coprime, 0.6 ms for degree 97 with a
+# common quadratic factor; when it declines, its three attempts add at most
+# 6 and 2 ms to a subresultant sequence of 2.6 and 2.3 s.  The sparse
+# x^d - 1, x^d - x is refused from d = 693, though its gcd takes 0.8 ms at
+# d = 600
 MAX_GCD_WORK = 10**9
 GCD_STEP_WORDS = 12  # c above
 _GCD_HEURISTIC_ATTEMPTS = 3  # evaluations before the remainder sequence
@@ -354,10 +361,11 @@ def resultant_slots(p: dict, q: dict, idx: int, strides, slots: int) -> list[int
     ``idx``, the eliminated one; a term's other exponents put it in slot
     sum(e[v] * strides[v]), below ``slots``.  Each remaining variable is
     thus replaced by a power of two (Kronecker substitution), each slot
-    B bits wide, enough for any coefficient of the result and its sign, and
-    one fraction-free determinant of the packed integer Sylvester matrix
-    carries every coefficient as a signed base-2^B digit; the list ends at
-    the last nonzero one, so it is empty for a zero resultant.  When
+    B bits wide, enough for any coefficient of the result and its sign, so
+    the packed leading coefficients are nonzero, and one subresultant
+    remainder sequence of the two packed coefficient lists carries every
+    coefficient of the resultant as a signed base-2^B digit; the list ends
+    at the last nonzero one, so it is empty for a zero resultant.  When
     (m+n)^4 * slots^2 exceeds MAX_RESULTANT_WORK, judged from the degrees
     alone, or (m+n)^3 * (slots*B/64 + BAREISS_STEP_WORDS)^2 does once the
     coefficient sizes are known, it raises UnsupportedCase before anything
@@ -381,7 +389,7 @@ def resultant_slots(p: dict, q: dict, idx: int, strides, slots: int) -> list[int
             "bits exceeds the supported maximum"
         )
     shifts = [bits * s for s in strides]
-    shifts[idx] = 0  # the eliminated variable picks the Sylvester entry instead
+    shifts[idx] = 0  # the eliminated variable picks the list position instead
 
     def pack(terms: dict, degree: int) -> list[int]:
         """The packed coefficient of each power of the eliminated variable, lowest first."""
@@ -390,8 +398,54 @@ def resultant_slots(p: dict, q: dict, idx: int, strides, slots: int) -> list[int
             packed[exps[idx]] += c << sum(map(mul, exps, shifts))
         return packed
 
-    rank, det = integer_rank(_sylvester(pack(p, m), pack(q, n)))
-    return _signed_digits(det if rank == m + n else 0, bits)
+    return _signed_digits(_subresultants(pack(p, m), pack(q, n))[1], bits)
+
+
+def _subresultants(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(last nonzero remainder, Res(a, b)) of the subresultant sequence of a and b.
+
+    a and b are ascending integer coefficient lists ending in a nonzero
+    entry.  For deg a >= deg b > 0 and delta = deg a - deg b, each step
+    replaces (a, b) by (b, prem(a, b) / (g * h^delta)), where prem(a, b) is
+    lc(b)^(delta+1) * a mod b; g and h start at 1, and after the step g is
+    the leading coefficient of the new a and h becomes g^delta / h^(delta-1)
+    (Collins 1967; Brown and Traub 1971; Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7).
+    Every division is exact by the subresultant theorem, and the last
+    nonzero remainder is a gcd of a and b up to a rational factor.  A zero
+    remainder after a nonconstant b makes the resultant 0; a constant b
+    ends the sequence with the resultant lc(b)^deg a / h^(deg a - 1), or 1
+    when both inputs are constants.  Its sign changes once when the inputs
+    are swapped to put the higher degree first, and again at each step
+    where both degrees are odd.
+    """
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        n, lead, delta = len(b) - 1, b[-1], len(a) - len(b)
+        if (len(a) - 1) * n % 2:
+            sign = -sign
+        # lc(b) * r less r's top coefficient times b shifted under it, which
+        # cancels the top, delta + 1 times
+        r = a
+        for top in range(len(a) - 1, n - 1, -1):
+            factor, shift = r[top], top - n
+            r = [lead * c for c in r[:shift]] + [lead * c - factor * d for c, d in zip(r[shift:top], b)]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b, 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = lead
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    degree = len(a) - 1
+    return b, sign * b[0] ** degree // h ** (degree - 1) if degree else 1
 
 
 def _signed_digits(value: int, bits: int) -> list[int]:
@@ -408,17 +462,6 @@ def _signed_digits(value: int, bits: int) -> list[int]:
     return digits
 
 
-def _sylvester(pc: list[int], qc: list[int]) -> list[list[int]]:
-    m, n = len(pc) - 1, len(qc) - 1
-    size = m + n
-    matrix = [[0] * size for _ in range(size)]
-    for row in range(n):
-        matrix[row][row : row + m + 1] = pc[::-1]  # x^m first
-    for row in range(m):
-        matrix[n + row][row : row + n + 1] = qc[::-1]
-    return matrix
-
-
 def integer_rank(matrix: list[list[int]]) -> tuple[int, int]:
     """(rank, signed last pivot) of an integer matrix, by fraction-free elimination.
 
@@ -426,7 +469,8 @@ def integer_rank(matrix: list[list[int]]) -> tuple[int, int]:
     column with no pivot left below the rows already used: every entry
     stays a minor of the input, so each division by the previous pivot is
     exact.  The last pivot, signed by the swaps, is the determinant of a
-    square matrix of full rank; it is 1 for rank 0.
+    square matrix of full rank; it is 1 for rank 0.  The Macaulay rank of
+    ``quartic`` reads the rank.
     """
     m = [row[:] for row in matrix]
     rows, cols = len(m), len(m[0]) if m else 0
@@ -476,21 +520,6 @@ def _dense(terms: dict[int, int] | list[int]) -> list[int]:
     return a
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of lc(b)^s * a mod b for some s >= 0 (Collins 1967).
-
-    Each reduction step builds one list: lc(b) * a less lc(a) * b shifted
-    under it, without the top entry, which cancels.
-    """
-    lead, n = b[-1], len(b) - 1
-    while len(a) > n:
-        factor, shift = a[-1], len(a) - 1 - n
-        a = [lead * c - factor * b[i - shift] if i >= shift else lead * c for i, c in enumerate(a[:-1])]
-        while a and a[-1] == 0:
-            a.pop()
-    return _primitive(a)
-
-
 def _primitive(a: list[int]) -> list[int]:
     content = math.gcd(*a)
     return [c // content for c in a] if content > 1 else a
@@ -516,7 +545,8 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
     1 + min(|a|_inf, |b|_inf) in absolute value, so a nonconstant one exceeds
     2^(s-1) at 2^s and cannot divide a gcd of values that is a single digit.
     When the check fails, s doubles, for _GCD_HEURISTIC_ATTEMPTS evaluations
-    in all, and then the primitive remainder sequence decides.
+    in all, and then the primitive part of the last nonzero remainder of
+    ``_subresultants`` decides.
     """
     if not a or not b:
         return a or b
@@ -527,9 +557,7 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
         if len(g) == 1 or _quotient(a, g) is not None and _quotient(b, g) is not None:
             return g
         bits *= 2
-    while b:
-        a, b = b, _prem(a, b)
-    return a
+    return _primitive(_subresultants(a, b)[0])
 
 
 def _quotient(a: list[int], b: list[int]) -> list[int] | None:
@@ -636,7 +664,7 @@ def gcd_terms(polys: list[dict[int, int] | list[int]]) -> dict[int, int]:
     first; {} when all are zero.  A single nonzero input is only made
     primitive; otherwise the running gcd starts as the first one and is
     folded with each next one by ``_gcd_ints``: the heuristic gcd, kept
-    when it divides both exactly, else the primitive remainder sequence.
+    when it divides both exactly, else the subresultant sequence.
     Nothing more is densified or folded once the running gcd is constant.
     """
     polys = [t for t in polys if t]

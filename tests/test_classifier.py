@@ -98,6 +98,12 @@ def test_single_simple_pole_abelian_is_empty():
     assert report.count == 0 and report.empty_reason == "EmptyStratum"
 
 
+def test_a_simple_pole_beside_a_simple_zero_is_empty():
+    # the one pole is the last order and the smallest zero, before it, is 1
+    report = primitive_nonhyperelliptic_components(validate(1, 2, (2, 1, -1)))
+    assert report.count == 0 and report.empty_reason == "EmptyStratum"
+
+
 def test_genus_zero_connected_primitive():
     report = primitive_nonhyperelliptic_components(validate(3, 0, (1, -3, -4)))
     assert report.count == 1 and report.components == (Generic(),)

@@ -415,7 +415,7 @@ def test_resultant_budget_raises_from_the_degrees(p, q):
 
 def test_resultant_budget_sees_coefficient_size():
     # a dense pair of degree 12 with 100-bit coefficients passes the degree
-    # check; uncapped it runs for about 20 s
+    # check; uncapped it runs for about 4 s
     rng = random.Random(7)
 
     def wide(degree):
@@ -434,7 +434,8 @@ def test_resultant_budget_sees_coefficient_size():
 def test_resultant_budget_counts_each_bareiss_step():
     # univariate pairs of order 284 and 300 with 4-bit coefficients pack into
     # 46 and 48 words and pass both size estimates without the per-step
-    # charge; uncapped they run for about 13 s and 17 s
+    # charge; the charge was fitted to a Sylvester determinant, which took
+    # about 13 s and 17 s, and uncapped the remainder sequence takes 0.1 s
     def dense(rng, degree):
         return Polynomial(("y",), {(i,): rng.choice([-1, 1]) * rng.randint(1, 15) for i in range(degree + 1)})
 
@@ -977,7 +978,7 @@ def dense_univariate(rng, degree, bits):
 
 
 def test_rational_roots_budget_refuses_a_dense_high_degree_at_once():
-    # the remainder sequence of p against p' costs about d^4: 4.4 s at
+    # the remainder sequence of p against p' costs about d^4: 3.2 s at
     # degree 300 with 4-bit coefficients, so degree 400 is charged and refused
     p = dense_univariate(random.Random(7), 400, 4)
     start = time.perf_counter()
@@ -1021,7 +1022,7 @@ def test_the_heuristic_gcd_retries_past_a_root_at_its_first_point(monkeypatch, a
         return digits(value, bits)
 
     monkeypatch.setattr(polynomials, "_signed_digits", recording)
-    monkeypatch.setattr(polynomials, "_prem", _refuse)
+    monkeypatch.setattr(polynomials, "_subresultants", _refuse)
     assert gcd_of(pair, "x") == primitive(poly(expected, ("x",)), "x")
     assert seen == points
     monkeypatch.undo()
@@ -1038,13 +1039,13 @@ def test_the_remainder_sequence_decides_when_every_point_is_a_root(monkeypatch):
     bits = [4 * 2**i for i in range(polynomials._GCD_HEURISTIC_ATTEMPTS)]
     a = mul(shared, *(poly(f"x - {2**s}", ("x",)) for s in bits))
     calls = []
-    prem = polynomials._prem
+    sequence = polynomials._subresultants
 
     def counting(*args):
         calls.append(args)
-        return prem(*args)
+        return sequence(*args)
 
-    monkeypatch.setattr(polynomials, "_prem", counting)
+    monkeypatch.setattr(polynomials, "_subresultants", counting)
     assert gcd_of([a, b], "x") == {1: 1, 0: 3}
     assert calls
     monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
@@ -1075,7 +1076,7 @@ def test_the_gcd_budget_is_charged_before_the_heuristic(monkeypatch):
     with pytest.raises(UnsupportedCase, match=rf"^a gcd of degrees \[{n}, {n}\] exceeds the supported maximum$"):
         gcd_of(polys, "x")
     monkeypatch.setattr(polynomials, "MAX_GCD_WORK", math.inf)
-    monkeypatch.setattr(polynomials, "_prem", _refuse)
+    monkeypatch.setattr(polynomials, "_subresultants", _refuse)
     assert gcd_of(polys, "x") == {2: 1, 0: -2}
 
 
@@ -1149,3 +1150,115 @@ def test_gcd_and_rational_roots_match_sympy_on_planted_factors():
     planted()
     mignotte()
     roots()
+
+
+# -- the subresultant sequence: resultants and the gcd fallback --------------
+
+
+def _sylvester_det(a, b):
+    """The determinant of the Sylvester matrix of ascending coefficient lists a and b, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return int(sympy.Matrix(rows).det(method="bareiss"))
+
+
+def _euclid_degrees(a, b):
+    """The degrees of a, b (the higher first) and their remainders over Q, by sympy; -1 for zero."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    f, g = (sympy.Poly(c[::-1], t, domain="QQ") for c in sorted((a, b), key=len, reverse=True))
+    degrees = [f.degree(), g.degree()]
+    while not g.is_zero:
+        f, g = g, f.rem(g)
+        degrees.append(-1 if g.is_zero else g.degree())
+    return degrees
+
+
+def test_subresultant_resultants_and_gcds_match_sympy(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    def signed(magnitude):
+        return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+    nonzero = signed(st.integers(1, 9)) | signed(st.integers(2**390, 2**410))
+
+    def univariate(degree):
+        # ascending coefficients, about half of them zero below a nonzero leading one
+        below = st.lists(st.just(0) | nonzero, min_size=degree, max_size=degree)
+        return st.tuples(below, nonzero).map(lambda t: [*t[0], t[1]])
+
+    def spread(f, s):
+        """f(x^s)."""
+        out = [0] * (s * len(f) - s + 1)
+        out[::s] = f
+        return out
+
+    def times(f, g):
+        return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) for k in range(len(f) + len(g) - 1)]
+
+    # both orders of each pair are checked; distinct odd degrees come first,
+    # as the sampling leans to the first entries
+    degrees = [(1, 3), (3, 5), (1, 5)] + [(m, n) for m in range(6) for n in range(m, 6) if (m == n or m * n % 2 == 0)]
+    pairs = st.sampled_from(degrees).flatmap(lambda mn: st.tuples(univariate(mn[0]), univariate(mn[1])))
+    t = sympy.Symbol("t")
+    cases = ["defective step", "defective last step", "swapped odd degrees", "zero", "negative lead", "wide"]
+    seen = dict.fromkeys(cases, 0)
+    monkeypatch.setattr(polynomials, "_GCD_HEURISTIC_ATTEMPTS", 0)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        pairs, st.sampled_from([1, 1, 2, 3]), univariate(1) | univariate(2), st.sampled_from([1, 1, 1, 0])
+    )
+    def check(pair, s, shared, unshared):
+        # in x^s every step's degrees differ by a multiple of s; one pair in
+        # four gets a common factor
+        a, b = spread(pair[0], s), spread(pair[1], s)
+        if not unshared:
+            a, b = times(a, shared), times(b, shared)
+        m, n = len(a) - 1, len(b) - 1
+        expected = _sylvester_det(a, b)
+        # the Sylvester matrix of (b, a) is that of (a, b) with its two blocks
+        # of rows exchanged, m*n transpositions
+        for f, g, det in ((a, b, expected), (b, a, (-1) ** (m * n) * expected)):
+            assert polynomials._subresultants(f, g)[1] == det, (f, g)
+            if m and n:
+                p, q = ({(k,): c for k, c in enumerate(h) if c} for h in (f, g))
+                assert polynomials.resultant_slots(p, q, 0, (1,), 1) == ([det] if det else []), (f, g)
+        g = sympy.Poly(a[::-1], t).gcd(sympy.Poly(b[::-1], t)).primitive()[1].all_coeffs()[::-1]
+        assert gcd_terms([a, b]) == {k: int(c) for k, c in enumerate(g) if c}, (a, b)
+        # a step past the first whose degrees differ by 2 or more divides by
+        # a power of h, and so does the last one after degree 2 or more
+        degrees = _euclid_degrees(a, b)
+        if expected:
+            seen["defective step"] += any(
+                degrees[i - 1] - degrees[i] >= 2 and degrees[i] >= 1 for i in range(2, len(degrees))
+            )
+            seen["defective last step"] += len(degrees) > 3 and degrees[-3] >= 2
+        seen["swapped odd degrees"] += m != n and m * n % 2 == 1
+        seen["zero"] += expected == 0
+        seen["negative lead"] += a[-1] < 0 or b[-1] < 0
+        seen["wide"] += max(map(abs, a + b)).bit_length() > 390
+
+    check()
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("pair", ["dense order 200", "sparse order 320"])
+def test_a_resultant_of_order_200_or_more_takes_under_half_a_second(pair):
+    # one determinant of the Sylvester matrix took about 1.7 s and 0.7 s
+    if pair == "dense order 200":
+        rng = random.Random(1)
+        p, q = dense_univariate(rng, 100, 4), dense_univariate(rng, 100, 4)
+        expected = _sympy_resultant(p, q, "x")
+    else:
+        p = Polynomial.from_string("x^160 + 1", ("x",))
+        q = Polynomial.from_string("x^160 + x + 2", ("x",))
+        expected = Polynomial(("x",), {(0,): 2})
+    start = time.perf_counter()
+    r = resultant(p, q, "x")
+    assert time.perf_counter() - start < 0.5
+    assert poly_key(r) == poly_key(expected)

@@ -580,7 +580,7 @@ def test_a_point_search_past_its_budget_names_no_point(monkeypatch):
 
 @pytest.fixture
 def resultant_calls(monkeypatch):
-    """The eliminated exponent of each Sylvester determinant the certificate takes."""
+    """The eliminated exponent of each resultant the certificate takes."""
     calls = []
     digits = quartic.resultant_slots
 
